@@ -10,6 +10,7 @@ hard instances from integer linear recurrences.
 from .errors import (
     ConstructionError,
     DomainError,
+    InternalError,
     ParseError,
     PdmlError,
     ResourceLimitError,
@@ -82,8 +83,9 @@ from .constructions import (
 )
 
 __all__ = [
-    "ConstructionError", "DomainError", "ParseError", "PdmlError",
-    "ResourceLimitError", "UnsupportedError", "UsageError", "ValidationError",
+    "ConstructionError", "DomainError", "InternalError", "ParseError",
+    "PdmlError", "ResourceLimitError", "UnsupportedError", "UsageError",
+    "ValidationError",
     "FpElem", "FpPoly", "PrimeModulus", "RatFunc",
     "frobenius_power", "ratfunc_int_pow", "ratfunc_normalize",
     "CharRoots", "Lrs", "lrs_char_roots", "lrs_eval",

@@ -15,6 +15,7 @@ import time
 
 from . import serial
 from .errors import (
+    InternalError,
     ParseError,
     PdmlError,
     ResourceLimitError,
@@ -26,8 +27,8 @@ from .lrs import Lrs
 from .pexp import FArithSeq, PexpInstance, pexp_classify, pexp_solve
 from .psets import ap_intersect_pset, pset_intersect_bounded
 from .torus import (
+    classify_hits,
     frobenius_obstruction,
-    full_pipeline,
     reduction_decompose,
     return_set,
     verify_reduction,
@@ -87,8 +88,7 @@ def cmd_return_set(args, started: float) -> str:
     if args.nmax is not None:
         n_max = args.nmax
     hits = return_set(phi, alpha, variety, n_max)
-    desc = full_pipeline(phi, alpha, variety, n_max,
-                         r_max=args.rmax, s_max=args.smax)
+    desc = classify_hits(phi, hits, n_max, r_max=args.rmax, s_max=args.smax)
     body = ["[result]", "hits = " + ",".join(str(n) for n in hits)]
     body.extend(_desc_lines(desc))
     return _report(_echo_torus(p, phi, alpha, variety, n_max), body, started)
@@ -176,7 +176,7 @@ def cmd_gen_instance(args, started: float) -> str:
 
 def cmd_exponent_set(args, started: float) -> str:
     p = serial.parse_prime(str(args.p))
-    c = [int(x) for x in args.c.split(",")]
+    c = [serial.parse_int(x, "c entry") for x in args.c.split(",")]
     pv = build_pset_variety(p, c)
     hits = exponent_set(pv, args.bound)
     inst = [f"p = {p.p}", f"c = {args.c}", f"bound = {args.bound}"]
@@ -251,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
     handler, _ = _COMMANDS[args.command]
     try:
         report = handler(args, started)
+    except InternalError as e:
+        print(f"internal invariant failure: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
@@ -263,9 +266,6 @@ def main(argv: list[str] | None = None) -> int:
     except PdmlError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except AssertionError as e:
-        print(f"internal invariant failure: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
     _emit(report, args.out)
     return EXIT_OK
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError
+from .errors import ConstructionError, DomainError, InternalError
 from .exact import FpPoly, PrimeModulus, RatFunc, ratfunc_int_pow
-from .lrs import Lrs, mat_pow
+from .lrs import Lrs, companion_matrix, mat_pow
 from .torus import (
     Equation,
     TorusPoint,
@@ -62,7 +62,7 @@ def vandermonde_inverse(p: PrimeModulus) -> tuple[tuple[int, ...], ...]:
             total = sum(inv_rows[k][a - 1] * pow(a, j, pv)
                         for a in range(1, pv)) % pv
             if total != (1 if (j - k) % n == 0 else 0):
-                raise ConstructionError("Vandermonde inverse identity failed")
+                raise InternalError("Vandermonde inverse identity failed")
     return inv_rows
 
 
@@ -359,7 +359,7 @@ def _self_check(pv: PsetVariety):
             coords.append(acc)
         point = TorusPoint(tuple(coords))
         if not variety_contains(pv.X, point):
-            raise ConstructionError("parametrized point violates equations")
+            raise InternalError("parametrized point violates equations")
         # scaling a coordinate with nonzero row weight breaks the
         # normalization row, so this is a non-member by construction
         a0 = next(a for a in range(1, p.p)
@@ -368,7 +368,7 @@ def _self_check(pv: PsetVariety):
         twist[a0 - 1] = twist[a0 - 1] * RatFunc(
             FpPoly([rng.randrange(p.p), 1], p))
         if variety_contains(pv.X, TorusPoint(tuple(twist))):
-            raise ConstructionError("perturbed non-member satisfied equations")
+            raise InternalError("perturbed non-member satisfied equations")
 
 
 def _random_poly(rng: random.Random, p: PrimeModulus) -> RatFunc:
@@ -478,16 +478,6 @@ class LrsEncoding:
     initial_exponents: tuple[int, ...]
 
 
-def _companion_of(u: Lrs) -> tuple[tuple[int, ...], ...]:
-    d = u.order
-    mat = [[0] * d for _ in range(d)]
-    for i in range(d - 1):
-        mat[i][i + 1] = 1
-    for j in range(d):
-        mat[d - 1][j] = -u.rec_coeffs[j]
-    return tuple(tuple(r) for r in mat)
-
-
 def encode_lrs(u: Lrs, P: RatFunc, p: PrimeModulus) -> LrsEncoding:
     """Companion matrix acting on exponent windows (u_n, ..., u_(n+d-1));
     first-coordinate projection reads off P^(u_n)."""
@@ -495,7 +485,8 @@ def encode_lrs(u: Lrs, P: RatFunc, p: PrimeModulus) -> LrsEncoding:
         raise DomainError("base point must be nonzero")
     d = u.order
     q = TorusPoint(tuple(ratfunc_int_pow(P, u.initial[i]) for i in range(d)))
-    return LrsEncoding(d, _companion_of(u), (1,) + (0,) * (d - 1), q, P,
+    return LrsEncoding(d, tuple(map(tuple, companion_matrix(u))),
+                       (1,) + (0,) * (d - 1), q, P,
                        tuple(u.initial))
 
 
@@ -522,7 +513,7 @@ def dml_instance(u: Lrs, p: PrimeModulus, c: list[int]
     pvar = build_pset_variety(p, c)
     d = u.order
     n_amb = (p.p - 1) * d
-    block = _companion_of(u)
+    block = companion_matrix(u)
     big = [[0] * n_amb for _ in range(n_amb)]
     for b in range(p.p - 1):
         for i in range(d):

@@ -23,7 +23,8 @@ class UnsupportedError(PdmlError):
 
 
 class ConstructionError(PdmlError):
-    """A construction-time self-check failed; the object was not emitted."""
+    """The requested construction is outside what can be built; nothing was
+    emitted."""
 
 
 class ParseError(PdmlError):
@@ -32,3 +33,7 @@ class ParseError(PdmlError):
 
 class ValidationError(PdmlError):
     """Input parsed but failed semantic validation."""
+
+
+class InternalError(PdmlError):
+    """An internal invariant or a self-check failed: a bug, not bad input."""

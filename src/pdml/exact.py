@@ -8,6 +8,7 @@ len(coeffs) - 1`` and the Frobenius re-indexing x -> x^p is a stride copy.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -331,14 +332,6 @@ class FpPoly:
             out[i * q] = c  # c^(p^k) = c in F_p
         return FpPoly(out, self.modulus, _canonical=True)
 
-    def eval_int(self, x: int) -> int:
-        """Evaluate at x in F_p (Horner), returning a canonical residue."""
-        p = self.modulus.p
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % p
-        return acc
-
 
 def _guard_size(n_coeffs: int, modulus: PrimeModulus,
                 cap: int | None = None):
@@ -419,9 +412,6 @@ class RatFunc:
 
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
-
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree <= 0
 
     def __eq__(self, other):
         return (isinstance(other, RatFunc) and self.num == other.num
@@ -519,4 +509,118 @@ def _binary_pow(x: RatFunc, e: int) -> RatFunc:
         e >>= 1
         if e:
             base = base * base
+    return result
+
+
+# ---------------------------------------------------------------------------
+# Factoring in F_p[t]
+# ---------------------------------------------------------------------------
+
+# Equal-degree splitting draws random polynomials; factorisations are
+# unique, so the seed fixes only the running time, never the result.
+_FACTOR_SEED = 0
+
+
+def poly_factor(poly: FpPoly) -> tuple[int, list[tuple[FpPoly, int]]]:
+    """(leading coefficient, [(monic irreducible, multiplicity), ...]).
+
+    Squarefree splitting, then distinct-degree splitting, then equal-degree
+    splitting (D. Cantor and H. Zassenhaus, Math. Comp. 36 (1981)); the
+    time is polynomial in the degree and in log p. Factors are sorted by
+    degree, then by coefficients.
+    """
+    if poly.is_zero():
+        raise DomainError("factorisation of zero")
+    rng = random.Random(_FACTOR_SEED)
+    mult: dict[FpPoly, int] = {}
+    for sqf, m in _squarefree(poly.monic()):
+        for g, d in _distinct_degree(sqf):
+            for f in _equal_degree(g, d, rng):
+                mult[f] = mult.get(f, 0) + m
+    return poly.leading(), sorted(
+        mult.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
+
+
+def _squarefree(f: FpPoly) -> list[tuple[FpPoly, int]]:
+    """Monic f as [(squarefree monic factor, multiplicity)].
+
+    What gcd(f, f') leaves after the multiplicities prime to p are peeled
+    off is a p-th power; its p-th root is a stride of its coefficients.
+    """
+    out = []
+    c = f.gcd(f.derivative())
+    w = f.divmod(c)[0]
+    i = 1
+    while w.degree > 0:
+        y = w.gcd(c)
+        fac = w.divmod(y)[0]
+        if fac.degree > 0:
+            out.append((fac, i))
+        w = y
+        c = c.divmod(y)[0]
+        i += 1
+    if c.degree > 0:
+        p = f.modulus.p
+        root = FpPoly(c.coeffs[::p], f.modulus, _canonical=True)
+        out.extend((g, m * p) for g, m in _squarefree(root))
+    return out
+
+
+def _distinct_degree(f: FpPoly) -> list[tuple[FpPoly, int]]:
+    """Squarefree monic f as [(product of its factors of degree d, d)]:
+    gcd(f, t^(p^d) - t) collects the irreducible factors of degree d."""
+    out = []
+    t = FpPoly.x(f.modulus)
+    h = t
+    d = 0
+    while f.degree >= 2 * (d + 1):
+        d += 1
+        h = _powmod(h, f.modulus.p, f)
+        g = f.gcd(h - t)
+        if g.degree > 0:
+            out.append((g, d))
+            f = f.divmod(g)[0]
+            h = h % f
+    if f.degree > 0:
+        out.append((f, f.degree))
+    return out
+
+
+def _equal_degree(g: FpPoly, d: int, rng: random.Random) -> list[FpPoly]:
+    """The degree-d monic irreducible factors of squarefree monic g.
+
+    For a random a, gcd(g, a^((p^d-1)/2) - 1) (for p = 2, gcd(g, trace of
+    a) with trace a + a^2 + ... + a^(2^(d-1))) is a proper factor with
+    probability about 1/2.
+    """
+    if g.degree == d:
+        return [g]
+    p = g.modulus.p
+    while True:
+        a = FpPoly([rng.randrange(p) for _ in range(g.degree)], g.modulus)
+        if a.degree < 1:
+            continue
+        if p == 2:
+            b = sq = a
+            for _ in range(d - 1):
+                sq = sq * sq % g
+                b = b + sq
+        else:
+            b = _powmod(a, (p ** d - 1) // 2, g) - FpPoly.one(g.modulus)
+        u = g.gcd(b)
+        if 0 < u.degree < g.degree:
+            return (_equal_degree(u, d, rng)
+                    + _equal_degree(g.divmod(u)[0], d, rng))
+
+
+def _powmod(a: FpPoly, e: int, f: FpPoly) -> FpPoly:
+    """a^e mod f by binary powering."""
+    result = FpPoly.one(f.modulus)
+    a = a % f
+    while e:
+        if e & 1:
+            result = result * a % f
+        e >>= 1
+        if e:
+            a = a * a % f
     return result

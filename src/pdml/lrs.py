@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import lcm
 
-from .errors import DomainError, UnsupportedError
+from .errors import DomainError, InternalError, UnsupportedError
 from .exact import PrimeModulus
 
 # Threshold below which lrs_eval iterates the recurrence directly instead of
@@ -143,7 +144,8 @@ def char_poly_of_matrix(a: list[list[int]]) -> tuple[int, ...]:
             m[i][i] += c
         m = mat_mul(a, m)
         tr = sum(m[i][i] for i in range(n))
-        assert tr % k == 0
+        if tr % k:
+            raise InternalError("Faddeev-LeVerrier trace not divisible")
         c = -tr // k
         coeffs[n - k] = c
     return tuple(coeffs)
@@ -282,7 +284,8 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     for d in range(1, m):
         if m % d == 0:
             q = _poly_divide_exact(num, list(cyclotomic_poly(d)))
-            assert q is not None
+            if q is None:
+                raise InternalError("cyclotomic division left a remainder")
             num = q
     return tuple(num)
 
@@ -317,17 +320,11 @@ def lrs_nondegenerate_split(
             "characteristic polynomial has a non-cyclotomic irrational factor")
     mod = 1
     for m in orders:
-        mod = _lcm(mod, m)
+        mod = lcm(mod, m)
     ints = roots.root_set()
     if -1 in ints or any(r in ints and -r in ints and r > 0 for r in ints):
-        mod = _lcm(mod, 2)
+        mod = lcm(mod, 2)
     return [(mod, l, lrs_subsequence(s, mod, l)) for l in range(mod)]
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ResourceLimitError, UnsupportedError, ValidationError
+from .errors import (DomainError, InternalError, ResourceLimitError,
+                     UnsupportedError, ValidationError)
 from .exact import PrimeModulus
 from .lrs import (
     Lrs,
@@ -175,7 +176,7 @@ def fit_solution_desc(
     for desc in ranked:
         if desc_verify(desc, oracle, n_max):
             return desc
-    raise AssertionError("raw solution description failed to verify")
+    raise InternalError("raw solution description failed to verify")
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +205,7 @@ def pexp_classify(inst: PexpInstance, n_max: int,
     if not inst.terms:
         desc = ReturnSetDesc(inst.p, aps=(ArithProg(1, 0),),
                              notes=("void equation: ambient progression",))
-        assert desc_verify(desc, oracle, n_max)
-        return desc
+        return _verified(desc, oracle, n_max)
     try:
         pieces = lrs_nondegenerate_split(inst.u, cyclotomic_bound)
     except UnsupportedError:
@@ -213,8 +213,7 @@ def pexp_classify(inst: PexpInstance, n_max: int,
             inst.p, exceptional=tuple(sorted(solutions)),
             notes=("unsupported: irrational characteristic roots; "
                    "raw solutions to bound",))
-        assert desc_verify(desc, oracle, n_max)
-        return desc
+        return _verified(desc, oracle, n_max)
 
     all_aps: list[ArithProg] = []
     all_psets: list[PSet] = []
@@ -253,7 +252,13 @@ def pexp_classify(inst: PexpInstance, n_max: int,
         return desc
     desc = ReturnSetDesc(inst.p, exceptional=tuple(sorted(solutions)),
                          notes=("fallback: piecewise fit failed to verify",))
-    assert desc_verify(desc, oracle, n_max)
+    return _verified(desc, oracle, n_max)
+
+
+def _verified(desc: ReturnSetDesc, oracle, n_max: int) -> ReturnSetDesc:
+    """desc, checked against the oracle on [0, n_max]."""
+    if not desc_verify(desc, oracle, n_max):
+        raise InternalError("description failed to verify")
     return desc
 
 

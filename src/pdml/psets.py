@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DomainError, UnsupportedError
+from .errors import DomainError, InternalError, UnsupportedError
 from .exact import PrimeModulus
 
 # Split depth for excluding single points from a p-set before giving up.
@@ -189,7 +189,8 @@ def pset_membership(M: int | Fraction, S: PSet, p: PrimeModulus
             continue
         # some witness of the current subproblem has k*n below this level
         top = _decide(T, [(e, k)] + remaining, pv)
-        assert top is not None
+        if top is None:
+            raise InternalError("witness subproblem lost its solution")
         n = 0
         while True:
             if _decide(T - e * pv ** (k * n), remaining, pv) is not None:
@@ -197,7 +198,8 @@ def pset_membership(M: int | Fraction, S: PSet, p: PrimeModulus
                 T -= e * pv ** (k * n)
                 break
             n += 1
-            assert k * n <= max(top, k), "witness scan exceeded certified level"
+            if k * n > max(top, k):
+                raise InternalError("witness scan exceeded certified level")
     return tuple(witness)
 
 

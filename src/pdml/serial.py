@@ -18,6 +18,14 @@ from .psets import ArithProg, PSet, ReturnSetDesc
 from .torus import TorusPoint, TorusSelfMap, Variety
 
 
+def parse_int(text: str, what: str) -> int:
+    """One base-10 integer field; anything else is a ParseError."""
+    try:
+        return int(text)
+    except ValueError as e:
+        raise ParseError(f"bad {what} {text!r}") from e
+
+
 # -- RatFunc -----------------------------------------------------------------
 
 
@@ -31,11 +39,8 @@ def ratfunc_from_text(text: str, p: PrimeModulus) -> RatFunc:
     parts = text.strip().split("/")
     if len(parts) != 2:
         raise ParseError(f"rational function needs num/den: {text!r}")
-    try:
-        num = [int(c) for c in parts[0].split(",")]
-        den = [int(c) for c in parts[1].split(",")]
-    except ValueError as e:
-        raise ParseError(f"bad coefficient in {text!r}") from e
+    num = [parse_int(c, "coefficient") for c in parts[0].split(",")]
+    den = [parse_int(c, "coefficient") for c in parts[1].split(",")]
     return RatFunc(FpPoly(num, p), FpPoly(den, p))
 
 
@@ -53,12 +58,10 @@ def lrs_from_text(text: str) -> Lrs:
     parts = text.strip().split(";")
     if len(parts) != 3:
         raise ParseError(f"recurrence needs order;coeffs;initial: {text!r}")
-    try:
-        order = int(parts[0])
-        coeffs = tuple(int(c) for c in parts[1].split(","))
-        initial = tuple(int(c) for c in parts[2].split(","))
-    except ValueError as e:
-        raise ParseError(f"bad integer in {text!r}") from e
+    order = parse_int(parts[0], "recurrence order")
+    coeffs = tuple(parse_int(c, "recurrence coefficient")
+                   for c in parts[1].split(","))
+    initial = tuple(parse_int(c, "initial value") for c in parts[2].split(","))
     if order != len(coeffs) or order != len(initial):
         raise ParseError(f"order mismatch in {text!r}")
     return Lrs(coeffs, initial)
@@ -91,15 +94,14 @@ def pset_from_text(text: str) -> PSet:
         if "*p^(" not in chunk or not chunk.endswith(")"):
             raise ParseError(f"bad p-set term {chunk!r}")
         c_txt, rest = chunk.split("*p^(", 1)
-        k_txt, n_txt = rest[:-1].split("*", 1)
+        k_txt, _, n_txt = rest[:-1].partition("*")
         if not n_txt.startswith("n"):
             raise ParseError(f"bad exponent variable in {chunk!r}")
         try:
             c = Fraction(c_txt)
-            k = int(k_txt)
         except (ValueError, ZeroDivisionError) as e:
             raise ParseError(f"bad p-set term {chunk!r}") from e
-        terms.append((c, k))
+        terms.append((c, parse_int(k_txt, "p-set exponent multiplier")))
     return PSet(tuple(terms))
 
 
@@ -124,18 +126,24 @@ def desc_to_text(d: ReturnSetDesc) -> str:
 
 def desc_from_text(text: str, p: PrimeModulus) -> ReturnSetDesc:
     sections = _split_sections(text)
-    aps = tuple(
-        ArithProg(*(int(x) for x in line.split(",")))
-        for line in sections.get("aps", ()))
+    aps = tuple(_progression(line) for line in sections.get("aps", ()))
     psets = tuple(pset_from_text(line) for line in sections.get("psets", ()))
     exc_lines = sections.get("exceptional", ())
-    exceptional = tuple(
-        int(x) for line in exc_lines for x in line.split(",") if x)
+    exceptional = tuple(parse_int(x, "exceptional point")
+                        for line in exc_lines for x in line.split(",") if x)
     vb_lines = sections.get("verified_bound", ())
-    vb = int(vb_lines[0]) if vb_lines else 0
+    vb = parse_int(vb_lines[0], "verified bound") if vb_lines else 0
     notes = tuple(sections.get("notes", ()))
     return ReturnSetDesc(p, aps=aps, psets=psets, exceptional=exceptional,
                          verified_bound=vb, notes=notes)
+
+
+def _progression(text: str) -> ArithProg:
+    """`a,b` for the progression {a*n + b}."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ParseError(f"progression needs a,b: {text!r}")
+    return ArithProg(*(parse_int(x, "progression entry") for x in parts))
 
 
 def _split_sections(text: str) -> dict[str, list[str]]:
@@ -187,10 +195,7 @@ def _require(kv: dict[str, list[str]], key: str) -> str:
 
 
 def parse_prime(text: str) -> PrimeModulus:
-    try:
-        value = int(text)
-    except ValueError as e:
-        raise ParseError(f"bad prime {text!r}") from e
+    value = parse_int(text, "prime")
     try:
         return PrimeModulus(value)
     except Exception as e:
@@ -223,13 +228,9 @@ def torus_instance_from_text(
 ) -> tuple[PrimeModulus, TorusSelfMap, TorusPoint, Variety, int]:
     kv = _kv_dict(text)
     p = parse_prime(_require(kv, "p"))
-    n_max = int(_require(kv, "n_max"))
-    try:
-        matrix = tuple(
-            tuple(int(x) for x in row.split())
-            for row in _require(kv, "matrix").split(";"))
-    except ValueError as e:
-        raise ParseError("bad matrix entry") from e
+    n_max = parse_int(_require(kv, "n_max"), "n_max")
+    matrix = tuple(tuple(parse_int(x, "matrix entry") for x in row.split())
+                   for row in _require(kv, "matrix").split(";"))
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValidationError("matrix must be square")
@@ -255,7 +256,7 @@ def torus_instance_from_text(
             if ":" not in term:
                 raise ParseError(f"equation term needs expvec : coeff: {term!r}")
             ev_txt, c_txt = term.split(":", 1)
-            ev = tuple(int(x) for x in ev_txt.split())
+            ev = tuple(parse_int(x, "exponent") for x in ev_txt.split())
             if len(ev) != n:
                 raise ValidationError("exponent vector has wrong length")
             terms.append((ev, ratfunc_from_text(c_txt, p)))
@@ -297,19 +298,20 @@ def pexp_instance_from_text(
         chunk = chunk.strip()
         if not chunk:
             continue
-        try:
-            c_, k = (int(x) for x in chunk.split(","))
-        except ValueError as e:
-            raise ParseError(f"bad term {chunk!r}") from e
+        parts = chunk.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"bad term {chunk!r}")
+        c_, k = (parse_int(x, "term entry") for x in parts)
         if k < 0:
             raise ValidationError("exponent multiplier must be non-negative")
         terms.append((c_, k))
-    n_max = int(_require(kv, "n_max"))
+    n_max = parse_int(_require(kv, "n_max"), "n_max")
     if n_max < 0:
         raise ValidationError("n_max must be non-negative")
     c = None
     if "c" in kv:
-        c = tuple(int(x) for x in _require(kv, "c").split(","))
+        c = tuple(parse_int(x, "c entry")
+                  for x in _require(kv, "c").split(","))
         if any(x < 1 for x in c):
             raise ValidationError("c entries must be positive")
     return p, u, tuple(terms), n_max, c
@@ -324,7 +326,7 @@ def pset_pair_from_text(text: str
     p = parse_prime(_require(kv, "p"))
     s1 = pset_from_text(_require(kv, "pset1"))
     s2 = pset_from_text(_require(kv, "pset2"))
-    bound = int(_require(kv, "bound"))
+    bound = parse_int(_require(kv, "bound"), "bound")
     if bound < 0:
         raise ValidationError("bound must be non-negative")
     return p, s1, s2, bound
@@ -333,10 +335,6 @@ def pset_pair_from_text(text: str
 def ap_pset_from_text(text: str) -> tuple[PrimeModulus, ArithProg, PSet]:
     kv = _kv_dict(text)
     p = parse_prime(_require(kv, "p"))
-    a_txt = _require(kv, "ap")
-    try:
-        a, b = (int(x) for x in a_txt.split(","))
-    except ValueError as e:
-        raise ParseError(f"bad progression {a_txt!r}") from e
+    ap = _progression(_require(kv, "ap"))
     s = pset_from_text(_require(kv, "pset"))
-    return p, ArithProg(a, b), s
+    return p, ap, s

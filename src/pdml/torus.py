@@ -1,12 +1,15 @@
 """Dynamics of affine self-maps x -> y * [A]x on split tori over F_p(t).
 
-Orbits of pure endomorphisms are carried in factored form (a unit times a
-product of monic irreducibles with big-integer exponents) so that points
-like (t+1)^(10^8) stay cheap; variety membership on such points is decided
-either by expanding small terms or by an exact digit-structured evaluation
-of linear equations in Frobenius powers. Everything user-facing remains
-plain RatFunc coordinates, with resource errors where dense degrees would
-explode.
+Every coordinate of Phi^n(alpha) is a product of powers of the irreducible
+factors of alpha and y, so orbits are carried in one form: factored (a unit
+times a product of monic irreducibles with big-integer exponents), where a
+step is exponent bookkeeping and points like (t+1)^(10^8) stay cheap. The
+equation coefficients are factored as well, once per call. Membership is
+decided by a factored ratio test for two terms, an exact digit-structured
+evaluation for linear equations in equal Frobenius powers, and otherwise by
+dense expansion under the degree cap. Everything user-facing remains plain
+RatFunc coordinates; dense iteration (selfmap_iterate, variety_contains)
+stays as the independent oracle.
 """
 
 from __future__ import annotations
@@ -14,13 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ResourceLimitError, UsageError
-from .exact import FpPoly, PrimeModulus, RatFunc, ratfunc_int_pow
-from .lrs import Lrs, lrs_prefix, mat_mul, mat_pow
+from .errors import DomainError, InternalError, ResourceLimitError, UsageError
+from .exact import (FpPoly, PrimeModulus, RatFunc, get_degree_cap,
+                    poly_factor, ratfunc_int_pow)
+from .lrs import (Lrs, char_poly_of_matrix, lrs_char_roots, lrs_prefix,
+                  mat_mul, mat_pow)
 from .psets import ReturnSetDesc
-
-# Expanding a factored value beyond this many coefficients is refused.
-_EXPAND_CAP = 200_000
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -210,25 +212,15 @@ class Factored:
         return Factored(1, {}, p)
 
     @staticmethod
-    def from_ratfunc(x: RatFunc) -> "Factored | None":
-        """Factor into linear/irreducible pieces; None when a root-free
-        factor of degree >= 4 remains (it might split further)."""
-        if x.is_zero():
-            return None
-        p = x.modulus
-        unit = 1
-        powers: dict[tuple[int, ...], int] = {}
-        for poly, sign in ((x.num, 1), (x.den, -1)):
-            u, factors = _factor_poly(poly)
-            if factors is None:
-                return None
-            if sign == 1:
-                unit = unit * u % p.p
-            else:
-                unit = unit * pow(u, p.p - 2, p.p) % p.p
-            for key, mult in factors.items():
-                powers[key] = powers.get(key, 0) + sign * mult
-        return Factored(unit, powers, p)
+    def from_ratfunc(x: RatFunc) -> "Factored":
+        """Factor a nonzero x; numerator and denominator are coprime and the
+        denominator is monic, so the unit is the numerator's leading
+        coefficient."""
+        unit, factors = poly_factor(x.num)
+        powers = {f.coeffs: m for f, m in factors}
+        for f, m in poly_factor(x.den)[1]:
+            powers[f.coeffs] = -m
+        return Factored(unit, powers, x.modulus)
 
     def __mul__(self, other: "Factored") -> "Factored":
         powers = dict(self.powers)
@@ -258,58 +250,32 @@ class Factored:
         return max(num, den) + 1
 
     def to_ratfunc(self) -> RatFunc:
-        if self.expanded_len() > _EXPAND_CAP:
+        """Dense expansion under the degree cap, each power by base-p
+        splitting of its exponent."""
+        if self.expanded_len() > get_degree_cap():
             raise ResourceLimitError(
                 "factored value too large to expand densely")
-        p = self.p
-        num = FpPoly.const(self.unit, p)
-        den = FpPoly.one(p)
+        num = den = RatFunc.one(self.p)
         for key, e in self.powers.items():
-            base = FpPoly(key, p)
+            power = ratfunc_int_pow(
+                RatFunc.from_poly(FpPoly(key, self.p, _canonical=True)),
+                abs(e))
             if e > 0:
-                num = num * base ** e
+                num = num * power
             else:
-                den = den * base ** (-e)
-        return RatFunc(num, den, _canonical=True)
+                den = den * power
+        return RatFunc(num.num.scale(self.unit), den.num, _canonical=True)
 
 
-def _factor_poly(poly: FpPoly
-                 ) -> tuple[int, dict[tuple[int, ...], int] | None]:
-    """(unit, {monic irreducible coeffs: multiplicity}) or (_, None)."""
-    p = poly.modulus.p
-    unit = poly.leading()
-    work = poly.monic()
-    factors: dict[tuple[int, ...], int] = {}
-    # root scan over F_p
-    for r in range(p):
-        while work.degree >= 1 and work.eval_int(r) == 0:
-            lin = FpPoly((-r % p, 1), poly.modulus)
-            work = work.divmod(lin)[0]
-            key = lin.coeffs
-            factors[key] = factors.get(key, 0) + 1
-    if work.degree >= 4:
-        return unit, None
-    if work.degree >= 1:
-        # degree 2 or 3 without roots is irreducible over F_p
-        factors[work.coeffs] = factors.get(work.coeffs, 0) + 1
-    return unit, factors
+def factor_point(x: TorusPoint) -> list[Factored]:
+    return [Factored.from_ratfunc(c) for c in x.coords]
 
 
-def factor_point(x: TorusPoint) -> list[Factored] | None:
+def _affine_apply_factored(matrix: Matrix, shift: list[Factored],
+                           pt: list[Factored]) -> list[Factored]:
+    """shift * [matrix]pt, coordinatewise."""
     out = []
-    for c in x.coords:
-        f = Factored.from_ratfunc(c)
-        if f is None:
-            return None
-        out.append(f)
-    return out
-
-
-def _endo_apply_factored(matrix: Matrix, pt: list[Factored]
-                         ) -> list[Factored]:
-    out = []
-    for row in matrix:
-        acc = Factored.one(pt[0].p)
+    for row, acc in zip(matrix, shift):
         for a, xj in zip(row, pt):
             if a:
                 acc = acc * xj ** a
@@ -361,7 +327,15 @@ def _structured_zero_test(lin: list[tuple[int, int]], const: int, m: int,
     return (W(D % (p - 1) if D else 0) + const) % p == 0
 
 
-def _eval_equation_factored(eq: Equation, pt: list[Factored],
+FactoredEquation = list[tuple[tuple[int, ...], Factored]]
+
+
+def _factor_equation(eq: Equation) -> FactoredEquation:
+    """Factor the nonzero coefficients; zero coefficients drop out."""
+    return [(ev, Factored.from_ratfunc(c)) for ev, c in eq if not c.is_zero()]
+
+
+def _eval_equation_factored(eq: FactoredEquation, pt: list[Factored],
                             p: PrimeModulus) -> bool:
     """Exact zero test of one equation at a factored point.
 
@@ -369,63 +343,29 @@ def _eval_equation_factored(eq: Equation, pt: list[Factored],
     degrees are exact, so unequal degrees decide without expansion. Linear
     combinations of equal Frobenius powers of distinct linear bases go
     through the digit-structured route; what remains is expanded under the
-    size cap after the common monomial factor is stripped.
+    degree cap after the common monomial factor is stripped.
     """
-    terms: list[tuple[Factored, RatFunc]] = []
-    for ev, coeff in eq:
-        acc = Factored.one(p)
+    terms = []
+    for ev, acc in eq:
         for i, e in enumerate(ev):
             if e:
                 acc = acc * pt[i] ** e
-        terms.append((acc, coeff))
-
-    folded = _fold_coefficients(terms, p)
-    if folded is not None:
-        if len(folded) == 0:
-            return True
-        if len(folded) == 1:
-            return False  # a single nonzero monomial
-        if len(folded) == 2:
-            return _two_term_zero(folded[0], folded[1])
+        terms.append(acc)
+    if len(terms) <= 2:
+        return not terms or (len(terms) == 2 and _two_term_zero(*terms))
 
     structured = _try_structured(terms, p)
     if structured is not None:
         return structured
 
-    if folded is not None:
-        # strip the common monomial factor; zeroness is unaffected
-        common: dict[tuple[int, ...], int] = {}
-        for key in set().union(*(f.powers.keys() for f in folded)):
-            common[key] = min(f.powers.get(key, 0) for f in folded)
-        reduced = [
-            Factored(f.unit, {k: e - common.get(k, 0)
-                              for k, e in f.powers.items()}, p)
-            for f in folded
-        ]
-        total = RatFunc.zero(p)
-        for fac in reduced:
-            total = total + fac.to_ratfunc()
-        return total.is_zero()
-
+    # strip the common monomial factor; zeroness is unaffected
+    keys = set().union(*(f.powers for f in terms))
+    common = {k: min(f.powers.get(k, 0) for f in terms) for k in keys}
     total = RatFunc.zero(p)
-    for fac, coeff in terms:
-        total = total + coeff * fac.to_ratfunc()
+    for f in terms:
+        reduced = {k: f.powers.get(k, 0) - common[k] for k in keys}
+        total = total + Factored(f.unit, reduced, p).to_ratfunc()
     return total.is_zero()
-
-
-def _fold_coefficients(terms: list[tuple[Factored, RatFunc]],
-                       p: PrimeModulus) -> list[Factored] | None:
-    """Fold each coefficient into its factored monomial; None if one does
-    not factor. Zero coefficients drop out."""
-    out = []
-    for fac, coeff in terms:
-        if coeff.is_zero():
-            continue
-        cf = Factored.from_ratfunc(coeff)
-        if cf is None:
-            return None
-        out.append(fac * cf)
-    return out
 
 
 def _two_term_zero(a: Factored, b: Factored) -> bool:
@@ -435,43 +375,29 @@ def _two_term_zero(a: Factored, b: Factored) -> bool:
     return not ratio.powers and (ratio.unit + 1) % a.p.p == 0
 
 
-def _try_structured(terms: list[tuple[Factored, RatFunc]], p: PrimeModulus
-                    ) -> bool | None:
+def _try_structured(terms: list[Factored], p: PrimeModulus) -> bool | None:
+    """Terms c_a (t + s_a)^m and constants through _structured_zero_test;
+    None for any other shape."""
     lin: list[tuple[int, int]] = []
     const = 0
     m_common: int | None = None
-    for fac, coeff in terms:
-        if not coeff.is_constant():
-            return None
-        c = (coeff.num.coeffs[0] if coeff.num.coeffs else 0)
-        c = c * pow(coeff.den.coeffs[0], p.p - 2, p.p) % p.p
-        c = c * fac.unit % p.p
-        if c == 0:
-            continue
+    for fac in terms:
         if not fac.powers:
-            const = (const + c) % p.p
+            const = (const + fac.unit) % p.p
             continue
         if len(fac.powers) != 1:
             return None
         (key, e), = fac.powers.items()
-        if len(key) != 2 or key[1] != 1:
-            return None  # base not monic linear
-        s = key[0]  # base is t + s
-        if s % p.p == 0:
-            return None
+        if len(key) != 2 or key[0] == 0:
+            return None  # base is not t + s with s != 0
         if m_common is None:
             m_common = e
         elif m_common != e:
             return None
-        lin.append((s, c))
+        lin.append((key[0], fac.unit))
     if m_common is None:
-        return const % p.p == 0
+        return const == 0
     return _structured_zero_test(lin, const, m_common, p.p)
-
-
-def _variety_contains_factored(v: Variety, pt: list[Factored],
-                               p: PrimeModulus) -> bool:
-    return all(_eval_equation_factored(eq, pt, p) for eq in v.equations)
 
 
 # ---------------------------------------------------------------------------
@@ -483,33 +409,24 @@ def return_set(phi: TorusSelfMap, alpha: TorusPoint, v: Variety,
                n_max: int) -> list[int]:
     """{n <= n_max : Phi^n(alpha) in V} by sequential iteration.
 
-    Pure endomorphisms with factorable start coordinates iterate in factored
-    form (exponent bookkeeping only); everything else iterates densely, one
-    affine step per n, degree-capped.
+    alpha, the translation y and the equation coefficients are factored
+    once; each step cur -> y * [A]cur is then exponent bookkeeping, and
+    membership is decided on the factored point.
     """
     if n_max < 0:
         raise DomainError("n_max must be non-negative")
-    if v.n_vars != alpha.dim:
+    if v.n_vars != alpha.dim or phi.dim != alpha.dim:
         raise UsageError("dimension mismatch")
-    if phi.is_endomorphism():
-        pt = factor_point(alpha)
-        if pt is not None:
-            p = alpha.modulus
-            hits = []
-            cur = pt
-            for n in range(n_max + 1):
-                if _variety_contains_factored(v, cur, p):
-                    hits.append(n)
-                if n < n_max:
-                    cur = _endo_apply_factored(phi.matrix, cur)
-            return hits
+    p = alpha.modulus
+    equations = [_factor_equation(eq) for eq in v.equations]
+    f_y = factor_point(phi.translation)
+    cur = factor_point(alpha)
     hits = []
-    cur = alpha
     for n in range(n_max + 1):
-        if variety_contains(v, cur):
+        if all(_eval_equation_factored(eq, cur, p) for eq in equations):
             hits.append(n)
         if n < n_max:
-            cur = selfmap_apply(phi, cur)
+            cur = _affine_apply_factored(phi.matrix, f_y, cur)
     return hits
 
 
@@ -535,9 +452,10 @@ def minimal_polynomial(a) -> tuple[int, ...]:
         sol = _solve_exact(vecs[:l], vecs[l])
         if sol is not None:
             coeffs = [-c for c in sol] + [Fraction(1)]
-            assert all(c.denominator == 1 for c in coeffs)
+            if any(c.denominator != 1 for c in coeffs):
+                raise InternalError("minimal polynomial is not integral")
             return tuple(int(c) for c in coeffs)
-    raise AssertionError("Cayley-Hamilton guarantees degree <= n")
+    raise InternalError("Cayley-Hamilton guarantees degree <= n")
 
 
 def _solve_exact(columns: list[list[Fraction]], target: list[Fraction]
@@ -629,14 +547,10 @@ def _poly_mul_z(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def _shift_mod(s: list[int], minpoly: tuple[int, ...]) -> list[int]:
     """x * s mod minpoly over Z, for monic minpoly of degree l = len(s)."""
-    l = len(s)
-    out = [0] + s[:-1] if l > 1 else [0]
-    lead = s[-1] if s else 0
-    if l == 1:
-        out = [0]
-        lead = s[0]
+    out = [0] + s[:-1]
+    lead = s[-1]
     if lead:
-        for i in range(l):
+        for i in range(len(s)):
             out[i] -= lead * minpoly[i]
     return out
 
@@ -645,55 +559,32 @@ def verify_reduction(rd: ReductionData, phi: TorusSelfMap,
                      alpha: TorusPoint, n_max: int) -> bool:
     """Exact check of the decomposition identity for every n <= n_max.
 
-    Both sides are computed independently: the left by iterating the affine
-    map, the right from the stored recurrences and points. Runs in factored
-    form when all base coordinates factor, else densely.
+    Both sides are computed independently in factored form: the left by
+    iterating the affine map, the right from the stored recurrences and
+    points.
     """
     l = len(rd.minpoly) - 1
     p = alpha.modulus
     u_vals = [lrs_prefix(s, n_max) for s in rd.u_seqs]
     v_vals = [lrs_prefix(s, n_max) for s in rd.v_seqs]
-    apow = [list(r) for r in phi.matrix]
-    a_alpha = [alpha]
-    for i in range(1, l):
-        a_alpha.append(endo_apply(mat_pow(apow, i), alpha))
-
+    ones = [Factored.one(p) for _ in range(alpha.dim)]
     f_alpha = factor_point(alpha)
     f_y = factor_point(phi.translation)
     f_q = [factor_point(q) for q in rd.q_points]
-    f_aa = [factor_point(x) for x in a_alpha]
-    if (f_alpha is not None and f_y is not None
-            and all(x is not None for x in f_q)
-            and all(x is not None for x in f_aa)):
-        cur = f_alpha
-        for n in range(n_max + 1):
-            rhs = [Factored.one(p) for _ in range(alpha.dim)]
-            for i in range(l):
-                for d in range(alpha.dim):
-                    rhs[d] = rhs[d] * f_q[i][d] ** u_vals[i][n]
-                    rhs[d] = rhs[d] * f_aa[i][d] ** v_vals[i][n]
-            if cur != rhs:
-                return False
-            if n < n_max:
-                cur = [a * b for a, b in zip(
-                    f_y, _endo_apply_factored(phi.matrix, cur))]
-        return True
-
-    cur_pt = alpha
+    apow = [list(r) for r in phi.matrix]
+    f_aa = [_affine_apply_factored(mat_pow(apow, i), ones, f_alpha)
+            for i in range(l)]
+    cur = f_alpha
     for n in range(n_max + 1):
-        coords = []
-        for d in range(alpha.dim):
-            acc = RatFunc.one(p)
-            for i in range(l):
-                acc = acc * ratfunc_int_pow(rd.q_points[i].coords[d],
-                                            u_vals[i][n])
-                acc = acc * ratfunc_int_pow(a_alpha[i].coords[d],
-                                            v_vals[i][n])
-            coords.append(acc)
-        if TorusPoint(tuple(coords)).coords != cur_pt.coords:
+        rhs = list(ones)
+        for i in range(l):
+            for d in range(alpha.dim):
+                rhs[d] = rhs[d] * f_q[i][d] ** u_vals[i][n]
+                rhs[d] = rhs[d] * f_aa[i][d] ** v_vals[i][n]
+        if cur != rhs:
             return False
         if n < n_max:
-            cur_pt = selfmap_apply(phi, cur_pt)
+            cur = _affine_apply_factored(phi.matrix, f_y, cur)
     return True
 
 
@@ -728,8 +619,6 @@ def frobenius_obstruction(a, p: PrimeModulus, r_max: int = 12,
     if r_max < 1 or s_max < 1:
         raise DomainError("bounds must be at least 1")
     m = [list(r) for r in _as_matrix(a)]
-    from .lrs import char_poly_of_matrix
-
     for r in range(1, r_max + 1):
         ar = mat_pow(m, r)
         cp = char_poly_of_matrix(ar)
@@ -737,9 +626,7 @@ def frobenius_obstruction(a, p: PrimeModulus, r_max: int = 12,
             if _poly_eval_z(cp, p.p ** s) == 0:
                 return ObstructionVerdict(True, r, s)
     minpoly = minimal_polynomial(m)
-    from .lrs import Lrs as _L, lrs_char_roots
-
-    roots = lrs_char_roots(_L(minpoly[:-1], (0,) * (len(minpoly) - 1)))
+    roots = lrs_char_roots(Lrs(minpoly[:-1], (0,) * (len(minpoly) - 1)))
     for root, _ in roots.integer_roots:
         v = abs(root)
         b = 0
@@ -766,7 +653,15 @@ def _poly_eval_z(poly: tuple[int, ...], x: int) -> int:
 def full_pipeline(phi: TorusSelfMap, alpha: TorusPoint, v: Variety,
                   n_max: int, declared_dim: int | None = None,
                   r_max: int = 12, s_max: int = 24) -> ReturnSetDesc:
-    """return_set followed by fit-and-verify classification.
+    """return_set followed by classify_hits."""
+    return classify_hits(phi, return_set(phi, alpha, v, n_max), n_max,
+                         declared_dim, r_max, s_max)
+
+
+def classify_hits(phi: TorusSelfMap, hits: list[int], n_max: int,
+                  declared_dim: int | None = None, r_max: int = 12,
+                  s_max: int = 24) -> ReturnSetDesc:
+    """Fit-and-verify classification of the return set hits on [0, n_max].
 
     Pure endomorphisms that are clear of the Frobenius obstruction get the
     progressions-only shape; a declared variety dimension <= 2 (or the
@@ -775,8 +670,7 @@ def full_pipeline(phi: TorusSelfMap, alpha: TorusPoint, v: Variety,
     """
     from .pexp import fit_solution_desc
 
-    p = alpha.modulus
-    hits = set(return_set(phi, alpha, v, n_max))
+    p = phi.translation.modulus
     notes: list[str] = []
     allow_psets = True
     if phi.is_endomorphism():
@@ -791,5 +685,5 @@ def full_pipeline(phi: TorusSelfMap, alpha: TorusPoint, v: Variety,
         allow_psets = False
         notes.append("declared dimension above 2: "
                      "progressions and exceptional points only")
-    return fit_solution_desc(hits, p, n_max, allow_psets=allow_psets,
+    return fit_solution_desc(set(hits), p, n_max, allow_psets=allow_psets,
                              max_nontrivial=2, notes=tuple(notes))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from pdml.exact import (
     RatFunc,
     frobenius_power,
     is_prime,
+    poly_factor,
     ratfunc_int_pow,
     ratfunc_normalize,
 )
@@ -219,3 +221,71 @@ class TestRatFuncField:
         b = rf([2, 4], [6, 2])
         assert a == b
         assert hash(a) == hash(b)
+
+
+def monics(p: PrimeModulus, degree: int):
+    for low in itertools.product(range(p.p), repeat=degree):
+        yield FpPoly(list(low) + [1], p)
+
+
+def check_factorisation(f: FpPoly):
+    """The factors multiply back to f and each passes trial division by
+    every monic polynomial of at most half its degree."""
+    unit, factors = poly_factor(f)
+    prod = FpPoly.const(unit, f.modulus)
+    for g, m in factors:
+        assert g.is_monic() and g.degree >= 1 and m >= 1
+        prod = prod * g ** m
+        for d in range(1, g.degree // 2 + 1):
+            for h in monics(f.modulus, d):
+                assert not (g % h).is_zero(), (f, g, h)
+    assert prod == f
+    assert len({g for g, _ in factors}) == len(factors)
+    return factors
+
+
+class TestFactor:
+    def test_all_monics_small_primes(self):
+        for p, top in ((P2, 6), (P3, 5), (P5, 3), (PrimeModulus(7), 2)):
+            for d in range(1, top + 1):
+                for f in monics(p, d):
+                    check_factorisation(f)
+
+    def test_random_against_trial_division(self):
+        rnd = random.Random(31)
+        for p in (P2, P3, P5, PrimeModulus(7)):
+            for _ in range(40):
+                # products of small random pieces give repeated factors
+                f = FpPoly.const(rnd.randrange(1, p.p), p)
+                target = rnd.randint(1, 6)
+                while f.degree < target:
+                    d = rnd.randint(1, min(3, target - f.degree))
+                    f = f * FpPoly([rnd.randrange(p.p) for _ in range(d)]
+                                   + [rnd.randrange(1, p.p)], p)
+                check_factorisation(f)
+
+    def test_pth_powers(self):
+        # t^5 + 1 = (t + 1)^5 over F_5: the derivative vanishes
+        assert check_factorisation(poly([1, 0, 0, 0, 0, 1])) == \
+            [(poly([1, 1]), 5)]
+        # (t^2 + 2)^5 (t + 3)^6
+        f = poly([2, 0, 1]) ** 5 * poly([3, 1]) ** 6
+        assert check_factorisation(f) == [(poly([3, 1]), 6),
+                                          (poly([2, 0, 1]), 5)]
+        # t^4 + t^2 + 1 = (t^2 + t + 1)^2 over F_2
+        assert check_factorisation(poly([1, 0, 1, 0, 1], P2)) == \
+            [(poly([1, 1, 1], P2), 2)]
+
+    def test_unit_and_constants(self):
+        assert poly_factor(poly([3])) == (3, [])
+        assert poly_factor(poly([1, 2])) == (2, [(poly([3, 1]), 1)])
+        with pytest.raises(DomainError):
+            poly_factor(FpPoly.zero(P5))
+
+    def test_large_prime(self):
+        p = PrimeModulus(10**9 + 7)
+        lin = FpPoly([3, 1], p)
+        quad = FpPoly([2, 0, 1], p)  # -2 is not a square mod 10^9+7
+        f = lin ** 2 * quad * FpPoly([5, 1], p)
+        assert poly_factor(f) == (1, [(lin, 2), (FpPoly([5, 1], p), 1),
+                                      (quad, 1)])

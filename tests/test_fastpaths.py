@@ -2,9 +2,14 @@
 against plain dense arithmetic on ranges where both are feasible."""
 
 import random
+import time
 from fractions import Fraction
 
-from pdml.exact import FpPoly, PrimeModulus, RatFunc, ratfunc_int_pow
+import pytest
+
+from pdml.errors import ResourceLimitError
+from pdml.exact import (FpPoly, PrimeModulus, RatFunc, get_degree_cap,
+                        ratfunc_int_pow, set_degree_cap)
 from pdml.psets import PSet, pset_enumerate, pset_membership
 from pdml.torus import (
     Factored,
@@ -156,3 +161,94 @@ class TestDenseFallbacks:
             dense = [n for n in range(7) if variety_contains(
                 v, selfmap_iterate(phi, alpha, n))]
             assert fast == dense
+
+
+def dense_hits(phi, alpha, v, n_max):
+    return [n for n in range(n_max + 1)
+            if variety_contains(v, selfmap_iterate(phi, alpha, n))]
+
+
+class TestSingleFactoredPath:
+    def test_affine_maps_vs_dense_orbit(self):
+        rnd = random.Random(321)
+        p = P5
+
+        def lin():
+            return RatFunc(FpPoly([rnd.randrange(5), 1], p))
+
+        for _ in range(12):
+            mat = tuple(tuple(rnd.randint(-1, 2) for _ in range(2))
+                        for _ in range(2))
+            phi = TorusSelfMap(mat, TorusPoint((lin(), lin())))
+            alpha = TorusPoint((lin(), lin() * lin() / lin()))
+            # equations through an orbit point, so the orbit returns
+            n0 = rnd.randint(0, 4)
+            x1, x2 = selfmap_iterate(phi, alpha, n0).coords
+            one = RatFunc.one(p)
+            eqs = ((((1, 0), one), ((0, 0), -x1)),
+                   (((1, 0), one), ((0, 1), one), ((0, 0), -x1 - x2)))
+            v = Variety(2, tuple(eqs[i] for i in rnd.choice(
+                ((0,), (1,), (0, 1)))))
+            hits = return_set(phi, alpha, v, 5)
+            assert n0 in hits
+            assert hits == dense_hits(phi, alpha, v, 5), (mat, phi, alpha)
+            assert verify_reduction(reduction_decompose(phi, alpha), phi,
+                                    alpha, 5)
+
+    def test_irreducible_quartic_start(self):
+        p = P5
+        quartic = RatFunc(FpPoly([2, 0, 1, 0, 1], p))  # irreducible
+        assert Factored.from_ratfunc(quartic).powers == {(2, 0, 1, 0, 1): 1}
+        split = RatFunc(FpPoly([2, 0, 1], p) * FpPoly([3, 0, 1], p))
+        t1 = RatFunc(FpPoly([1, 1], p))
+        for mat in (((0, -1), (1, 0)), ((1, 1), (0, 1)), ((2, 0), (1, 1))):
+            phi = TorusSelfMap.endomorphism(mat, p)
+            for alpha in (TorusPoint((quartic, t1)),
+                          TorusPoint((split, quartic.inv()))):
+                for v in (
+                    Variety(2, ((((1, 0), RatFunc.one(p)),
+                                 ((0, 0), -alpha.coords[0])),)),
+                    Variety(2, ((((1, 0), RatFunc.one(p)),
+                                 ((0, 1), RatFunc.one(p)),
+                                 ((0, 0), -alpha.coords[0]
+                                  - alpha.coords[1])),)),
+                ):
+                    assert return_set(phi, alpha, v, 6) == dense_hits(
+                        phi, alpha, v, 6)
+
+    def test_three_terms_with_a_pole(self):
+        # x1 + x2 = a1 + a2 at every n: the monomial stripped before
+        # expansion carries a negative exponent that only some terms have
+        p = P5
+        a1 = RatFunc(FpPoly([1, 1], p))
+        a2 = RatFunc(FpPoly([2, 1], p)).inv()
+        phi = TorusSelfMap.endomorphism(((1, 0), (0, 1)), p)
+        alpha = TorusPoint((a1, a2))
+        v = Variety(2, ((((1, 0), RatFunc.one(p)), ((0, 1), RatFunc.one(p)),
+                         ((0, 0), -(a1 + a2))),))
+        assert return_set(phi, alpha, v, 3) == dense_hits(
+            phi, alpha, v, 3) == [0, 1, 2, 3]
+
+    def test_large_prime_under_a_second(self):
+        p = PrimeModulus(10**9 + 7)
+        phi = TorusSelfMap.endomorphism(((0, -1), (1, 0)), p)
+        t3 = RatFunc(FpPoly([3, 1], p))
+        alpha = TorusPoint((t3, RatFunc(FpPoly([5, 1], p))))
+        v = Variety(2, ((((1, 0), RatFunc.one(p)), ((0, 0), -t3)),))
+        start = time.perf_counter()
+        hits = return_set(phi, alpha, v, 40)
+        assert time.perf_counter() - start < 1.0
+        assert hits == list(range(0, 41, 4))
+
+    def test_expansion_refused_at_degree_cap(self):
+        p = P5
+        f = Factored.from_ratfunc(RatFunc(FpPoly([1, 1], p))) ** 50
+        old = get_degree_cap()
+        set_degree_cap(40)
+        try:
+            with pytest.raises(ResourceLimitError):
+                f.to_ratfunc()
+        finally:
+            set_degree_cap(old)
+        assert f.to_ratfunc() == ratfunc_int_pow(RatFunc(FpPoly([1, 1], p)),
+                                                 50)

@@ -233,3 +233,55 @@ class TestCli:
             capture_output=True, text=True)
         assert result.returncode == 0
         assert "elements = 2,6,10" in result.stdout
+
+
+TORUS = ("p = 5\nn_max = {n_max}\nmatrix = 2 0 ; 0 3\ny = 1/1 | 1/1\n"
+         "alpha = 0,1/1 | 1,1/1\nequation = {ev} : 1/1 ; 0 0 : 4/1\n")
+PEXP = "p = 5\nlrs = 2;1,-2;0,1\nterms = {terms}\n{c}n_max = {n_max}\n"
+MALFORMED = [
+    ("solve-pexp", PEXP.format(terms="1,1 ; 1,1", c="", n_max="abc")),
+    ("solve-pexp", PEXP.format(terms="1,x", c="", n_max="4")),
+    ("gen-instance", PEXP.format(terms="1,1", c="c = 1,x\n", n_max="4")),
+    ("return-set", TORUS.format(n_max="abc", ev="1 0")),
+    ("return-set", TORUS.format(n_max="4", ev="1 z")),
+    ("ap-cap-pset", "p = 3\nap = 2,1\npset = 1*p^(1)\n"),
+    ("ap-cap-pset", "p = 3\nap = 2\npset = 1*p^(1*n1)\n"),
+    ("intersect-psets", "p = 3\nbound = x\npset1 = 1*p^(1*n1)\n"
+                        "pset2 = 1*p^(1*n1)\n"),
+]
+
+
+class TestErrorExits:
+    @pytest.mark.parametrize("command,text", MALFORMED)
+    def test_malformed_numbers_exit_2(self, tmp_path, capsys, command, text):
+        inst = tmp_path / "bad.txt"
+        inst.write_text(text)
+        assert main([command, str(inst)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_malformed_flag_exit_2(self, capsys):
+        assert main(["exponent-set", "--p", "5", "--c", "1,x",
+                     "--bound", "9"]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    def test_verification_survives_optimize(self, tmp_path):
+        # the description is verified outside assert, so -O keeps the bound
+        inst = tmp_path / "void.txt"
+        inst.write_text(PEXP.format(terms="", c="", n_max="4"))
+        result = subprocess.run(
+            [sys.executable, "-O", "-m", "pdml.cli", "classify-pexp",
+             str(inst)], capture_output=True, text=True)
+        assert result.returncode == 0
+        assert "[verified_bound]\n4\n" in result.stdout
+
+    def test_failed_verification_exits_5(self, tmp_path, capsys,
+                                         monkeypatch):
+        import pdml.pexp
+
+        monkeypatch.setattr(pdml.pexp, "desc_verify", lambda *a: False)
+        inst = tmp_path / "void.txt"
+        inst.write_text(PEXP.format(terms="", c="", n_max="4"))
+        assert main(["classify-pexp", str(inst)]) == 5
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1

@@ -171,9 +171,11 @@ class TestFactored:
         assert f is not None and f.to_ratfunc() == x
 
     def test_degree_four_rejected(self):
-        # (t^2+2)(t^2+3) is root-free of degree 4
+        # (t^2+2)(t^2+3) is root-free of degree 4 and still splits
         x = RatFunc(FpPoly([2, 0, 1], P5) * FpPoly([3, 0, 1], P5))
-        assert Factored.from_ratfunc(x) is None
+        f = Factored.from_ratfunc(x)
+        assert f.unit == 1
+        assert f.powers == {(2, 0, 1): 1, (3, 0, 1): 1}
 
     def test_factor_point(self):
         pt = TorusPoint((t(), t_plus(1).inv(), const(2)))
