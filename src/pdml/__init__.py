@@ -43,6 +43,7 @@ from .psets import (
     ReturnSetDesc,
     ap_intersect_pset,
     desc_verify,
+    pset_contains,
     pset_enumerate,
     pset_intersect_bounded,
     pset_membership,
@@ -92,7 +93,8 @@ __all__ = [
     "lrs_nondegenerate_split", "lrs_root_p_dependence", "lrs_subsequence",
     "lrs_zero_progression_certify",
     "ArithProg", "PSet", "ReturnSetDesc", "ap_intersect_pset", "desc_verify",
-    "pset_enumerate", "pset_intersect_bounded", "pset_membership",
+    "pset_contains", "pset_enumerate", "pset_intersect_bounded",
+    "pset_membership",
     "FArithSeq", "FarithResult", "PexpInstance", "farith_solve",
     "general_farith_intersect", "pexp_classify", "pexp_solve",
     "ObstructionVerdict", "ReductionData", "TorusPoint", "TorusSelfMap",

@@ -10,6 +10,7 @@ is mandatory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from .errors import (DomainError, InternalError, ResourceLimitError,
                      UnsupportedError, ValidationError)
 from .exact import PrimeModulus
 from .lrs import (
+    DEFAULT_CYCLOTOMIC_BOUND,
     Lrs,
     lrs_char_roots,
     lrs_eval,
@@ -24,7 +26,9 @@ from .lrs import (
     lrs_prefix,
     lrs_root_p_dependence,
 )
-from .psets import ArithProg, PSet, ReturnSetDesc, desc_verify, fit_pset_shapes
+from .psets import (ArithProg, PSet, ReturnSetDesc, desc_verify,
+                    fit_pset_shapes, pset_contains, pset_enumerate,
+                    pset_membership)
 
 # Eventual-periodicity detection cap for AP extraction.
 DEFAULT_PERIOD_CAP = 360
@@ -66,8 +70,6 @@ def pexp_solve(inst: PexpInstance, n_max: int
     """All (n, lexicographically least witness) with n <= n_max."""
     if n_max < 0:
         raise DomainError("n_max must be non-negative")
-    from .psets import pset_membership
-
     values = lrs_prefix(inst.u, n_max)
     S = inst.pset()
     out = []
@@ -82,7 +84,12 @@ def pexp_solve(inst: PexpInstance, n_max: int
 
 
 def pexp_solution_set(inst: PexpInstance, n_max: int) -> set[int]:
-    return {n for n, _ in pexp_solve(inst, n_max)}
+    """All n <= n_max with u_n representable; decides without witnesses."""
+    if n_max < 0:
+        raise DomainError("n_max must be non-negative")
+    S = inst.pset()
+    return {n for n, v in enumerate(lrs_prefix(inst.u, n_max))
+            if S is None or pset_contains(v, S, inst.p)}
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +155,6 @@ def fit_solution_desc(
         for cand in fit_pset_shapes(residual, p):
             if cand.nontrivial_terms() > max_nontrivial:
                 continue
-            from .psets import pset_enumerate
-
             cand_members = set(pset_enumerate(cand, p, n_max))
             if not cand_members <= solutions:
                 continue
@@ -196,8 +201,6 @@ def pexp_classify(inst: PexpInstance, n_max: int,
     Unresolved irrational root factors force the raw fallback, flagged in
     the notes.
     """
-    from .lrs import DEFAULT_CYCLOTOMIC_BOUND
-
     if cyclotomic_bound is None:
         cyclotomic_bound = DEFAULT_CYCLOTOMIC_BOUND
     solutions = pexp_solution_set(inst, n_max)
@@ -397,8 +400,6 @@ def farith_solve(seq: FArithSeq, n_max: int) -> FarithResult:
 
 
 def _nested_cap(u_abs_max: int, p: int) -> int:
-    import math
-
     return 4 * math.ceil(math.log(1 + u_abs_max, p)) + 16
 
 
@@ -424,12 +425,10 @@ def _part_tables(parts: list[Lrs], cap: int, targets
 
 def _search_parts(target: Fraction, tables: list[list[int]], idx: int,
                   S: PSet | None, p: PrimeModulus) -> bool:
-    from .psets import pset_membership
-
     if idx == len(tables):
         if S is None:
             return target == 0
-        return pset_membership(target, S, p) is not None
+        return pset_contains(target, S, p)
     lo = sum(min(t) for t in tables[idx:])
     hi = sum(max(t) for t in tables[idx:])
     if S is None and not (lo <= target <= hi):

@@ -1,9 +1,12 @@
 """Arithmetic progressions, p-sets, and return-set descriptions.
 
 A p-set is {sum_j c_j p^(k_j n_j) : n_j >= 0} with exact rational c_j;
-a k_j = 0 term is a constant. Membership is decided by a carry-propagating
-base-p digit dynamic program over states (level class, unplaced terms,
-residual); enumeration shares the same digit structure walked forwards.
+a k_j = 0 term is a constant. Such a set is p-automatic (H. Derksen,
+Invent. Math. 168, 2007): for each prime one finite automaton reading base-p
+digits from the lowest recognises it. Each PSet builds that automaton lazily,
+once per prime, over states (level class, unplaced terms, carry), and keeps
+its transitions. Membership, the lexicographically least exponent witness
+and bounded enumeration are all walks over that one table.
 
 Structure fitting is always advisory: a description is only emitted after
 desc_verify has checked it against an oracle in both directions on the
@@ -15,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import DomainError, InternalError, UnsupportedError
 from .exact import PrimeModulus
@@ -26,6 +29,9 @@ _EXCLUDE_SPLIT_CAP = 64
 # Singleton-union fallback in pset_intersect_bounded is only offered for
 # element sets that are plausibly complete: all below bound // p and few.
 _SINGLETON_FIT_MAX = 32
+
+# Largest exponent multiplier l in the shapes fit_pset_shapes proposes.
+_FIT_LEVEL_MAX = 6
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,9 @@ class PSet:
     """terms = ((c_1, k_1), ..., (c_m, k_m)) with rational c_j, k_j >= 0."""
 
     terms: tuple[tuple[Fraction, int], ...]
+    # digit automata by prime, built on first use (see _automaton)
+    _automata: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         norm = tuple((Fraction(c), int(k)) for c, k in self.terms)
@@ -81,198 +90,188 @@ def pset_of(*terms: tuple[int | Fraction, int]) -> PSet:
 
 def _cleared(S: PSet) -> tuple[int, list[tuple[int, int]]]:
     """Least common denominator D and integer terms (D*c_j, k_j)."""
-    D = 1
-    for c, _ in S.terms:
-        D = lcm(D, c.denominator)
-    out = []
-    for c, k in S.terms:
-        e = c * D
-        if e.denominator != 1:
-            raise DomainError("coefficient does not clear the common denominator")
-        out.append((int(e), k))
-    return D, out
+    D = lcm(*(c.denominator for c, _ in S.terms))
+    return D, [(int(c * D), k) for c, k in S.terms]
 
 
-def _level_lcm(ks: list[int]) -> int:
-    out = 1
-    for k in ks:
-        if k >= 1:
-            out = lcm(out, k)
-    return out
+class _DigitAutomaton:
+    """The base-p digit automaton of one p-set, built lazily.
 
-
-def _decide(T: int, terms: list[tuple[int, int]], p: int) -> int | None:
-    """Is T = sum e_j p^(v_j) with v_j a multiple of k_j (v_j = 0 if k_j = 0)?
-
-    Reachability search over states (level, unplaced set, residual R) where
-    the unplaced terms must satisfy sum e_j p^(v_j - level) = R. Levels fold
-    onto classes modulo lcm(k_j) once level >= 1, which keeps the state space
-    finite; the residual shrinks geometrically into |R| <= sum|e_j|/(p-1)+1.
-    Returns the level at which acceptance was first reached (all placements
-    happen strictly below it), or None.
+    Constant (k = 0) terms are folded out: M is in S iff T = D*M - C is a
+    sum of e_j p^(v_j) over the other cleared terms, each v_j a multiple of
+    k_j. A state (level class mod lcm k_j, mask of unplaced terms, carry)
+    at level l means the terms placed below l sum to (T mod p^l) + carry
+    p^l. A move places a subset, of sum sigma, of the unplaced terms allowed
+    at l, writes the digit (carry + sigma) mod p and carries the rest; the
+    carries stay in |carry| <= sum|e_j|/(p-1) + 1. Moves are tabled once
+    per set of placeable terms, as sigma does not depend on the carry. A
+    state with every term placed accepts iff its carry is floor(T / p^l).
+    Above its top digit T reads 0 forever, or p - 1 if negative.
     """
-    m = len(terms)
-    if m == 0:
-        return 0 if T == 0 else None
-    lam = _level_lcm([k for _, k in terms])
-    full = (1 << m) - 1
-    has_const = [j for j in range(m) if terms[j][1] == 0]
 
-    def cls(level: int) -> int:
-        return 0 if level == 0 else 1 + (level - 1) % lam
+    def __init__(self, S: PSet, p: int):
+        self.p = p
+        self.D, cleared = _cleared(S)
+        self.const = sum(e for e, k in cleared if k == 0)
+        self.ks = [k for _, k in cleared]
+        self.terms = [(e, k) for e, k in cleared if k >= 1]
+        self.lam = lcm(*(k for _, k in self.terms))
+        self.start = (1 << len(self.terms)) - 1
+        self._allowed: dict[int, int] = {}  # level class -> placeable terms
+        # placeable unplaced terms -> {sigma mod p: [(placed, sigma), ...]}
+        self._table: dict[int, dict[int, list]] = {}
+        # (class, states, digit) -> (live states, finished carries, moves)
+        self._steps: dict[tuple, tuple] = {}
 
-    frontier: set[tuple[int, int]] = {(full, T)}
-    visited: set[tuple[int, int, int]] = {(0, full, T)}
-    level = 0
-    while frontier:
-        nxt: set[tuple[int, int]] = set()
-        ncls = cls(level + 1)
-        for S, R in frontier:
-            if S == 0:
-                if R == 0:
-                    return level
-                continue
-            if level >= 1 and any(S >> j & 1 for j in has_const):
-                continue
-            valid = [
-                j for j in range(m)
-                if S >> j & 1 and (
-                    (terms[j][1] == 0 and level == 0)
-                    or (terms[j][1] >= 1 and level % terms[j][1] == 0))
-            ]
-            # the empty subset is always a legal choice
-            for r in range(1 << len(valid)):
-                sigma = 0
-                A = 0
-                for i, j in enumerate(valid):
-                    if r >> i & 1:
-                        sigma += terms[j][0]
-                        A |= 1 << j
-                if (R - sigma) % p:
+    def target(self, M: int | Fraction) -> int | None:
+        scaled = Fraction(M) * self.D
+        return int(scaled) - self.const if scaled.denominator == 1 else None
+
+    def groups(self, cls: int, mask: int) -> dict[int, list]:
+        if cls not in self._allowed:
+            self._allowed[cls] = sum(1 << j for j, (_, k) in
+                                     enumerate(self.terms) if cls % k == 0)
+        avail = mask & self._allowed[cls]
+        if avail not in self._table:
+            out = self._table[avail] = {}
+            for sub in range(avail + 1):  # the empty subset is always legal
+                if sub & ~avail == 0:
+                    sigma = sum(e for j, (e, _) in enumerate(self.terms)
+                                if sub >> j & 1)
+                    out.setdefault(sigma % self.p, []).append((sub, sigma))
+        return self._table[avail]
+
+    def step(self, cls: int, states: frozenset, digit: int) -> tuple:
+        """Live successors, carries of the states with every term placed,
+        and the moves (state, placed, mask', carry') writing digit."""
+        key = (cls, states, digit)
+        if key not in self._steps:
+            live, done, edges = set(), set(), []
+            for mask, carry in states:
+                for sub, sigma in self.groups(cls, mask).get(
+                        (digit - carry) % self.p, ()):
+                    s2 = (mask & ~sub, (carry + sigma - digit) // self.p)
+                    edges.append(((mask, carry), sub) + s2)
+                    if s2[0]:
+                        live.add(s2)
+                    else:
+                        done.add(s2[1])
+            self._steps[key] = (frozenset(live), frozenset(done), edges)
+        return self._steps[key]
+
+    def walk(self, T: int):
+        """(moves, floor(T / p^(l+1)) if a state accepts there, else None)
+        for each level l, until a least witness has surely accepted.
+
+        Above the top digit a least witness never repeats a (level class,
+        state) pair, or cutting out the repeat would lower it.
+        """
+        states = frozenset({(self.start, 0)})
+        seen, pairs, start, horizon, level = set(), set(), None, None, 0
+        while states and (horizon is None or level < horizon):
+            if horizon is None and T in (0, -1):
+                key = (level % self.lam, states)
+                if key in seen:
+                    horizon = start + len(pairs)
                     continue
-                state = (S & ~A, (R - sigma) // p)
-                key = (ncls, state[0], state[1])
-                if key not in visited:
-                    visited.add(key)
-                    nxt.add(state)
-        # accept may sit in the new frontier; check before next expansion
-        for S, R in nxt:
-            if S == 0 and R == 0:
-                return level + 1
-        frontier = nxt
-        level += 1
-    return None
+                start = level if start is None else start
+                seen.add(key)
+                pairs.update((key[0], s) for s in states)
+            T, digit = divmod(T, self.p)
+            nxt, done, edges = self.step(level % self.lam, states, digit)
+            yield edges, (T if T in done else None)
+            states, level = nxt, level + 1
+
+    def witness(self, T: int) -> tuple[int, ...] | None:
+        """Lexicographically least (n_1, ..., n_m): after the forward walk,
+        a backward pass keeps for each live state the least levels at
+        which its unplaced terms can still be placed."""
+        path = list(self.walk(T))
+        if all(high is None for _, high in path):
+            return None
+        best: dict[tuple[int, int], tuple[int, ...]] = {}
+        unset = (-1,) * len(self.terms)
+        for level in range(len(path) - 1, -1, -1):
+            edges, high = path[level]
+            cur: dict[tuple[int, int], tuple[int, ...]] = {}
+            for s, sub, mask2, carry2 in edges:
+                rest = (best.get((mask2, carry2)) if mask2
+                        else unset if carry2 == high else None)
+                if rest is None:
+                    continue
+                cand = rest if not sub else tuple(
+                    level if sub >> j & 1 else v for j, v in enumerate(rest))
+                if s not in cur or cand < cur[s]:
+                    cur[s] = cand
+            best = cur
+        levels = best.get((self.start, 0))
+        if levels is None:
+            raise InternalError("accepting walk lost in the witness pass")
+        ns = iter(v // k for v, (_, k) in zip(levels, self.terms))
+        return tuple(next(ns) if k else 0 for k in self.ks)
+
+    def enumerate(self, bound: int) -> list[int]:
+        """Walks every move from carry C; the written low digits are V mod
+        p^level for any final value V, so low parts above the scaled bound
+        are pruned exactly."""
+        p, D, TB = self.p, self.D, bound * self.D
+        top = 1
+        while p ** top <= TB:
+            top += 1
+        found: set[int] = set()
+        frontier = {(self.start, self.const, 0)}  # (unplaced, carry, low)
+        visited = set()
+        level = 0
+        while frontier:
+            nxt: set[tuple[int, int, int]] = set()
+            plev = p ** level
+            # above the top only zero digits are written
+            fold = min(level + 1, top + 1 + (level - top) % self.lam)
+            for mask, carry, low in frontier:
+                for g, moves in self.groups(level % self.lam, mask).items():
+                    digit = (carry + g) % p
+                    low2 = low + digit * plev
+                    for sub, sigma in moves if low2 <= TB else ():
+                        carry2 = (carry + sigma - digit) // p
+                        state = (mask & ~sub, carry2, low2)
+                        if not state[0]:
+                            found.add(low2 + carry2 * plev * p)
+                        elif (fold,) + state not in visited:
+                            visited.add((fold,) + state)
+                            nxt.add(state)
+            frontier = nxt
+            level += 1
+        return sorted(V // D for V in found if 0 <= V <= TB and V % D == 0)
+
+
+def _automaton(S: PSet, p: PrimeModulus) -> _DigitAutomaton:
+    """S's digit automaton for p, built on first use and kept on S."""
+    if p.p not in S._automata:
+        S._automata[p.p] = _DigitAutomaton(S, p.p)
+    return S._automata[p.p]
+
+
+def pset_contains(M: int | Fraction, S: PSet, p: PrimeModulus) -> bool:
+    """Is M in S? Decides on S's digit automaton, building no witness."""
+    auto = _automaton(S, p)
+    T = auto.target(M)
+    return T is not None and any(h is not None for _, h in auto.walk(T))
 
 
 def pset_membership(M: int | Fraction, S: PSet, p: PrimeModulus
                     ) -> tuple[int, ...] | None:
-    """Exponent witness (n_1, ..., n_m) if M is in S, else None.
-
-    The witness is the lexicographically least one: each n_j is minimized in
-    turn by re-running the decision procedure on the reduced target.
-    """
-    D, terms = _cleared(S)
-    scaled = Fraction(M) * D
-    if scaled.denominator != 1:
-        return None
-    T = int(scaled)
-    pv = p.p
-    if _decide(T, terms, pv) is None:
-        return None
-    witness: list[int] = []
-    remaining = list(terms)
-    for j in range(len(terms)):
-        e, k = remaining.pop(0)
-        if k == 0:
-            witness.append(0)
-            T -= e
-            continue
-        # some witness of the current subproblem has k*n below this level
-        top = _decide(T, [(e, k)] + remaining, pv)
-        if top is None:
-            raise InternalError("witness subproblem lost its solution")
-        n = 0
-        while True:
-            if _decide(T - e * pv ** (k * n), remaining, pv) is not None:
-                witness.append(n)
-                T -= e * pv ** (k * n)
-                break
-            n += 1
-            if k * n > max(top, k):
-                raise InternalError("witness scan exceeded certified level")
-    return tuple(witness)
+    """The lexicographically least exponent witness (n_1, ..., n_m) if M is
+    in S, else None; read off S's digit automaton by a forward and a
+    backward walk over the target's digits. Constant terms get 0."""
+    auto = _automaton(S, p)
+    T = auto.target(M)
+    return None if T is None else auto.witness(T)
 
 
 def pset_enumerate(S: PSet, p: PrimeModulus, bound: int) -> list[int]:
-    """All elements of S in [0, bound], deduplicated and sorted.
-
-    Walks base-p digit positions upward, carrying the overflow of placed
-    terms; the written low digits always equal V mod p^level for any final
-    value V in range, so states with low part above the scaled bound are
-    pruned exactly.
-    """
-    if bound < 0:
-        return []
-    D, terms = _cleared(S)
-    pv = p.p
-    TB = bound * D
-    m = len(terms)
-    lam = _level_lcm([k for _, k in terms])
-    has_const = [j for j in range(m) if terms[j][1] == 0]
-    L0 = 1
-    while pv ** L0 <= TB:
-        L0 += 1
-
-    def fold(level: int) -> int:
-        return level if level <= L0 else L0 + 1 + (level - L0 - 1) % lam
-
-    found: set[int] = set()
-    full = (1 << m) - 1
-    start = (full, 0, 0)  # (unplaced, carry, low value)
-    if full == 0:
-        return [0] if 0 <= 0 <= bound and 0 % D == 0 else []
-    frontier = {start}
-    visited = {(0,) + start}
-    level = 0
-    while frontier:
-        nxt: set[tuple[int, int, int]] = set()
-        plam = pv ** level
-        fkey = fold(level + 1)
-        for Sb, c, vlow in frontier:
-            if level >= 1 and any(Sb >> j & 1 for j in has_const):
-                continue
-            valid = [
-                j for j in range(m)
-                if Sb >> j & 1 and (
-                    (terms[j][1] == 0 and level == 0)
-                    or (terms[j][1] >= 1 and level % terms[j][1] == 0))
-            ]
-            for r in range(1 << len(valid)):
-                g = 0
-                A = 0
-                for i, j in enumerate(valid):
-                    if r >> i & 1:
-                        g += terms[j][0]
-                        A |= 1 << j
-                total = c + g
-                digit = total % pv
-                c2 = (total - digit) // pv
-                vlow2 = vlow + digit * plam
-                if vlow2 > TB:
-                    continue
-                S2 = Sb & ~A
-                if S2 == 0:
-                    V = vlow2 + c2 * plam * pv
-                    if 0 <= V <= TB and V % D == 0:
-                        found.add(V // D)
-                    continue
-                key = (fkey, S2, c2, vlow2)
-                if key not in visited:
-                    visited.add(key)
-                    nxt.add((S2, c2, vlow2))
-        frontier = nxt
-        level += 1
-    return sorted(found)
+    """All elements of S in [0, bound], deduplicated and sorted, by a walk
+    over the moves of S's digit automaton pruned on the low digits."""
+    return _automaton(S, p).enumerate(bound) if bound >= 0 else []
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +302,7 @@ def ap_intersect_pset(A: ArithProg, S: PSet, p: PrimeModulus) -> list[PSet]:
     """
     pv = p.p
     if A.a == 0:
-        return [pset_of((A.b, 0))] if pset_membership(A.b, S, p) is not None else []
+        return [pset_of((A.b, 0))] if pset_contains(A.b, S, p) else []
     D, terms = _cleared(S)
     mod = D * A.a
     b_res = (D * A.b) % mod
@@ -347,7 +346,7 @@ def _exclude_prefix(emitted: list[PSet], A: ArithProg, S: PSet,
 
 
 def _exclude_point(Q: PSet, x: int, p: PrimeModulus, depth: int) -> list[PSet]:
-    if pset_membership(x, Q, p) is None:
+    if not pset_contains(x, Q, p):
         return [Q]
     free = [j for j, (c, k) in enumerate(Q.terms) if k >= 1]
     if not free:
@@ -360,10 +359,8 @@ def _exclude_point(Q: PSet, x: int, p: PrimeModulus, depth: int) -> list[PSet]:
     c, k = Q.terms[j]
     pinned = Q.terms[:j] + ((c, 0),) + Q.terms[j + 1:]
     shifted = Q.terms[:j] + ((c * p.p ** k, k),) + Q.terms[j + 1:]
-    out = []
-    out.extend(_exclude_point(PSet(pinned), x, p, depth - 1))
-    out.extend(_exclude_point(PSet(shifted), x, p, depth - 1))
-    return out
+    return (_exclude_point(PSet(pinned), x, p, depth - 1)
+            + _exclude_point(PSet(shifted), x, p, depth - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +435,7 @@ def pset_intersect_bounded(
     elements = [x for x in e1 if x in e2]
     max_terms = max(S1.m, S2.m)
 
-    def oracle(n: int) -> bool:
-        return n in el_set
-
-    el_set = set(elements)
+    oracle = set(elements).__contains__
     candidates: list[list[PSet]] = []
     if elements == e1:
         candidates.append([S1])
@@ -462,8 +456,7 @@ def pset_intersect_bounded(
     return elements, None
 
 
-def fit_pset_shapes(values: list[int], p: PrimeModulus,
-                    lmax: int = 6) -> list[PSet]:
+def fit_pset_shapes(values: list[int], p: PrimeModulus) -> list[PSet]:
     """Deterministic candidates of shape d0 + d1 p^(l1 n1) + d2 p^(l2 n2).
 
     Solved exactly from the smallest values under fixed exponent-pattern
@@ -485,23 +478,19 @@ def fit_pset_shapes(values: list[int], p: PrimeModulus,
 
     if len(vs) >= 2:
         r1, r2 = Fraction(vs[0]), Fraction(vs[1])
-        for l1 in range(1, lmax + 1):
+        for l1 in range(1, _FIT_LEVEL_MAX + 1):
             d1 = (r2 - r1) / (pv ** l1 - 1)
             if d1 == 0:
                 continue
             emit(r1 - d1, [(d1, l1)])
     if len(vs) >= 3:
         r1, r2, r3 = Fraction(vs[0]), Fraction(vs[1]), Fraction(vs[2])
-        for l1 in range(1, lmax + 1):
-            for l2 in range(1, lmax + 1):
-                # assignments (0,0), (1,0), (0,1)
-                d1 = (r2 - r1) / (pv ** l1 - 1)
-                d2 = (r3 - r1) / (pv ** l2 - 1)
-                if d1 != 0 and d2 != 0:
-                    emit(r1 - d1 - d2, [(d1, l1), (d2, l2)])
-                # assignments (0,0), (1,0), (1,1)
-                d1 = (r2 - r1) / (pv ** l1 - 1)
-                d2 = (r3 - r2) / (pv ** l2 - 1)
-                if d1 != 0 and d2 != 0:
-                    emit(r1 - d1 - d2, [(d1, l1), (d2, l2)])
+        for l1 in range(1, _FIT_LEVEL_MAX + 1):
+            d1 = (r2 - r1) / (pv ** l1 - 1)
+            for l2 in range(1, _FIT_LEVEL_MAX + 1):
+                # assignments (0,0), (1,0) and then (0,1) or (1,1)
+                for r in (r1, r2):
+                    d2 = (r3 - r) / (pv ** l2 - 1)
+                    if d1 != 0 and d2 != 0:
+                        emit(r1 - d1 - d2, [(d1, l1), (d2, l2)])
     return out

@@ -128,7 +128,7 @@ class TestRationalCoefficients:
 
 class TestDenseFallbacks:
     def test_verify_reduction_unfactorable_coordinates(self):
-        # degree-4 root-free coordinate forces the dense path
+        # degree-4 root-free coordinate: factored into two quadratics
         p = P5
         quartic = FpPoly([2, 0, 1], p) * FpPoly([3, 0, 1], p)
         alpha = TorusPoint((RatFunc(quartic),))
@@ -137,7 +137,7 @@ class TestDenseFallbacks:
         assert verify_reduction(rd, phi, alpha, 6)
 
     def test_return_set_translation_path(self):
-        # translation present: dense sequential iteration
+        # translation present: the factored orbit of an affine map
         p = P5
         t = RatFunc(FpPoly([0, 1], p))
         phi = TorusSelfMap(((1,),), TorusPoint((t,)))

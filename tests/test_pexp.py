@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -98,6 +99,17 @@ class TestSolve:
                 for _ in range(m))
             inst = PexpInstance(u, p, terms)
             assert pexp_solution_set(inst, 24) == oracle_solutions(inst, 24)
+
+
+    def test_witnesses_to_n_800_in_time(self):
+        # u_n = 5^n + 2 = 5^0 + 5^n + 1: the least witness is (0, n, 0)
+        inst = PexpInstance(Lrs((5, -6), (3, 7)), P5,
+                            ((1, 1), (1, 1), (1, 0)))
+        start = time.monotonic()
+        sols = pexp_solve(inst, 800)
+        elapsed = time.monotonic() - start
+        assert sols == [(n, (0, n, 0)) for n in range(801)]
+        assert elapsed < 5
 
 
 class TestClassify:

@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdml.errors import DomainError
 from pdml.exact import PrimeModulus
@@ -13,6 +15,7 @@ from pdml.psets import (
     ap_intersect_pset,
     desc_verify,
     fit_pset_shapes,
+    pset_contains,
     pset_enumerate,
     pset_intersect_bounded,
     pset_membership,
@@ -284,3 +287,118 @@ class TestFitShapes:
         cands = fit_pset_shapes([2, 6, 10, 26, 30], P5)
         target = pset_of((1, 1), (1, 1))
         assert any(sorted(ps.terms) == sorted(target.terms) for ps in cands)
+
+
+def window_witnesses(S: PSet, p: int, lo: int, hi: int) -> dict[int, tuple]:
+    """Independent: every exponent tuple up to a generous cap, in
+    lexicographic order; the first tuple reaching each value in [lo, hi]."""
+    D = 1
+    for c, _ in S.terms:
+        D = D * c.denominator // math.gcd(D, c.denominator)
+    cap = 1
+    while p ** cap <= max(-lo, hi, 1) * 10**4:
+        cap += 1
+    lists = [[int(c * D) * p ** (k * n)
+              for n in (range(cap // k + 1) if k else [0])]
+             for c, k in S.terms]
+    out: dict[int, tuple] = {}
+    for combo in itertools.product(*(range(len(v)) for v in lists)):
+        total = sum(v[i] for v, i in zip(lists, combo))
+        if total % D == 0 and lo <= total // D <= hi:
+            out.setdefault(total // D, combo)
+    return out
+
+
+def reassemble(S: PSet, p: int, w: tuple) -> Fraction:
+    return sum(c * p ** (k * n) for (c, k), n in zip(S.terms, w))
+
+
+def same_sign(S: PSet) -> bool:
+    """Exponents of every witness are bounded by the target."""
+    signs = {c > 0 for c, k in S.terms if k >= 1 and c != 0}
+    return len(signs) <= 1
+
+
+class TestNegativeTargets:
+    def test_difference_of_powers(self):
+        S = pset_of((1, 1), (-1, 1))
+        assert pset_membership(-26, S, P3) == (0, 3)
+        assert pset_contains(-26, S, P3)
+        assert not pset_contains(-25, S, P3)
+
+    def test_membership_vs_exhaustive(self):
+        rnd = random.Random(1618)
+        for _ in range(30):
+            p = rnd.choice([P2, P3, P5, P7])
+            m = rnd.randint(2, 3)
+            terms = [(rnd.randint(1, 6), rnd.randint(1, 3)),
+                     (-rnd.randint(1, 6), rnd.randint(1, 3))]
+            terms += [(rnd.randint(-6, 6), rnd.randint(0, 3))
+                      for _ in range(m - 2)]
+            S = PSet(tuple((Fraction(c), k) for c, k in terms))
+            want = window_witnesses(S, p.p, -10**4, -1)
+            for M, w in want.items():
+                got = pset_membership(M, S, p)
+                assert got is not None and reassemble(S, p.p, got) == M
+            for M in range(-10**4, 0, 7):
+                assert pset_contains(M, S, p) == (M in want)
+
+    def test_witness_lex_least_vs_exhaustive(self):
+        rnd = random.Random(2718)
+        for _ in range(60):
+            p = rnd.choice([P2, P3, P5])
+            m = rnd.randint(1, 3)
+            # negative coefficients keep every witness exponent bounded;
+            # constants may take either sign
+            terms = [(-rnd.randint(1, 6), rnd.randint(1, 2))
+                     for _ in range(m)]
+            terms.append((rnd.randint(-20, 20), 0))
+            rnd.shuffle(terms)
+            S = PSet(tuple((Fraction(c), k) for c, k in terms))
+            want = window_witnesses(S, p.p, -3000, -1)
+            for M in rnd.sample(range(-3000, 0), 40) + list(want)[:20]:
+                assert pset_membership(M, S, p) == want.get(M)
+
+
+class TestAutomatonMemo:
+    def test_one_pset_at_two_primes(self):
+        S = pset_of((1, 1))
+        assert pset_membership(9, S, P3) == (2,)
+        assert pset_membership(9, S, P5) is None
+        assert pset_contains(9, S, P3) and not pset_contains(9, S, P5)
+        assert pset_enumerate(S, P5, 30) == [1, 5, 25]
+        assert pset_enumerate(S, P3, 30) == [1, 3, 9, 27]
+
+    def test_memo_is_not_part_of_equality(self):
+        S, T = pset_of((1, 1), (2, 0)), pset_of((1, 1), (2, 0))
+        pset_enumerate(S, P3, 100)
+        assert S == T and hash(S) == hash(T)
+        assert "automata" not in repr(S)
+
+
+coefficient = st.tuples(st.integers(-6, 6), st.sampled_from([1, 1, 2, 3]))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]),
+       terms=st.lists(st.tuples(coefficient, st.integers(0, 3)),
+                      min_size=1, max_size=3),
+       exps=st.lists(st.integers(0, 5), min_size=3, max_size=3),
+       offset=st.one_of(st.sampled_from([0, 0, 1, -1]),
+                        st.integers(-2000, 2000)),
+       bound=st.integers(0, 2000))
+def test_automaton_agrees_with_brute_force(p, terms, exps, offset, bound):
+    S = PSet(tuple((Fraction(a, b), k) for (a, b), k in terms))
+    P = PrimeModulus(p)
+    # targets near a member half of the time, anywhere otherwise
+    M = math.floor(reassemble(S, p, exps)) + offset if abs(offset) <= 1 \
+        else offset
+    want = window_witnesses(S, p, min(M, 0), max(M, bound))
+    w = pset_membership(M, S, P)
+    assert (w is not None) == pset_contains(M, S, P) == (M in want)
+    if w is not None:
+        assert reassemble(S, p, w) == M
+        if same_sign(S):
+            assert w == want[M]
+    assert pset_enumerate(S, P, bound) == sorted(
+        v for v in want if 0 <= v <= bound)
