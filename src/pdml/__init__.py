@@ -19,13 +19,11 @@ from .errors import (
     ValidationError,
 )
 from .exact import (
-    FpElem,
     FpPoly,
     PrimeModulus,
     RatFunc,
     frobenius_power,
     ratfunc_int_pow,
-    ratfunc_normalize,
 )
 from .lrs import (
     CharRoots,
@@ -87,8 +85,8 @@ __all__ = [
     "ConstructionError", "DomainError", "InternalError", "ParseError",
     "PdmlError", "ResourceLimitError", "UnsupportedError", "UsageError",
     "ValidationError",
-    "FpElem", "FpPoly", "PrimeModulus", "RatFunc",
-    "frobenius_power", "ratfunc_int_pow", "ratfunc_normalize",
+    "FpPoly", "PrimeModulus", "RatFunc", "frobenius_power",
+    "ratfunc_int_pow",
     "CharRoots", "Lrs", "lrs_char_roots", "lrs_eval",
     "lrs_nondegenerate_split", "lrs_root_p_dependence", "lrs_subsequence",
     "lrs_zero_progression_certify",

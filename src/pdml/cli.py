@@ -52,8 +52,11 @@ def _read(path: str) -> str:
 
 def _emit(report: str, out: str | None):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(report)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(report)
+        except OSError as e:
+            raise ValidationError(f"cannot write {out}: {e}") from e
     else:
         sys.stdout.write(report)
 
@@ -250,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     handler, _ = _COMMANDS[args.command]
     try:
-        report = handler(args, started)
+        _emit(handler(args, started), args.out)
     except InternalError as e:
         print(f"internal invariant failure: {e}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -266,7 +269,6 @@ def main(argv: list[str] | None = None) -> int:
     except PdmlError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    _emit(report, args.out)
     return EXIT_OK
 
 

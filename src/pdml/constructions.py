@@ -16,10 +16,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ConstructionError, DomainError, InternalError
-from .exact import FpPoly, PrimeModulus, RatFunc, ratfunc_int_pow
+from .errors import (ConstructionError, DomainError, InternalError,
+                     ResourceLimitError)
+from .exact import (FpPoly, PrimeModulus, RatFunc, get_degree_cap,
+                    ratfunc_int_pow, slot_bytes, unpack_slots)
 from .lrs import Lrs, companion_matrix, mat_pow
 from .torus import (
     Equation,
@@ -44,19 +44,9 @@ def vandermonde_inverse(p: PrimeModulus) -> tuple[tuple[int, ...], ...]:
         raise DomainError("need p >= 3")
     pv = p.p
     n = pv - 1
-    # invert V with rows a = 1..p-1 and columns j = 0..p-2 by Gauss-Jordan
-    aug = [[pow(a, j, pv) for j in range(n)] + [int(a - 1 == i) for i in range(n)]
-           for a in range(1, pv)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] % pv)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], pv - 2, pv)
-        aug[col] = [x * inv % pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % pv for x, y in zip(aug[r], aug[col])]
-    inv_rows = tuple(tuple(aug[k][n:]) for k in range(n))
+    # V has rows a = 1..p-1 and columns j = 0..p-2
+    inv_rows = _inverse_mod([[pow(a, j, pv) for j in range(n)]
+                             for a in range(1, pv)], pv)
     for k in range(n):
         for j in range(2 * n + 1):
             total = sum(inv_rows[k][a - 1] * pow(a, j, pv)
@@ -64,6 +54,24 @@ def vandermonde_inverse(p: PrimeModulus) -> tuple[tuple[int, ...], ...]:
             if total != (1 if (j - k) % n == 0 else 0):
                 raise InternalError("Vandermonde inverse identity failed")
     return inv_rows
+
+
+def _inverse_mod(m: list[list[int]], pv: int) -> tuple[tuple[int, ...], ...]:
+    """Inverse of the invertible square matrix m over F_pv, by Gauss-Jordan
+    elimination."""
+    n = len(m)
+    aug = [[x % pv for x in row] + [int(i == j) for j in range(n)]
+           for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = pow(aug[col][col], pv - 2, pv)
+        aug[col] = [x * inv % pv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [(x - f * y) % pv for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
 
 
 # ---------------------------------------------------------------------------
@@ -275,72 +283,37 @@ def _symmetric_recovery(p: PrimeModulus, ell_prime: int
     """Solve x_a = a^ell' + sum_k e_k a^(ell'-k) for e_1..e_ell' from the
     first ell' coordinates: e = M^-1 (x - consts)."""
     pv = p.p
-    m = [[pow(a, ell_prime - k, pv) for k in range(1, ell_prime + 1)]
-         for a in range(1, ell_prime + 1)]
-    aug = [row[:] + [int(i == j) for j in range(ell_prime)]
-           for i, row in enumerate(m)]
     nn = ell_prime
-    for col in range(nn):
-        piv = next(r for r in range(col, nn) if aug[r][col] % pv)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], pv - 2, pv)
-        aug[col] = [x * inv % pv for x in aug[col]]
-        for r in range(nn):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % pv for x, y in zip(aug[r], aug[col])]
-    minv = [[aug[i][nn + j] for j in range(nn)] for i in range(nn)]
+    minv = _inverse_mod([[pow(a, ell_prime - k, pv) for k in range(1, nn + 1)]
+                         for a in range(1, nn + 1)], pv)
     # e_k = sum_a minv[k-1][a-1] * (x_a - a^ell')
-    e_lin = tuple(tuple(minv[k][a] for a in range(nn)) for k in range(nn))
     e_const = tuple(
         -sum(minv[k][a] * pow(a + 1, ell_prime, pv) for a in range(nn)) % pv
         for k in range(nn))
-    return e_lin, e_const
+    return minv, e_const
 
 
 def _sres_to_equation(poly: SymPoly, e_lin, e_const, p: PrimeModulus,
                       n_vars: int) -> Equation:
     """Substitute the affine-linear forms e_k(x) into a symbolic polynomial
-    and expand to an explicit torus equation."""
-    pv = p.p
-    # each e_k as {expvec: coeff} over x variables plus constant
-    e_forms: list[dict[tuple[int, ...], int]] = []
+    and expand to an explicit torus equation: over Z, reduced mod p once as
+    the terms are emitted."""
+    e_forms = []
     for k in range(len(e_lin)):
-        form: dict[tuple[int, ...], int] = {}
-        if e_const[k] % pv:
-            form[(0,) * n_vars] = e_const[k] % pv
+        form = _sym_const(e_const[k], n_vars)
         for a, coeff in enumerate(e_lin[k]):
-            if coeff % pv:
-                ev = [0] * n_vars
-                ev[a] = 1
-                form[tuple(ev)] = coeff % pv
+            if coeff:
+                form[tuple(int(i == a) for i in range(n_vars))] = coeff
         e_forms.append(form)
-    acc: dict[tuple[int, ...], int] = {}
+    acc: SymPoly = {}
     for ev, coeff in poly.items():
-        term: dict[tuple[int, ...], int] = {(0,) * n_vars: coeff % pv}
-        for k, power in enumerate(ev):
+        term = _sym_const(coeff, n_vars)
+        for form, power in zip(e_forms, ev):
             for _ in range(power):
-                term = _xpoly_mul(term, e_forms[k], pv)
-        for xev, cc in term.items():
-            nc = (acc.get(xev, 0) + cc) % pv
-            if nc:
-                acc[xev] = nc
-            elif xev in acc:
-                del acc[xev]
-    return tuple((ev, RatFunc.const(cc, p)) for ev, cc in sorted(acc.items()))
-
-
-def _xpoly_mul(a: dict, b: dict, pv: int) -> dict:
-    out: dict[tuple[int, ...], int] = {}
-    for ev1, c1 in a.items():
-        for ev2, c2 in b.items():
-            ev = tuple(x + y for x, y in zip(ev1, ev2))
-            nc = (out.get(ev, 0) + c1 * c2) % pv
-            if nc:
-                out[ev] = nc
-            elif ev in out:
-                del out[ev]
-    return out
+                term = _sym_mul(term, form)
+        acc = _sym_add(acc, term)
+    return tuple((ev, RatFunc.const(cc, p)) for ev, cc in sorted(acc.items())
+                 if cc % p.p)
 
 
 def _self_check(pv: PsetVariety):
@@ -381,82 +354,74 @@ def _random_poly(rng: random.Random, p: PrimeModulus) -> RatFunc:
 def exponent_set(pv: PsetVariety, bound: int) -> list[int]:
     """{m in [0, bound] : [m]P in X} by exact evaluation.
 
-    Coordinates (t+a)^m are maintained incrementally as dense coefficient
-    arrays modulo p; the linear rows are numpy dot products and the rare
-    survivors of the linear sieve additionally get the subresultant
-    equations evaluated through convolution products.
+    Each coordinate (t+a)^m is one int with coefficient i in slot i (see
+    exact.pack_slots); the step to (t+a)^(m+1) is a shift and an add, and
+    one multiply-shift-mask quotient reduces every slot mod p at once. The
+    linear rows are packed sums, and the rare survivors of that sieve get
+    the subresultant equations evaluated through FpPoly products. Nothing
+    here goes through the structured membership tests of torus, so this
+    stays their independent oracle.
     """
     if bound < 0:
         raise DomainError("bound must be non-negative")
-    from .exact import get_degree_cap
-    from .errors import ResourceLimitError
-
     if bound + 1 > get_degree_cap():
         raise ResourceLimitError(
             f"coordinate degree {bound} exceeds the degree cap")
     p = pv.p.p
-    n = p - 1
-    ell_prime = pv.ell_prime
-    coords = [np.zeros(bound + 1, dtype=np.int64) for _ in range(n + 1)]
-    for a in range(1, p):
-        coords[a][0] = 1
-    length = 1
+    # Slots hold values below 2^bits: reduced coefficients, a step's c + a*c'
+    # (below p^2) and a row sum of p - 1 products (at most (p-1)^3). For
+    # those, floor(v * recip / 2^shift) = floor(v / p), and v * recip fits
+    # in one slot, so the quotients of all slots come out in one product.
+    bits = ((p - 1) ** 3).bit_length()
+    shift = bits + p.bit_length()
+    recip = -(-(1 << shift) // p)
+    width = slot_bytes(((1 << bits) - 1) * recip)
+    w = 8 * width
+    mask = ((1 << (w - shift)) - 1) * (
+        ((1 << (w * (bound + 1))) - 1) // ((1 << w) - 1))
+
+    def mod_p(x: int) -> int:
+        return x - p * ((x * recip >> shift) & mask)
+
+    def rows(k: int) -> list[tuple[int, int]]:
+        return [(c, a) for a, c in enumerate(pv.A_inv[k]) if c]
+
+    one_row = rows(pv.ell_prime)
+    zero_rows = [rows(k) for k in range(pv.ell_prime + 1, p - 1)]
+    xs = [1] * (p - 1)  # xs[a - 1] = (t+a)^m
     hits = []
-    zero_rows = list(range(ell_prime + 1, n))
     for m in range(bound + 1):
-        ok = True
-        one_row = np.zeros(length, dtype=np.int64)
-        for a in range(1, p):
-            one_row += pv.A_inv[ell_prime][a - 1] * coords[a][:length]
-        one_row %= p
-        if one_row[0] != 1 or np.any(one_row[1:]):
-            ok = False
-        if ok:
-            for k in zero_rows:
-                acc = np.zeros(length, dtype=np.int64)
-                for a in range(1, p):
-                    acc += pv.A_inv[k][a - 1] * coords[a][:length]
-                if np.any(acc % p):
-                    ok = False
-                    break
-        if ok and pv.sres:
-            ok = _eval_sres_at(pv, [coords[a][:length] for a in range(1, p)])
-        if ok:
+        if (mod_p(sum(c * xs[a] for c, a in one_row)) == 1
+                and not any(mod_p(sum(c * xs[a] for c, a in row))
+                            for row in zero_rows)
+                and (not pv.sres or _sres_vanish(pv, xs, m + 1, width,
+                                                 mod_p))):
             hits.append(m)
         if m < bound:
-            for a in range(1, p):
-                cur = coords[a][:length]
-                nxt = np.zeros(length + 1, dtype=np.int64)
-                nxt[1:] = cur
-                nxt[:length] += a * cur
-                coords[a][:length + 1] = nxt % p
-            length += 1
+            xs = [mod_p((x << w) + a * x) for a, x in enumerate(xs, 1)]
     return hits
 
 
-def _eval_sres_at(pv: PsetVariety, xs: list[np.ndarray]) -> bool:
-    p = pv.p.p
-    ell_prime = pv.ell_prime
-    es = []
-    for k in range(ell_prime):
-        acc = np.zeros(len(xs[0]), dtype=np.int64)
-        acc[0] = pv.e_const[k]
-        for a in range(ell_prime):
-            acc += pv.e_lin[k][a] * xs[a]
-        es.append(acc % p)
+def _sres_vanish(pv: PsetVariety, xs: list[int], length: int, width: int,
+                 mod_p) -> bool:
+    """The subresultant equations at the packed coordinates xs."""
+    top = max(max(ev) for poly in pv.sres for ev in poly)
+    powers = []  # powers[k][j] = e_(k+1)^j
+    for k in range(pv.ell_prime):
+        e = FpPoly(unpack_slots(mod_p(pv.e_const[k] + sum(
+            c * x for c, x in zip(pv.e_lin[k], xs))), width, length), pv.p)
+        powers.append([FpPoly.one(pv.p), e])
+        for _ in range(top - 1):
+            powers[k].append(powers[k][-1] * e)
     for poly in pv.sres:
-        terms = []
+        total = FpPoly.zero(pv.p)
         for ev, coeff in poly.items():
-            term = np.array([coeff % p], dtype=np.int64)
-            for k, power in enumerate(ev):
-                for _ in range(power):
-                    term = np.convolve(term, es[k]) % p
-            terms.append(term)
-        width = max(len(t) for t in terms)
-        total = np.zeros(width, dtype=np.int64)
-        for t in terms:
-            total[:len(t)] += t
-        if np.any(total % p):
+            term = FpPoly.const(coeff, pv.p)
+            for pw, j in zip(powers, ev):
+                if j:
+                    term = term * pw[j]
+            total = total + term
+        if total:
             return False
     return True
 

@@ -9,10 +9,10 @@ len(coeffs) - 1`` and the Frobenius re-indexing x -> x^p is a stride copy.
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Iterable
 
 from .errors import DomainError, ResourceLimitError, UsageError
 
@@ -32,8 +32,9 @@ def set_degree_cap(n: int) -> None:
 def get_degree_cap() -> int:
     return _degree_cap
 
-# Schoolbook multiplication below this size; numpy convolution above.
-_CONVOLVE_MIN = 64
+# Schoolbook multiplication below this many coefficient products; one
+# packed big-int product (Kronecker substitution) from there on.
+_KRONECKER_MIN = 32
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3317044064679887385961981  # witness set is deterministic below this
@@ -82,56 +83,6 @@ class PrimeModulus:
 
     def __repr__(self):
         return f"PrimeModulus({self.p})"
-
-
-@dataclass(frozen=True)
-class FpElem:
-    """Element of the prime field F_p, kept in canonical range [0, p)."""
-
-    value: int
-    modulus: PrimeModulus
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.modulus.p:
-            object.__setattr__(self, "value", self.value % self.modulus.p)
-
-    def _check(self, other: "FpElem") -> int:
-        if self.modulus != other.modulus:
-            raise UsageError("modulus mismatch")
-        return self.modulus.p
-
-    def __add__(self, other: "FpElem") -> "FpElem":
-        p = self._check(other)
-        return FpElem((self.value + other.value) % p, self.modulus)
-
-    def __sub__(self, other: "FpElem") -> "FpElem":
-        p = self._check(other)
-        return FpElem((self.value - other.value) % p, self.modulus)
-
-    def __mul__(self, other: "FpElem") -> "FpElem":
-        p = self._check(other)
-        return FpElem(self.value * other.value % p, self.modulus)
-
-    def __neg__(self) -> "FpElem":
-        return FpElem(-self.value % self.modulus.p, self.modulus)
-
-    def inv(self) -> "FpElem":
-        if self.value == 0:
-            raise DomainError("inversion of zero")
-        p = self.modulus.p
-        return FpElem(pow(self.value, p - 2, p), self.modulus)
-
-    def __pow__(self, e: int) -> "FpElem":
-        p = self.modulus.p
-        if e < 0:
-            return self.inv() ** (-e)
-        return FpElem(pow(self.value, e, p), self.modulus)
-
-    def __truediv__(self, other: "FpElem") -> "FpElem":
-        return self * other.inv()
-
-    def __bool__(self):
-        return self.value != 0
 
 
 class FpPoly:
@@ -245,13 +196,16 @@ class FpPoly:
         if not a or not b:
             return FpPoly.zero(self.modulus)
         p = self.modulus.p
-        _guard_size(len(a) + len(b) - 1, self.modulus)
-        if min(len(a), len(b)) >= _CONVOLVE_MIN and (p - 1) ** 2 * min(
-                len(a), len(b)) < 2**62:
-            out = np.convolve(np.array(a, dtype=np.int64),
-                              np.array(b, dtype=np.int64)) % p
-            return FpPoly(out.tolist(), self.modulus)
-        out = [0] * (len(a) + len(b) - 1)
+        n = len(a) + len(b) - 1
+        _guard_size(n, self.modulus)
+        if len(a) * len(b) >= _KRONECKER_MIN:
+            # every product coefficient is a sum of at most min(len) terms
+            # below p^2, so it fits its slot without carrying into the next
+            width = slot_bytes(min(len(a), len(b)) * (p - 1) ** 2)
+            x = pack_slots(a, width)
+            prod = x * x if other is self else x * pack_slots(b, width)
+            return FpPoly(unpack_slots(prod, width, n), self.modulus)
+        out = [0] * n
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
@@ -331,6 +285,47 @@ class FpPoly:
         for i, c in enumerate(self.coeffs):
             out[i * q] = c  # c^(p^k) = c in F_p
         return FpPoly(out, self.modulus, _canonical=True)
+
+
+# ---------------------------------------------------------------------------
+# Kronecker substitution: a coefficient list as one big int
+# ---------------------------------------------------------------------------
+
+# Machine widths whose slots pack through `array`; its items are in native
+# byte order, which matches the little-endian int layout only on
+# little-endian hosts.
+_ARRAY_CODES = ({array(code).itemsize: code for code in "BHIQ"}
+                if sys.byteorder == "little" else {})
+_ARRAY_WIDTHS = sorted(_ARRAY_CODES)
+
+
+def slot_bytes(bound: int) -> int:
+    """Bytes per slot for values up to bound, rounded up to a machine width
+    when one is wide enough (those pack and unpack fastest)."""
+    need = (bound.bit_length() + 7) // 8
+    return next((w for w in _ARRAY_WIDTHS if w >= need), need)
+
+
+def pack_slots(values: Iterable[int], width: int) -> int:
+    """sum values[i] * 256^(width*i) for non-negative values below
+    256^width: the polynomial evaluated at t = 256^width (D. Harvey,
+    J. Symb. Comput. 44 (2009))."""
+    code = _ARRAY_CODES.get(width)
+    if code:
+        data = array(code, values).tobytes()
+    else:
+        data = b"".join(v.to_bytes(width, "little") for v in values)
+    return int.from_bytes(data, "little")
+
+
+def unpack_slots(x: int, width: int, n: int) -> list[int]:
+    """The n slots of a non-negative x packed at this width, lowest first."""
+    data = x.to_bytes(n * width, "little")
+    code = _ARRAY_CODES.get(width)
+    if code:
+        return array(code, data).tolist()
+    return [int.from_bytes(data[i:i + width], "little")
+            for i in range(0, len(data), width)]
 
 
 def _guard_size(n_coeffs: int, modulus: PrimeModulus,
@@ -451,11 +446,6 @@ class RatFunc:
         if self.is_zero():
             raise DomainError("inversion of zero")
         return RatFunc(self.den, self.num)
-
-
-def ratfunc_normalize(num: FpPoly, den: FpPoly) -> RatFunc:
-    """Canonical reduced fraction with monic denominator."""
-    return RatFunc(num, den)
 
 
 def frobenius_power(x: RatFunc, k: int) -> RatFunc:

@@ -8,7 +8,7 @@ All arithmetic is exact over Python ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 

@@ -22,6 +22,7 @@ from .exact import (FpPoly, PrimeModulus, RatFunc, get_degree_cap,
                     poly_factor, ratfunc_int_pow)
 from .lrs import (Lrs, char_poly_of_matrix, lrs_char_roots, lrs_prefix,
                   mat_mul, mat_pow)
+from .pexp import fit_solution_desc
 from .psets import ReturnSetDesc
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -668,8 +669,6 @@ def classify_hits(phi: TorusSelfMap, hits: list[int], n_max: int,
     default) fits p-sets with at most two nontrivial exponent terms. The
     description always verifies against the raw hits on [0, n_max].
     """
-    from .pexp import fit_solution_desc
-
     p = phi.translation.modulus
     notes: list[str] = []
     allow_psets = True

@@ -18,7 +18,7 @@ from pdml.pexp import PexpInstance, pexp_solution_set
 from pdml.psets import pset_enumerate, pset_of
 from pdml.torus import TorusPoint, return_set, variety_contains
 
-P3, P5, P7, P11 = (PrimeModulus(p) for p in (3, 5, 7, 11))
+P3, P5, P7, P11, P13 = (PrimeModulus(p) for p in (3, 5, 7, 11, 13))
 
 
 def multiple_of_p_point(pv, m):
@@ -89,6 +89,7 @@ class TestBuildPsetVariety:
             (P5, [2], 300),        # double root, one condition
             (P7, [3], 400),        # triple root, two conditions
             (P11, [1, 1, 2], 400),  # quartic, one condition
+            (P13, [1, 2], 250),    # wider packed slots
         ]
         for p, c, bound in cases:
             pv = build_pset_variety(p, c)

@@ -4,9 +4,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from pdml.errors import DomainError, ResourceLimitError, UsageError
+from pdml.errors import DomainError, ResourceLimitError
 from pdml.exact import (
-    FpElem,
     FpPoly,
     PrimeModulus,
     RatFunc,
@@ -14,7 +13,6 @@ from pdml.exact import (
     is_prime,
     poly_factor,
     ratfunc_int_pow,
-    ratfunc_normalize,
 )
 from pdml.exact import _binary_pow
 
@@ -45,34 +43,6 @@ class TestPrimeModulus:
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41}
         for n in range(2, 42):
             assert is_prime(n) == (n in primes)
-
-
-class TestFieldOps:
-    def test_inv_mod5(self):
-        assert FpElem(2, P5).inv() == FpElem(3, P5)
-
-    def test_fermat_pow(self):
-        assert FpElem(3, PrimeModulus(7)) ** 6 == FpElem(1, PrimeModulus(7))
-
-    def test_add_wraps(self):
-        assert FpElem(4, P5) + FpElem(4, P5) == FpElem(3, P5)
-
-    def test_invert_zero(self):
-        with pytest.raises(DomainError):
-            FpElem(0, P5).inv()
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(UsageError):
-            FpElem(1, P5) + FpElem(1, P3)
-
-    @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
-    def test_field_axioms(self, a, b, c):
-        x, y, z = (FpElem(v, P5) for v in (a, b, c))
-        assert (x + y) + z == x + (y + z)
-        assert x * (y + z) == x * y + x * z
-        assert x + (-x) == FpElem(0, P5)
-        if a % 5:
-            assert x * x.inv() == FpElem(1, P5)
 
 
 class TestPolyOps:
@@ -110,25 +80,76 @@ class TestPolyOps:
             poly([1, 1]).frobenius(20)
 
 
+def schoolbook(a, b, p):
+    """Reference product of two coefficient lists, lowest degree first."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    out = [c % p for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def random_coeffs(rnd, n, p):
+    """n coefficients: random or all p - 1 (the widest slot sums), with
+    zeros at the low end and trailing zeros for FpPoly to strip."""
+    if rnd.random() < 0.3:
+        cs = [p - 1] * n
+    else:
+        cs = [rnd.randrange(p) for _ in range(n)]
+    low = rnd.randrange(min(n, 3) + 1)
+    return [0] * low + cs[low:] + [0] * rnd.randrange(2)
+
+
+class TestProducts:
+    # both sides of the schoolbook / Kronecker size selection; 2^61 - 1
+    # needs slots wider than 8 bytes
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 10007, 10**9 + 7, 2**61 - 1])
+    def test_against_schoolbook(self, p):
+        pm = PrimeModulus(p)
+        rnd = random.Random(p)
+        lengths = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 31, 33, 64, 150, 300)
+        for la in lengths:
+            for lb in (la, rnd.choice(lengths), rnd.choice(lengths)):
+                a = random_coeffs(rnd, la, p)
+                b = random_coeffs(rnd, lb, p)
+                assert (FpPoly(a, pm) * FpPoly(b, pm)).coeffs == \
+                    schoolbook(a, b, p)
+            f = FpPoly(a, pm)
+            assert (f * f).coeffs == schoolbook(a, a, p)
+
+    @pytest.mark.parametrize("p", [5, 2**61 - 1])
+    def test_ten_thousand_coefficients(self, p):
+        pm = PrimeModulus(p)
+        rnd = random.Random(7)
+        a = [rnd.randrange(p) for _ in range(9899)] + [1]
+        b = [p - 1] * 100 + [1]
+        prod = FpPoly(a, pm) * FpPoly(b, pm)
+        assert prod.degree == 9999
+        assert prod.coeffs == schoolbook(a, b, p)
+
+
 class TestNormalize:
     def test_common_factor(self):
         # (2t+2)/(t+1) -> 2/1
-        x = ratfunc_normalize(poly([2, 2]), poly([1, 1]))
+        x = RatFunc(poly([2, 2]), poly([1, 1]))
         assert x == rf([2])
 
     def test_cancel_and_monicize(self):
         # (t^2-1)/(2t-2) -> (3t+3)/1
-        x = ratfunc_normalize(poly([4, 0, 1]), poly([3, 2]))
+        x = RatFunc(poly([4, 0, 1]), poly([3, 2]))
         assert x == rf([3, 3])
 
     def test_constant_ratio(self):
         # t/(2t) -> 2/1 over F_3
-        x = ratfunc_normalize(poly([0, 1], P3), poly([0, 2], P3))
+        x = RatFunc(poly([0, 1], P3), poly([0, 2], P3))
         assert x == rf([2], p=P3)
 
     def test_zero_denominator(self):
         with pytest.raises(DomainError):
-            ratfunc_normalize(poly([1]), poly([]))
+            RatFunc(poly([1]), poly([]))
 
     def test_round_trip_common_factors(self):
         rnd = random.Random(5)
@@ -139,8 +160,7 @@ class TestNormalize:
                 rnd.randrange(1, 5)])
             if num.is_zero() or den.is_zero():
                 continue
-            assert ratfunc_normalize(num * h, den * h) == \
-                ratfunc_normalize(num, den)
+            assert RatFunc(num * h, den * h) == RatFunc(num, den)
 
 
 class TestFrobenius:

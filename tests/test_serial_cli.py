@@ -276,6 +276,15 @@ class TestErrorExits:
         assert result.returncode == 0
         assert "[verified_bound]\n4\n" in result.stdout
 
+    @pytest.mark.parametrize("target", ["missing/dir/r.txt", "."])
+    def test_unwritable_out_exit_3(self, tmp_path, capsys, target):
+        out = tmp_path / target
+        assert main(["exponent-set", "--p", "5", "--c", "1,1", "--bound",
+                     "10", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_failed_verification_exits_5(self, tmp_path, capsys,
                                          monkeypatch):
         import pdml.pexp
@@ -285,3 +294,20 @@ class TestErrorExits:
         inst.write_text(PEXP.format(terms="", c="", n_max="4"))
         assert main(["classify-pexp", str(inst)]) == 5
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_runs_without_numpy():
+    # importing pdml.cli loads no numpy, and a run with numpy blocked (any
+    # import of it raises ImportError) still works
+    code = (
+        "import sys\n"
+        "import pdml.cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "sys.modules['numpy'] = None\n"
+        "sys.exit(pdml.cli.main(['exponent-set', '--p', '5', '--c', '1,1',"
+        " '--bound', '3125']))\n")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    elements = re.search(r"^elements = (.*)$", result.stdout, re.M).group(1)
+    assert len(elements.split(",")) == 15
