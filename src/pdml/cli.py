@@ -22,11 +22,13 @@ from .errors import (
     UnsupportedError,
     ValidationError,
 )
-from .exact import PrimeModulus, set_degree_cap
-from .lrs import Lrs
-from .pexp import FArithSeq, PexpInstance, pexp_classify, pexp_solve
+from .exact import DEFAULT_DEGREE_CAP, set_degree_cap
+from .lrs import DEFAULT_CYCLOTOMIC_BOUND
+from .pexp import DEFAULT_PERIOD_CAP, PexpInstance, pexp_classify, pexp_solve
 from .psets import ap_intersect_pset, pset_intersect_bounded
 from .torus import (
+    DEFAULT_R_MAX,
+    DEFAULT_S_MAX,
     classify_hits,
     frobenius_obstruction,
     reduction_decompose,
@@ -222,16 +224,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the instance n_max")
         sp.add_argument("--bound", type=int, default=None,
                         help="enumeration bound")
-        sp.add_argument("--rmax", type=int, default=12,
+        sp.add_argument("--rmax", type=int, default=DEFAULT_R_MAX,
                         help="obstruction iterate bound")
-        sp.add_argument("--smax", type=int, default=24,
+        sp.add_argument("--smax", type=int, default=DEFAULT_S_MAX,
                         help="obstruction Frobenius-power bound")
-        sp.add_argument("--degree-cap", type=int, default=None,
-                        help="polynomial coefficient cap (default 1000000)")
-        sp.add_argument("--period-cap", type=int, default=360,
-                        help="progression-detection period cap (default 360)")
-        sp.add_argument("--cyclotomic-bound", type=int, default=64,
-                        help="cyclotomic trial-division bound (default 64)")
+        sp.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP,
+                        help="polynomial coefficient cap (default %(default)s)")
+        sp.add_argument("--period-cap", type=int, default=DEFAULT_PERIOD_CAP,
+                        help="progression-detection period cap "
+                             "(default %(default)s)")
+        sp.add_argument("--cyclotomic-bound", type=int,
+                        default=DEFAULT_CYCLOTOMIC_BOUND,
+                        help="cyclotomic trial-division bound "
+                             "(default %(default)s)")
         if name == "exponent-set":
             sp.add_argument("--p", type=int, required=True, help="prime")
             sp.add_argument("--c", type=str, required=True,
@@ -244,12 +249,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "exponent-set" and args.bound is None:
         print("error: exponent-set requires --bound", file=sys.stderr)
         return EXIT_VALIDATION
-    if args.degree_cap is not None:
-        try:
-            set_degree_cap(args.degree_cap)
-        except PdmlError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_VALIDATION
+    try:
+        set_degree_cap(args.degree_cap)
+    except PdmlError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
     started = time.monotonic()
     handler, _ = _COMMANDS[args.command]
     try:

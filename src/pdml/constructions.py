@@ -31,6 +31,10 @@ from .torus import (
 
 _SELF_CHECK_SAMPLES = 50
 _SELF_CHECK_SEED = 0x5E1F
+# Largest ambient dimension p - 1 of a p-set variety. The Vandermonde
+# inverse and the self-check grow like p^3; p = 113 builds in about 17 s
+# for c = (1, 1) on a 2-core machine.
+_MAX_VARIETY_DIM = 112
 
 
 def vandermonde_inverse(p: PrimeModulus) -> tuple[tuple[int, ...], ...]:
@@ -236,8 +240,12 @@ def build_pset_variety(p: PrimeModulus, c: list[int]) -> PsetVariety:
     ell_prime = sum(c)
     if ell_prime >= pv - 1:
         raise DomainError("need sum(c) < p - 1")
-    a_inv = vandermonde_inverse(p)
     n = pv - 1
+    if n > _MAX_VARIETY_DIM:
+        raise ResourceLimitError(
+            f"p-set variety in G_m^{n} exceeds the dimension cap "
+            f"{_MAX_VARIETY_DIM}")
+    a_inv = vandermonde_inverse(p)
     one = RatFunc.one(p)
 
     def unit_ev(a: int) -> tuple[int, ...]:

@@ -165,18 +165,22 @@ class FpPoly:
     # -- ring operations -------------------------------------------------------
 
     def __add__(self, other: "FpPoly") -> "FpPoly":
+        return self._add(other, 1)
+
+    def __sub__(self, other: "FpPoly") -> "FpPoly":
+        return self._add(other, -1)
+
+    def _add(self, other: "FpPoly", sign: int) -> "FpPoly":
+        """self + sign * other in one pass, each coefficient reduced once."""
         self._check(other)
         p = self.modulus.p
         a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % p
-        return FpPoly(out, self.modulus)
-
-    def __sub__(self, other: "FpPoly") -> "FpPoly":
-        return self + (-other)
+        out = [(x + sign * y) % p for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        out.extend(b[len(a):] if sign > 0 else [-y % p for y in b[len(a):]])
+        while out and not out[-1]:
+            out.pop()
+        return FpPoly(out, self.modulus, _canonical=True)
 
     def __neg__(self) -> "FpPoly":
         p = self.modulus.p
@@ -197,7 +201,7 @@ class FpPoly:
             return FpPoly.zero(self.modulus)
         p = self.modulus.p
         n = len(a) + len(b) - 1
-        _guard_size(n, self.modulus)
+        _guard_size(n)
         if len(a) * len(b) >= _KRONECKER_MIN:
             # every product coefficient is a sum of at most min(len) terms
             # below p^2, so it fits its slot without carrying into the next
@@ -216,7 +220,7 @@ class FpPoly:
         """Multiply by t^k."""
         if self.is_zero() or k == 0:
             return self
-        _guard_size(len(self.coeffs) + k, self.modulus)
+        _guard_size(len(self.coeffs) + k)
         return FpPoly((0,) * k + self.coeffs, self.modulus, _canonical=True)
 
     def divmod(self, other: "FpPoly") -> tuple["FpPoly", "FpPoly"]:
@@ -261,16 +265,23 @@ class FpPoly:
                       self.modulus)
 
     def __pow__(self, e: int) -> "FpPoly":
+        """self^e by base-p splitting: e = sum d_i p^i gives
+        prod (self^(d_i))^(p^i), each digit power by binary powering and
+        each p^i a Frobenius stride, so no intermediate outgrows the
+        result. Degree grows linearly in e, guarded by the degree cap."""
         if e < 0:
             raise DomainError("negative power of a polynomial")
+        p = self.modulus.p
+        digit_pows: dict[int, FpPoly] = {}
         result = FpPoly.one(self.modulus)
-        base = self
+        i = 0
         while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
+            e, d = divmod(e, p)
+            if d:
+                if d not in digit_pows:
+                    digit_pows[d] = _binary_pow(self, d)
+                result = result * digit_pows[d].frobenius(i)
+            i += 1
         return result
 
     def frobenius(self, k: int = 1) -> "FpPoly":
@@ -280,7 +291,7 @@ class FpPoly:
         if k == 0 or self.is_zero():
             return self
         q = self.modulus.p ** k
-        _guard_size((len(self.coeffs) - 1) * q + 1, self.modulus)
+        _guard_size((len(self.coeffs) - 1) * q + 1)
         out = [0] * ((len(self.coeffs) - 1) * q + 1)
         for i, c in enumerate(self.coeffs):
             out[i * q] = c  # c^(p^k) = c in F_p
@@ -328,12 +339,11 @@ def unpack_slots(x: int, width: int, n: int) -> list[int]:
             for i in range(0, len(data), width)]
 
 
-def _guard_size(n_coeffs: int, modulus: PrimeModulus,
-                cap: int | None = None):
-    limit = _degree_cap if cap is None else cap
-    if n_coeffs > limit:
+def _guard_size(n_coeffs: int):
+    if n_coeffs > _degree_cap:
         raise ResourceLimitError(
-            f"polynomial with {n_coeffs} coefficients exceeds cap {limit}")
+            f"polynomial with {n_coeffs} coefficients exceeds cap "
+            f"{_degree_cap}")
 
 
 class RatFunc:
@@ -356,19 +366,18 @@ class RatFunc:
         if den.is_zero():
             raise DomainError("zero denominator")
         if num.is_zero():
-            self.num = num
-            self.den = FpPoly.one(num.modulus)
-            return
-        g = num.gcd(den)
-        if not g.is_one():
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-        lead = den.coeffs[-1]
-        if lead != 1:
-            p = num.modulus.p
-            inv = pow(lead, p - 2, p)
-            num = num.scale(inv)
-            den = den.scale(inv)
+            den = FpPoly.one(num.modulus)
+        elif not den.is_one():
+            g = num.gcd(den)
+            if not g.is_one():
+                num = num.divmod(g)[0]
+                den = den.divmod(g)[0]
+            lead = den.coeffs[-1]
+            if lead != 1:
+                p = num.modulus.p
+                inv = pow(lead, p - 2, p)
+                num = num.scale(inv)
+                den = den.scale(inv)
         self.num = num
         self.den = den
 
@@ -462,36 +471,19 @@ def frobenius_power(x: RatFunc, k: int) -> RatFunc:
 
 
 def ratfunc_int_pow(x: RatFunc, m: int) -> RatFunc:
-    """x^m for arbitrary-precision m via base-p splitting of the exponent.
-
-    m = sum d_i p^i gives x^m = prod frobenius_power(x^(d_i), i); each small
-    power x^(d_i) uses binary powering. Degree grows linearly in |m|, guarded
-    by the degree cap.
+    """x^m for arbitrary-precision m: numerator and denominator are powered
+    apart (FpPoly.__pow__, base-p splitting of m). Powers of coprime
+    polynomials stay coprime and a monic denominator stays monic, so the
+    result is canonical without a gcd.
     """
-    if m == 0:
-        return RatFunc.one(x.modulus)
     if m < 0:
         return ratfunc_int_pow(x.inv(), -m)
-    if x.is_zero():
-        return x
-    p = x.modulus.p
-    # small powers of x, computed once per needed digit
-    small: dict[int, RatFunc] = {}
-    result = RatFunc.one(x.modulus)
-    i = 0
-    while m:
-        d = m % p
-        m //= p
-        if d:
-            if d not in small:
-                small[d] = _binary_pow(x, d)
-            result = result * frobenius_power(small[d], i)
-        i += 1
-    return result
+    return RatFunc(x.num ** m, x.den ** m, _canonical=True)
 
 
-def _binary_pow(x: RatFunc, e: int) -> RatFunc:
-    result = RatFunc.one(x.modulus)
+def _binary_pow(x, e: int):
+    """x^e by binary powering, for an FpPoly or a RatFunc x."""
+    result = type(x).one(x.modulus)
     base = x
     while e:
         if e & 1:

@@ -15,8 +15,8 @@ from math import lcm
 from .errors import DomainError, InternalError, UnsupportedError
 from .exact import PrimeModulus
 
-# Threshold below which lrs_eval iterates the recurrence directly instead of
-# powering the companion matrix.
+# Threshold below which lrs_eval iterates the recurrence (lrs_prefix) instead
+# of powering the companion matrix.
 _ITER_LIMIT = 1024
 
 # Cyclotomic trial-division bound used by the non-degenerate splitter.
@@ -71,18 +71,10 @@ def lrs_eval(s: Lrs, n: int) -> int:
     """Exact u_n; companion-matrix binary powering for large n."""
     if n < 0:
         raise DomainError("n must be non-negative")
-    d = s.order
-    if n < d:
-        return s.initial[n]
     if n < _ITER_LIMIT:
-        window = list(s.initial)
-        for _ in range(n - d + 1):
-            nxt = -sum(c * u for c, u in zip(s.rec_coeffs, window))
-            window.pop(0)
-            window.append(nxt)
-        return window[-1]
+        return lrs_prefix(s, n)[n]
     m = mat_pow(companion_matrix(s), n)
-    return sum(m[0][j] * s.initial[j] for j in range(d))
+    return sum(m[0][j] * s.initial[j] for j in range(s.order))
 
 
 def lrs_prefix(s: Lrs, n_max: int) -> list[int]:
@@ -161,17 +153,11 @@ def lrs_subsequence(s: Lrs, a: int, b: int) -> Lrs:
         raise DomainError("step a must be positive")
     if b < 0:
         raise DomainError("offset b must be non-negative")
-    d = s.order
     if a == 1 and b == 0:
         return s
     ca = mat_pow(companion_matrix(s), a)
     poly = char_poly_of_matrix(ca)
-    need = b + a * (d - 1)
-    prefix = lrs_prefix(s, need) if need < _ITER_LIMIT else None
-    if prefix is not None:
-        init = tuple(prefix[b + a * k] for k in range(d))
-    else:
-        init = tuple(lrs_eval(s, b + a * k) for k in range(d))
+    init = tuple(lrs_eval(s, b + a * k) for k in range(s.order))
     return lrs_from_char_poly(poly, init)
 
 
@@ -238,7 +224,7 @@ def lrs_char_roots(s: Lrs) -> CharRoots:
     """Extract integer roots (divisor scan + synthetic division)."""
     poly = list(s.char_poly())
     roots: list[tuple[int, int]] = []
-    # root 0 first: strip trailing?? lowest coefficient zeros
+    # root 0 first: strip the zero coefficients at the low end
     mult0 = 0
     while len(poly) > 1 and poly[0] == 0:
         poly = poly[1:]

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (DomainError, InternalError, ResourceLimitError,
-                     UnsupportedError, ValidationError)
+from .errors import (DomainError, InternalError, UnsupportedError,
+                     ValidationError)
 from .exact import PrimeModulus
 from .lrs import (
     DEFAULT_CYCLOTOMIC_BOUND,
@@ -191,7 +191,8 @@ def fit_solution_desc(
 
 def pexp_classify(inst: PexpInstance, n_max: int,
                   period_cap: int = DEFAULT_PERIOD_CAP,
-                  cyclotomic_bound: int | None = None) -> ReturnSetDesc:
+                  cyclotomic_bound: int = DEFAULT_CYCLOTOMIC_BOUND
+                  ) -> ReturnSetDesc:
     """Classify {n : u_n representable} into a verified description.
 
     Dispatch per non-degenerate piece of u: when every integer root is
@@ -201,8 +202,6 @@ def pexp_classify(inst: PexpInstance, n_max: int,
     Unresolved irrational root factors force the raw fallback, flagged in
     the notes.
     """
-    if cyclotomic_bound is None:
-        cyclotomic_bound = DEFAULT_CYCLOTOMIC_BOUND
     solutions = pexp_solution_set(inst, n_max)
     oracle = solutions.__contains__
     if not inst.terms:
@@ -302,25 +301,15 @@ class FArithSeq:
             if not roots.fully_resolved():
                 raise ValidationError(
                     "part has unresolved non-integer characteristic roots")
-            for r, _ in roots.integer_roots:
-                if r == 1:
-                    continue
-                if not _is_p_power(r, self.p.p):
+            for v in lrs_root_p_dependence(roots, self.p).verdicts:
+                if not v.dependent or v.sign < 0:
                     raise ValidationError(
-                        f"part root {r} is not a power of p = {self.p.p}")
+                        f"part root {v.root} is not a power of p = {self.p.p}")
 
 
 def _is_constant(s: Lrs) -> bool:
     vals = lrs_prefix(s, s.order)
     return all(v == vals[0] for v in vals)
-
-
-def _is_p_power(r: int, p: int) -> bool:
-    if r < p:
-        return False
-    while r % p == 0:
-        r //= p
-    return r == 1
 
 
 @dataclass(frozen=True)
@@ -329,7 +318,7 @@ class FarithResult:
     capped: bool
 
 
-def _convert_part(part: Lrs, p: int
+def _convert_part(part: Lrs, p: PrimeModulus
                   ) -> tuple[Fraction, int, Fraction] | None:
     """Express a part as gamma * p^(b k) + delta if its characteristic
     polynomial splits into distinct factors from {x - 1, x - p^b}."""
@@ -341,15 +330,11 @@ def _convert_part(part: Lrs, p: int
     rs = dict(roots.integer_roots)
     if any(mult != 1 for mult in rs.values()):
         return None
-    nontriv = [r for r in rs if r != 1]
-    if len(nontriv) != 1 or not _is_p_power(nontriv[0], p):
+    nontriv = [v for v in lrs_root_p_dependence(roots, p).verdicts
+               if v.root != 1]
+    if len(nontriv) != 1 or not nontriv[0].dependent or nontriv[0].sign < 0:
         return None
-    pb = nontriv[0]
-    b = 0
-    q = pb
-    while q > 1:
-        q //= p
-        b += 1
+    pb, b = nontriv[0].root, nontriv[0].s
     u0 = Fraction(lrs_eval(part, 0))
     if 1 in rs:
         u1 = Fraction(lrs_eval(part, 1))
@@ -371,12 +356,11 @@ def farith_solve(seq: FArithSeq, n_max: int) -> FarithResult:
     if not seq.parts:
         # void equation: the sequence is the ambient progression itself
         return FarithResult(tuple(ns), False)
-    pv = seq.p.p
     converted: list[tuple[Fraction, int]] = []
     delta = Fraction(0)
     searched: list[Lrs] = []
     for part in seq.parts:
-        conv = _convert_part(part, pv)
+        conv = _convert_part(part, seq.p)
         if conv is None:
             searched.append(part)
         else:
@@ -389,7 +373,7 @@ def farith_solve(seq: FArithSeq, n_max: int) -> FarithResult:
         return FarithResult((), False)
     prefix = lrs_prefix(seq.U, ns[-1])
     u_vals = {n: prefix[n] for n in ns}
-    cap = _nested_cap(max(abs(v) for v in u_vals.values()), pv)
+    cap = _nested_cap(max(abs(v) for v in u_vals.values()), seq.p.p)
     tables, capped = _part_tables(searched, cap, u_vals.values())
 
     def solvable(target: Fraction) -> bool:

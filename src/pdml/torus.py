@@ -20,8 +20,8 @@ from fractions import Fraction
 from .errors import DomainError, InternalError, ResourceLimitError, UsageError
 from .exact import (FpPoly, PrimeModulus, RatFunc, get_degree_cap,
                     poly_factor, ratfunc_int_pow)
-from .lrs import (Lrs, char_poly_of_matrix, lrs_char_roots, lrs_prefix,
-                  mat_mul, mat_pow)
+from .lrs import (Lrs, _synthetic_div, char_poly_of_matrix, lrs_char_roots,
+                  lrs_prefix, lrs_root_p_dependence, mat_mul, mat_pow)
 from .pexp import fit_solution_desc
 from .psets import ReturnSetDesc
 
@@ -251,21 +251,22 @@ class Factored:
         return max(num, den) + 1
 
     def to_ratfunc(self) -> RatFunc:
-        """Dense expansion under the degree cap, each power by base-p
-        splitting of its exponent."""
+        """Dense expansion under the degree cap. Numerator and denominator
+        are products of powers of distinct monic irreducibles, so they are
+        coprime and the denominator is monic: no gcd runs."""
         if self.expanded_len() > get_degree_cap():
             raise ResourceLimitError(
                 "factored value too large to expand densely")
-        num = den = RatFunc.one(self.p)
+        return RatFunc(self._expand(1).scale(self.unit), self._expand(-1),
+                       _canonical=True)
+
+    def _expand(self, sign: int) -> FpPoly:
+        """prod key^|e| over the exponents e of the given sign."""
+        acc = FpPoly.one(self.p)
         for key, e in self.powers.items():
-            power = ratfunc_int_pow(
-                RatFunc.from_poly(FpPoly(key, self.p, _canonical=True)),
-                abs(e))
-            if e > 0:
-                num = num * power
-            else:
-                den = den * power
-        return RatFunc(num.num.scale(self.unit), den.num, _canonical=True)
+            if e * sign > 0:
+                acc = acc * FpPoly(key, self.p, _canonical=True) ** abs(e)
+        return acc
 
 
 def factor_point(x: TorusPoint) -> list[Factored]:
@@ -359,13 +360,14 @@ def _eval_equation_factored(eq: FactoredEquation, pt: list[Factored],
     if structured is not None:
         return structured
 
-    # strip the common monomial factor; zeroness is unaffected
+    # strip the common monomial factor; zeroness is unaffected, and every
+    # term is then a polynomial
     keys = set().union(*(f.powers for f in terms))
     common = {k: min(f.powers.get(k, 0) for f in terms) for k in keys}
-    total = RatFunc.zero(p)
+    total = FpPoly.zero(p)
     for f in terms:
         reduced = {k: f.powers.get(k, 0) - common[k] for k in keys}
-        total = total + Factored(f.unit, reduced, p).to_ratfunc()
+        total = total + Factored(f.unit, reduced, p).to_ratfunc().num
     return total.is_zero()
 
 
@@ -594,6 +596,11 @@ def verify_reduction(rd: ReductionData, phi: TorusSelfMap,
 # ---------------------------------------------------------------------------
 
 
+# Default scan window (r, s) of frobenius_obstruction.
+DEFAULT_R_MAX = 12
+DEFAULT_S_MAX = 24
+
+
 @dataclass(frozen=True)
 class ObstructionVerdict:
     obstructed: bool
@@ -608,8 +615,8 @@ class ObstructionVerdict:
         return f"clear-to-bound({self.r_max},{self.s_max})"
 
 
-def frobenius_obstruction(a, p: PrimeModulus, r_max: int = 12,
-                          s_max: int = 24) -> ObstructionVerdict:
+def frobenius_obstruction(a, p: PrimeModulus, r_max: int = DEFAULT_R_MAX,
+                          s_max: int = DEFAULT_S_MAX) -> ObstructionVerdict:
     """Does some iterate act as a Frobenius power on a proper subgroup?
 
     Scans det(A^r - p^s I) = 0 for r <= r_max, s <= s_max in lexicographic
@@ -622,28 +629,16 @@ def frobenius_obstruction(a, p: PrimeModulus, r_max: int = 12,
     m = [list(r) for r in _as_matrix(a)]
     for r in range(1, r_max + 1):
         ar = mat_pow(m, r)
-        cp = char_poly_of_matrix(ar)
+        cp = list(char_poly_of_matrix(ar))
         for s in range(0, s_max + 1):
-            if _poly_eval_z(cp, p.p ** s) == 0:
+            if _synthetic_div(cp, p.p ** s) is not None:
                 return ObstructionVerdict(True, r, s)
     minpoly = minimal_polynomial(m)
     roots = lrs_char_roots(Lrs(minpoly[:-1], (0,) * (len(minpoly) - 1)))
-    for root, _ in roots.integer_roots:
-        v = abs(root)
-        b = 0
-        while v > 1 and v % p.p == 0:
-            v //= p.p
-            b += 1
-        if v == 1:
-            return ObstructionVerdict(True, 2, 2 * b)
+    for v in lrs_root_p_dependence(roots, p).verdicts:
+        if v.dependent:
+            return ObstructionVerdict(True, 2, 2 * v.s)
     return ObstructionVerdict(False, r_max=r_max, s_max=s_max)
-
-
-def _poly_eval_z(poly: tuple[int, ...], x: int) -> int:
-    acc = 0
-    for c in reversed(poly):
-        acc = acc * x + c
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -653,15 +648,17 @@ def _poly_eval_z(poly: tuple[int, ...], x: int) -> int:
 
 def full_pipeline(phi: TorusSelfMap, alpha: TorusPoint, v: Variety,
                   n_max: int, declared_dim: int | None = None,
-                  r_max: int = 12, s_max: int = 24) -> ReturnSetDesc:
+                  r_max: int = DEFAULT_R_MAX,
+                  s_max: int = DEFAULT_S_MAX) -> ReturnSetDesc:
     """return_set followed by classify_hits."""
     return classify_hits(phi, return_set(phi, alpha, v, n_max), n_max,
                          declared_dim, r_max, s_max)
 
 
 def classify_hits(phi: TorusSelfMap, hits: list[int], n_max: int,
-                  declared_dim: int | None = None, r_max: int = 12,
-                  s_max: int = 24) -> ReturnSetDesc:
+                  declared_dim: int | None = None,
+                  r_max: int = DEFAULT_R_MAX,
+                  s_max: int = DEFAULT_S_MAX) -> ReturnSetDesc:
     """Fit-and-verify classification of the return set hits on [0, n_max].
 
     Pure endomorphisms that are clear of the Frobenius obstruction get the

@@ -194,6 +194,33 @@ class TestFrobenius:
             assert frobenius_power(x, k) == _binary_pow(x, p.p ** k)
 
 
+class TestPolyPow:
+    # m = 0 and both sides of each base-p digit boundary p^k - 1, p^k,
+    # p^k + 1, against repeated products and binary powering
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 10**9 + 7])
+    def test_digit_boundaries(self, p):
+        pm = PrimeModulus(p)
+        rnd = random.Random(p)
+        ms = {0} | {p ** k + d for k in range(12) for d in (-1, 0, 1)}
+        polys = [FpPoly.zero(pm), FpPoly.one(pm), FpPoly.const(p - 1, pm),
+                 FpPoly.x(pm), FpPoly(random_coeffs(rnd, 3, p) + [1], pm),
+                 FpPoly([rnd.randrange(p) for _ in range(3)]
+                        + [rnd.randrange(1, p)], pm)]
+        for f in polys:
+            acc = FpPoly.one(pm)
+            for m in range(130):
+                if m in ms:
+                    assert f ** m == acc
+                acc = acc * f
+            for m in sorted(ms):
+                if f.degree < 1:
+                    assert f ** m == FpPoly.const(pow(f.leading(), m, p), pm)
+                elif 130 <= m <= 2500:
+                    assert f ** m == _binary_pow(f, m)
+        with pytest.raises(DomainError):
+            polys[-1] ** -1
+
+
 class TestIntPow:
     def test_pow26_matches_binary(self):
         x = rf([1, 1])
@@ -208,6 +235,12 @@ class TestIntPow:
         x = rf([1, 1])
         assert ratfunc_int_pow(x, -1) == x.inv()
         assert ratfunc_int_pow(x, -3) == _binary_pow(x.inv(), 3)
+        # inverting moves a non-monic numerator into the denominator, which
+        # must come out monic
+        y = rf([1, 2], [3, 0, 1])
+        assert ratfunc_int_pow(y, -3) == _binary_pow(y.inv(), 3)
+        assert ratfunc_int_pow(y, -3) == RatFunc.one(P5) / _binary_pow(y, 3)
+        assert ratfunc_int_pow(y, -3).den.is_monic()
 
     def test_zero_to_negative(self):
         with pytest.raises(DomainError):

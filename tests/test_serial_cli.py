@@ -1,6 +1,7 @@
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -226,6 +227,13 @@ class TestCli:
         finally:
             exact.set_degree_cap(exact.DEFAULT_DEGREE_CAP)
 
+    def test_degree_cap_does_not_leak(self):
+        # a cap given to one call does not carry over to the next
+        assert main(["exponent-set", "--p", "5", "--c", "1,1",
+                     "--bound", "100", "--degree-cap", "10"]) == 4
+        assert main(["exponent-set", "--p", "5", "--c", "1,1",
+                     "--bound", "100"]) == 0
+
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "pdml.cli", "exponent-set", "--p", "5",
@@ -284,6 +292,20 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["exponent-set", "--p", "10007", "--c", "1,1", "--bound", "3"],
+        ["gen-instance", "{inst}"]])
+    def test_large_prime_exit_4(self, tmp_path, capsys, argv):
+        # the p-set variety lives in G_m^(p-1); above the dimension cap
+        # the construction stops before its cubic-cost set-up
+        inst = tmp_path / "big.txt"
+        inst.write_text(PEXP.format(terms="1,1", c="c = 1,1\n", n_max="4")
+                        .replace("p = 5", "p = 10007"))
+        started = time.monotonic()
+        assert main([a.format(inst=inst) for a in argv]) == 4
+        assert time.monotonic() - started < 1
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
     def test_failed_verification_exits_5(self, tmp_path, capsys,
                                          monkeypatch):
