@@ -3,8 +3,10 @@
 Every command reads an instance file (or takes explicit flags), runs one
 pipeline, and writes a deterministic report: identical inputs produce
 byte-identical reports, with wall time quarantined in the final [meta]
-section. Errors go to stderr with distinct exit codes: 2 parse, 3
-validation, 4 resource cap, 5 internal invariant failure.
+section. Each command takes only the flags it reads (`_COMMANDS`), and a
+flag value is parsed like the instance field it overrides. An error is one
+stderr line; its class in `pdml.errors` gives the prefix and the exit code:
+2 parse, 3 validation, 4 resource cap, 5 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -12,16 +14,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 
 from . import serial
-from .errors import (
-    InternalError,
-    ParseError,
-    PdmlError,
-    ResourceLimitError,
-    UnsupportedError,
-    ValidationError,
-)
+from .constructions import build_pset_variety, dml_instance, exponent_set
+from .errors import ParseError, PdmlError, ValidationError
 from .exact import DEFAULT_DEGREE_CAP, set_degree_cap
 from .lrs import DEFAULT_CYCLOTOMIC_BOUND
 from .pexp import DEFAULT_PERIOD_CAP, PexpInstance, pexp_classify, pexp_solve
@@ -35,13 +32,6 @@ from .torus import (
     return_set,
     verify_reduction,
 )
-from .constructions import dml_instance, exponent_set, build_pset_variety
-
-EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_VALIDATION = 3
-EXIT_RESOURCE = 4
-EXIT_INTERNAL = 5
 
 
 def _read(path: str) -> str:
@@ -63,217 +53,206 @@ def _emit(report: str, out: str | None):
         sys.stdout.write(report)
 
 
-def _report(instance_lines: list[str], body_lines: list[str],
-            started: float) -> str:
-    lines = ["[instance]"]
-    lines.extend(instance_lines)
-    lines.extend(body_lines)
-    lines.append("[meta]")
-    lines.append(f"wall_time_ms = {int((time.monotonic() - started) * 1000)}")
-    return "\n".join(lines) + "\n"
+def _lines(*lines: str) -> str:
+    return "".join(f"{line}\n" for line in lines)
 
 
-def _desc_lines(desc) -> list[str]:
-    return serial.desc_to_text(desc).rstrip("\n").split("\n")
+def _csv(values) -> str:
+    return ",".join(str(x) for x in values)
 
 
-def _echo_torus(p, phi, alpha, variety, n_max) -> list[str]:
-    return serial.torus_instance_to_text(
-        p, phi, alpha, variety, n_max).rstrip("\n").split("\n")
+def _report(started: float, *sections: str) -> str:
+    """[instance], then the newline-terminated sections, then [meta]."""
+    ms = int((time.monotonic() - started) * 1000)
+    return ("[instance]\n" + "".join(sections)
+            + _lines("[meta]", f"wall_time_ms = {ms}"))
 
 
-def _echo_pexp(p, u, terms, n_max, c=None) -> list[str]:
-    return serial.pexp_instance_to_text(
-        p, u, terms, n_max, c).rstrip("\n").split("\n")
+def _torus(args):
+    """The torus instance of the input file, n_max replaced by --nmax."""
+    p, phi, alpha, variety, n_max = serial.torus_instance_from_text(
+        _read(args.input))
+    return p, phi, alpha, variety, getattr(args, "nmax", n_max)
+
+
+def _pexp(args):
+    """The pexp instance of the input file, n_max replaced by --nmax."""
+    p, u, terms, n_max, c = serial.pexp_instance_from_text(_read(args.input))
+    return p, u, terms, getattr(args, "nmax", n_max), c
 
 
 def cmd_return_set(args, started: float) -> str:
-    text = _read(args.input)
-    p, phi, alpha, variety, n_max = serial.torus_instance_from_text(text)
-    if args.nmax is not None:
-        n_max = args.nmax
+    inst = _torus(args)
+    _, phi, alpha, variety, n_max = inst
     hits = return_set(phi, alpha, variety, n_max)
     desc = classify_hits(phi, hits, n_max, r_max=args.rmax, s_max=args.smax)
-    body = ["[result]", "hits = " + ",".join(str(n) for n in hits)]
-    body.extend(_desc_lines(desc))
-    return _report(_echo_torus(p, phi, alpha, variety, n_max), body, started)
+    return _report(started, serial.torus_instance_to_text(*inst),
+                   _lines("[result]", "hits = " + _csv(hits)),
+                   serial.desc_to_text(desc))
 
 
 def cmd_solve_pexp(args, started: float) -> str:
-    text = _read(args.input)
-    p, u, terms, n_max, _ = serial.pexp_instance_from_text(text)
-    if args.nmax is not None:
-        n_max = args.nmax
-    inst = PexpInstance(u, p, terms)
-    sols = pexp_solve(inst, n_max)
-    body = ["[result]",
-            "solutions = " + ",".join(str(n) for n, _ in sols),
-            "[witnesses]"]
-    for n, w in sols:
-        body.append("\t".join([str(n)] + [str(x) for x in w]))
-    return _report(_echo_pexp(p, u, terms, n_max), body, started)
+    p, u, terms, n_max, _ = _pexp(args)
+    sols = pexp_solve(PexpInstance(u, p, terms), n_max)
+    solved = _csv(n for n, _ in sols)
+    return _report(started, serial.pexp_instance_to_text(p, u, terms, n_max),
+                   _lines("[result]", "solutions = " + solved, "[witnesses]",
+                          *("\t".join(map(str, (n, *w))) for n, w in sols)))
 
 
 def cmd_classify_pexp(args, started: float) -> str:
-    text = _read(args.input)
-    p, u, terms, n_max, _ = serial.pexp_instance_from_text(text)
-    if args.nmax is not None:
-        n_max = args.nmax
-    inst = PexpInstance(u, p, terms)
-    desc = pexp_classify(inst, n_max, period_cap=args.period_cap,
+    p, u, terms, n_max, _ = _pexp(args)
+    desc = pexp_classify(PexpInstance(u, p, terms), n_max,
+                         period_cap=args.period_cap,
                          cyclotomic_bound=args.cyclotomic_bound)
-    return _report(_echo_pexp(p, u, terms, n_max), _desc_lines(desc), started)
+    return _report(started, serial.pexp_instance_to_text(p, u, terms, n_max),
+                   serial.desc_to_text(desc))
 
 
 def cmd_intersect_psets(args, started: float) -> str:
-    text = _read(args.input)
-    p, s1, s2, bound = serial.pset_pair_from_text(text)
-    if args.bound is not None:
-        bound = args.bound
+    p, s1, s2, bound = serial.pset_pair_from_text(_read(args.input))
+    bound = getattr(args, "bound", bound)
     elements, cand = pset_intersect_bounded(s1, s2, p, bound)
-    echo = [f"p = {p.p}", f"bound = {bound}",
-            "pset1 = " + serial.pset_to_text(s1),
-            "pset2 = " + serial.pset_to_text(s2)]
-    body = ["[result]",
-            "elements = " + ",".join(str(n) for n in elements),
-            "candidate = " + ("none" if cand is None else " ; ".join(
-                serial.pset_to_text(ps) for ps in cand))]
-    return _report(echo, body, started)
+    cand_text = "none" if cand is None else " ; ".join(
+        serial.pset_to_text(ps) for ps in cand)
+    return _report(started,
+                   _lines(f"p = {p.p}", f"bound = {bound}",
+                          "pset1 = " + serial.pset_to_text(s1),
+                          "pset2 = " + serial.pset_to_text(s2)),
+                   _lines("[result]", "elements = " + _csv(elements),
+                          "candidate = " + cand_text))
 
 
 def cmd_ap_cap_pset(args, started: float) -> str:
-    text = _read(args.input)
-    p, ap, s = serial.ap_pset_from_text(text)
+    p, ap, s = serial.ap_pset_from_text(_read(args.input))
     pieces = ap_intersect_pset(ap, s, p)
-    echo = [f"p = {p.p}", f"ap = {ap.a},{ap.b}",
-            "pset = " + serial.pset_to_text(s)]
-    body = ["[result]"]
-    body.append(f"count = {len(pieces)}")
-    for ps in pieces:
-        body.append("pset = " + serial.pset_to_text(ps))
-    return _report(echo, body, started)
+    return _report(started,
+                   _lines(f"p = {p.p}", f"ap = {ap.a},{ap.b}",
+                          "pset = " + serial.pset_to_text(s)),
+                   _lines("[result]", f"count = {len(pieces)}",
+                          *("pset = " + serial.pset_to_text(ps)
+                            for ps in pieces)))
 
 
 def cmd_verify_reduction(args, started: float) -> str:
-    text = _read(args.input)
-    p, phi, alpha, variety, n_max = serial.torus_instance_from_text(text)
-    if args.nmax is not None:
-        n_max = args.nmax
+    inst = _torus(args)
+    _, phi, alpha, _, n_max = inst
     rd = reduction_decompose(phi, alpha)
     ok = verify_reduction(rd, phi, alpha, n_max)
-    body = ["[result]",
-            "minpoly = " + ",".join(str(c) for c in rd.minpoly),
-            f"verified = {'true' if ok else 'false'}",
-            f"n_max = {n_max}"]
-    return _report(_echo_torus(p, phi, alpha, variety, n_max), body, started)
+    return _report(started, serial.torus_instance_to_text(*inst),
+                   _lines("[result]", "minpoly = " + _csv(rd.minpoly),
+                          f"verified = {'true' if ok else 'false'}",
+                          f"n_max = {n_max}"))
 
 
 def cmd_gen_instance(args, started: float) -> str:
-    text = _read(args.input)
-    p, u, _, n_max, c = serial.pexp_instance_from_text(text)
+    p, u, _, n_max, c = _pexp(args)
     if c is None:
         raise ValidationError("gen-instance needs the c field")
-    if args.nmax is not None:
-        n_max = args.nmax
     phi, alpha, variety = dml_instance(u, p, list(c))
     return serial.torus_instance_to_text(p, phi, alpha, variety, n_max)
 
 
 def cmd_exponent_set(args, started: float) -> str:
-    p = serial.parse_prime(str(args.p))
-    c = [serial.parse_int(x, "c entry") for x in args.c.split(",")]
-    pv = build_pset_variety(p, c)
-    hits = exponent_set(pv, args.bound)
-    inst = [f"p = {p.p}", f"c = {args.c}", f"bound = {args.bound}"]
-    body = ["[result]", "elements = " + ",".join(str(n) for n in hits)]
-    return _report(inst, body, started)
+    hits = exponent_set(build_pset_variety(args.p, args.c), args.bound)
+    return _report(started,
+                   _lines(f"p = {args.p.p}", "c = " + _csv(args.c),
+                          f"bound = {args.bound}"),
+                   _lines("[result]", "elements = " + _csv(hits)))
 
 
 def cmd_obstruction(args, started: float) -> str:
-    text = _read(args.input)
-    p, phi, alpha, variety, n_max = serial.torus_instance_from_text(text)
+    inst = _torus(args)
+    p, phi = inst[:2]
     verdict = frobenius_obstruction(phi.matrix, p, args.rmax, args.smax)
-    body = ["[result]", f"verdict = {verdict}"]
-    return _report(_echo_torus(p, phi, alpha, variety, n_max), body, started)
+    return _report(started, serial.torus_instance_to_text(*inst),
+                   _lines("[result]", f"verdict = {verdict}"))
 
 
+def _int(what: str):
+    return partial(serial.parse_int, what=what)
+
+
+# Each flag once: (parser, default, help). A flag without a default
+# overrides the instance field it is parsed like: argparse leaves it unset
+# unless it is given, and a command with no input file requires it.
+_FLAGS = {
+    "--nmax": (partial(serial.parse_count, what="n_max"), None,
+               "override the instance n_max"),
+    "--bound": (partial(serial.parse_count, what="bound"), None,
+                "enumeration bound"),
+    "--p": (serial.parse_prime, None, "prime"),
+    "--c": (serial.parse_coeffs, None,
+            "comma-separated positive coefficients"),
+    "--rmax": (_int("rmax"), DEFAULT_R_MAX, "obstruction iterate bound"),
+    "--smax": (_int("smax"), DEFAULT_S_MAX,
+               "obstruction Frobenius-power bound"),
+    "--degree-cap": (_int("degree cap"), DEFAULT_DEGREE_CAP,
+                     "polynomial coefficient cap"),
+    "--period-cap": (_int("period cap"), DEFAULT_PERIOD_CAP,
+                     "progression-detection period cap"),
+    "--cyclotomic-bound": (_int("cyclotomic bound"), DEFAULT_CYCLOTOMIC_BOUND,
+                           "cyclotomic trial-division bound"),
+}
+
+# name: (handler, reads an input file, the flags it reads besides --out)
 _COMMANDS = {
-    "return-set": (cmd_return_set, True),
-    "solve-pexp": (cmd_solve_pexp, True),
-    "classify-pexp": (cmd_classify_pexp, True),
-    "intersect-psets": (cmd_intersect_psets, True),
-    "ap-cap-pset": (cmd_ap_cap_pset, True),
-    "verify-reduction": (cmd_verify_reduction, True),
-    "gen-instance": (cmd_gen_instance, True),
-    "exponent-set": (cmd_exponent_set, False),
-    "obstruction": (cmd_obstruction, True),
+    "return-set": (cmd_return_set, True,
+                   ("--nmax", "--rmax", "--smax", "--degree-cap")),
+    "solve-pexp": (cmd_solve_pexp, True, ("--nmax",)),
+    "classify-pexp": (cmd_classify_pexp, True,
+                      ("--nmax", "--period-cap", "--cyclotomic-bound")),
+    "intersect-psets": (cmd_intersect_psets, True, ("--bound",)),
+    "ap-cap-pset": (cmd_ap_cap_pset, True, ()),
+    "verify-reduction": (cmd_verify_reduction, True,
+                         ("--nmax", "--degree-cap")),
+    "gen-instance": (cmd_gen_instance, True, ("--nmax", "--degree-cap")),
+    "exponent-set": (cmd_exponent_set, False,
+                     ("--p", "--c", "--bound", "--degree-cap")),
+    "obstruction": (cmd_obstruction, True, ("--rmax", "--smax")),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ParseError where argparse would print usage and exit 2."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pdml",
         description="Exact return sets for torus dynamics over F_p(t)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, needs_input) in _COMMANDS.items():
+    for name, (handler, needs_input, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
+        sp.set_defaults(handler=handler)
         if needs_input:
             sp.add_argument("input", help="instance file")
-        sp.add_argument("--out", default=None, help="report path (default stdout)")
-        sp.add_argument("--nmax", type=int, default=None,
-                        help="override the instance n_max")
-        sp.add_argument("--bound", type=int, default=None,
-                        help="enumeration bound")
-        sp.add_argument("--rmax", type=int, default=DEFAULT_R_MAX,
-                        help="obstruction iterate bound")
-        sp.add_argument("--smax", type=int, default=DEFAULT_S_MAX,
-                        help="obstruction Frobenius-power bound")
-        sp.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP,
-                        help="polynomial coefficient cap (default %(default)s)")
-        sp.add_argument("--period-cap", type=int, default=DEFAULT_PERIOD_CAP,
-                        help="progression-detection period cap "
-                             "(default %(default)s)")
-        sp.add_argument("--cyclotomic-bound", type=int,
-                        default=DEFAULT_CYCLOTOMIC_BOUND,
-                        help="cyclotomic trial-division bound "
-                             "(default %(default)s)")
-        if name == "exponent-set":
-            sp.add_argument("--p", type=int, required=True, help="prime")
-            sp.add_argument("--c", type=str, required=True,
-                            help="comma-separated positive coefficients")
+        sp.add_argument("--out", help="report path (default stdout)")
+        for flag in flags:
+            parse, default, text = _FLAGS[flag]
+            if default is None:
+                sp.add_argument(flag, type=parse, help=text,
+                                default=argparse.SUPPRESS,
+                                required=not needs_input)
+            else:
+                sp.add_argument(flag, type=parse, default=default,
+                                help=text + " (default %(default)s)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "exponent-set" and args.bound is None:
-        print("error: exponent-set requires --bound", file=sys.stderr)
-        return EXIT_VALIDATION
     try:
-        set_degree_cap(args.degree_cap)
+        args = build_parser().parse_args(argv)
+        # every call starts from its own cap, so none leaks into the next
+        set_degree_cap(getattr(args, "degree_cap", DEFAULT_DEGREE_CAP))
+        _emit(args.handler(args, time.monotonic()), args.out)
     except PdmlError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    started = time.monotonic()
-    handler, _ = _COMMANDS[args.command]
-    try:
-        _emit(handler(args, started), args.out)
-    except InternalError as e:
-        print(f"internal invariant failure: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ValidationError, UnsupportedError) as e:
-        print(f"validation error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ResourceLimitError as e:
-        print(f"resource cap: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except PdmlError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    return EXIT_OK
+        print(f"{e.prefix}: {e}", file=sys.stderr)
+        return e.exit_code
+    return 0
 
 
 if __name__ == "__main__":

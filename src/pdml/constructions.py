@@ -151,9 +151,8 @@ def _subresultant_polys(ell_prime: int, count: int) -> list[SymPoly]:
     """Principal subresultant coefficients sres_j(u, u'), j = 0..count-1,
     as polynomials in e_1..e_ell' for monic u of degree ell'.
 
-    deg gcd(u, u') >= count iff all of them vanish, which over a field with
-    all multiplicities below p characterizes at most ell'-count+... fewer
-    distinct roots.
+    With every root multiplicity below p, sres_0..sres_{count-1} all vanish
+    iff u has at most ell' - count distinct roots.
     """
     nv = ell_prime
     m, n = ell_prime, ell_prime - 1

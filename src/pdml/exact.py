@@ -44,7 +44,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for n below ~3.3e24."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
     if n >= _MR_LIMIT:
@@ -146,8 +146,8 @@ class FpPoly:
         return self.coeffs[-1]
 
     def __eq__(self, other):
-        return (isinstance(other, FpPoly) and self.modulus == other.modulus
-                and self.coeffs == other.coeffs)
+        return (isinstance(other, FpPoly) and self.coeffs == other.coeffs
+                and self.modulus.p == other.modulus.p)
 
     def __hash__(self):
         return hash((self.coeffs, self.modulus.p))
@@ -159,7 +159,7 @@ class FpPoly:
         return f"FpPoly({list(self.coeffs)}, p={self.modulus.p})"
 
     def _check(self, other: "FpPoly"):
-        if self.modulus != other.modulus:
+        if self.modulus.p != other.modulus.p:
             raise UsageError("modulus mismatch")
 
     # -- ring operations -------------------------------------------------------

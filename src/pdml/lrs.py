@@ -79,7 +79,6 @@ def lrs_eval(s: Lrs, n: int) -> int:
 
 def lrs_prefix(s: Lrs, n_max: int) -> list[int]:
     """[u_0, ..., u_{n_max}] by forward iteration."""
-    d = s.order
     out = list(s.initial[: n_max + 1])
     window = list(s.initial)
     while len(out) <= n_max:
@@ -102,7 +101,7 @@ def companion_matrix(s: Lrs) -> list[list[int]]:
 
 
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n, k, m = len(a), len(b), len(b[0])
+    k, m = len(b), len(b[0])
     bt = [[b[r][c] for r in range(k)] for c in range(m)]
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 

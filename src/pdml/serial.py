@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParseError, ValidationError
+from .errors import DomainError, ParseError, ValidationError
 from .exact import FpPoly, PrimeModulus, RatFunc
 from .lrs import Lrs
 from .psets import ArithProg, PSet, ReturnSetDesc
@@ -24,6 +24,22 @@ def parse_int(text: str, what: str) -> int:
         return int(text)
     except ValueError as e:
         raise ParseError(f"bad {what} {text!r}") from e
+
+
+def parse_count(text: str, what: str) -> int:
+    """A non-negative integer field such as n_max or bound."""
+    value = parse_int(text, what)
+    if value < 0:
+        raise ValidationError(f"{what} must be non-negative")
+    return value
+
+
+def parse_coeffs(text: str) -> tuple[int, ...]:
+    """The comma-separated positive coefficients c of a p-set variety."""
+    c = tuple(parse_int(x, "c entry") for x in text.split(","))
+    if any(x < 1 for x in c):
+        raise ValidationError("c entries must be positive")
+    return c
 
 
 # -- RatFunc -----------------------------------------------------------------
@@ -198,7 +214,7 @@ def parse_prime(text: str) -> PrimeModulus:
     value = parse_int(text, "prime")
     try:
         return PrimeModulus(value)
-    except Exception as e:
+    except DomainError as e:
         raise ValidationError(str(e)) from e
 
 
@@ -228,7 +244,7 @@ def torus_instance_from_text(
 ) -> tuple[PrimeModulus, TorusSelfMap, TorusPoint, Variety, int]:
     kv = _kv_dict(text)
     p = parse_prime(_require(kv, "p"))
-    n_max = parse_int(_require(kv, "n_max"), "n_max")
+    n_max = parse_count(_require(kv, "n_max"), "n_max")
     matrix = tuple(tuple(parse_int(x, "matrix entry") for x in row.split())
                    for row in _require(kv, "matrix").split(";"))
     n = len(matrix)
@@ -264,10 +280,7 @@ def torus_instance_from_text(
     if "equation" in kv and not equations:
         raise ValidationError("variety present but empty")
     variety = Variety(n, tuple(equations))
-    phi = TorusSelfMap(matrix, y)
-    if n_max < 0:
-        raise ValidationError("n_max must be non-negative")
-    return p, phi, alpha, variety, n_max
+    return p, TorusSelfMap(matrix, y), alpha, variety, n_max
 
 
 # -- pexp instance files ----------------------------------------------------------
@@ -305,15 +318,8 @@ def pexp_instance_from_text(
         if k < 0:
             raise ValidationError("exponent multiplier must be non-negative")
         terms.append((c_, k))
-    n_max = parse_int(_require(kv, "n_max"), "n_max")
-    if n_max < 0:
-        raise ValidationError("n_max must be non-negative")
-    c = None
-    if "c" in kv:
-        c = tuple(parse_int(x, "c entry")
-                  for x in _require(kv, "c").split(","))
-        if any(x < 1 for x in c):
-            raise ValidationError("c entries must be positive")
+    n_max = parse_count(_require(kv, "n_max"), "n_max")
+    c = parse_coeffs(_require(kv, "c")) if "c" in kv else None
     return p, u, tuple(terms), n_max, c
 
 
@@ -326,10 +332,7 @@ def pset_pair_from_text(text: str
     p = parse_prime(_require(kv, "p"))
     s1 = pset_from_text(_require(kv, "pset1"))
     s2 = pset_from_text(_require(kv, "pset2"))
-    bound = parse_int(_require(kv, "bound"), "bound")
-    if bound < 0:
-        raise ValidationError("bound must be non-negative")
-    return p, s1, s2, bound
+    return p, s1, s2, parse_count(_require(kv, "bound"), "bound")
 
 
 def ap_pset_from_text(text: str) -> tuple[PrimeModulus, ArithProg, PSet]:

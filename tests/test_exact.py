@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from pdml.errors import DomainError, ResourceLimitError
+from pdml.errors import DomainError, ResourceLimitError, UsageError
 from pdml.exact import (
     FpPoly,
     PrimeModulus,
@@ -78,6 +78,14 @@ class TestPolyOps:
     def test_degree_cap(self):
         with pytest.raises(ResourceLimitError):
             poly([1, 1]).frobenius(20)
+
+    def test_modulus_compared_by_value(self):
+        # equal primes built apart mix; different primes raise and differ
+        assert poly([1, 1], PrimeModulus(5)) * poly([1], P5) == poly([1, 1])
+        assert poly([1, 1], P3) != poly([1, 1])
+        for op in (lambda a, b: a + b, lambda a, b: a * b):
+            with pytest.raises(UsageError):
+                op(poly([1, 1], P3), poly([1, 1]))
 
 
 def schoolbook(a, b, p):

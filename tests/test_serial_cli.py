@@ -1,3 +1,4 @@
+import argparse
 import re
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from pdml import serial
-from pdml.cli import main
+from pdml.cli import build_parser, main
 from pdml.errors import ParseError
 from pdml.exact import FpPoly, PrimeModulus, RatFunc
 from pdml.lrs import Lrs, fibonacci
@@ -257,6 +258,40 @@ MALFORMED = [
     ("intersect-psets", "p = 3\nbound = x\npset1 = 1*p^(1*n1)\n"
                         "pset2 = 1*p^(1*n1)\n"),
 ]
+# valid files for the flag tests; {pexp} and friends in argv name them
+FLAG_FILES = {
+    "pexp": PEXP.format(terms="1,1", c="c = 1,1\n", n_max="4"),
+    "torus": TORUS.format(n_max="4", ev="1 0"),
+    "pair": "p = 3\nbound = 10\npset1 = 1*p^(1*n1)\npset2 = 1*p^(1*n1)\n",
+    "ap": "p = 3\nap = 2,1\npset = 1*p^(1*n1)\n",
+}
+# the flags each command reads besides --out
+COMMAND_FLAGS = {
+    "return-set": {"--nmax", "--rmax", "--smax", "--degree-cap"},
+    "solve-pexp": {"--nmax"},
+    "classify-pexp": {"--nmax", "--period-cap", "--cyclotomic-bound"},
+    "intersect-psets": {"--bound"},
+    "ap-cap-pset": set(),
+    "verify-reduction": {"--nmax", "--degree-cap"},
+    "gen-instance": {"--nmax", "--degree-cap"},
+    "exponent-set": {"--p", "--c", "--bound", "--degree-cap"},
+    "obstruction": {"--rmax", "--smax"},
+}
+
+
+def exit_with_one_line(tmp_path, capsys, argv):
+    """main's exit code and stderr for argv, after checking that it returned
+    an int and printed exactly one stderr line and no traceback."""
+    files = {}
+    for name, text in FLAG_FILES.items():
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text(text)
+    code = main([a.format(**files) for a in argv])
+    err = capsys.readouterr().err
+    assert isinstance(code, int)
+    assert len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err
+    return code, err
 
 
 class TestErrorExits:
@@ -269,10 +304,64 @@ class TestErrorExits:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
-    def test_malformed_flag_exit_2(self, capsys):
-        assert main(["exponent-set", "--p", "5", "--c", "1,x",
-                     "--bound", "9"]) == 2
-        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["exponent-set", "--p", "5", "--c", "1,x",
+                      "--bound", "9"], id="bad-c"),
+        pytest.param(["exponent-set", "--p", "x", "--c", "1,1",
+                      "--bound", "9"], id="bad-p"),
+        pytest.param(["solve-pexp", "{pexp}", "--nmax", "abc"],
+                     id="bad-nmax"),
+        pytest.param(["solve-pexp", "{pexp}", "--foo", "1"],
+                     id="unknown-flag"),
+        pytest.param(["exponent-set", "--p", "5", "--c", "1,1"],
+                     id="missing-bound"),
+        pytest.param(["solve-pexp", "{pexp}", "--rmax", "3"],
+                     id="unread-rmax"),
+        pytest.param(["ap-cap-pset", "{ap}", "--nmax", "4"],
+                     id="unread-nmax"),
+        pytest.param([], id="no-command")])
+    def test_malformed_flag_exit_2(self, tmp_path, capsys, argv):
+        # malformed, unknown, missing and unread flags: main returns 2
+        # (argparse would raise SystemExit after a usage block)
+        assert exit_with_one_line(tmp_path, capsys, argv)[0] == 2
+
+    @pytest.mark.parametrize("argv,field", [
+        (["intersect-psets", "{pair}", "--bound", "-1"], "bound"),
+        (["verify-reduction", "{torus}", "--nmax", "-1"], "n_max"),
+        (["gen-instance", "{pexp}", "--nmax", "-3"], "n_max"),
+        (["return-set", "{torus}", "--nmax", "-1"], "n_max"),
+        (["exponent-set", "--p", "5", "--c", "1,1", "--bound", "-1"],
+         "bound")], ids=lambda v: v[0] if isinstance(v, list) else v)
+    def test_negative_override_exit_3(self, tmp_path, capsys, argv, field):
+        # a flag is checked like the instance field it overrides
+        out = tmp_path / "report.txt"
+        code, err = exit_with_one_line(tmp_path, capsys,
+                                       argv + ["--out", str(out)])
+        assert code == 3
+        assert err == f"validation error: {field} must be non-negative\n"
+        assert not out.exists()
+
+    def test_flags_per_command(self):
+        # each command offers exactly the flags it reads, plus --out
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(COMMAND_FLAGS)
+        settable = 0
+        for name, command in sub.choices.items():
+            flags = {s for a in command._actions for s in a.option_strings
+                     if s not in ("-h", "--help")}
+            assert flags == COMMAND_FLAGS[name] | {"--out"}, name
+            settable += len(flags)
+        assert settable == 28
+
+    @pytest.mark.parametrize("argv", [[]] + [[c] for c in COMMAND_FLAGS],
+                             ids=["pdml", *COMMAND_FLAGS])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            main(argv + ["-h"])
+        assert e.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: pdml")
 
     def test_verification_survives_optimize(self, tmp_path):
         # the description is verified outside assert, so -O keeps the bound
