@@ -8,7 +8,8 @@ distinct roots, which is expressed through vanishing principal subresultant
 coefficients of (u, u') in the elementary-symmetric coordinates; the
 coordinates themselves are linear in the torus variables, so the extra
 equations stay explicit polynomials. Every construction self-checks against
-its parametrization before it is released.
+its parametrization before it is released, by exact packed-int evaluation
+(PolySystem).
 """
 
 from __future__ import annotations
@@ -18,22 +19,18 @@ from dataclasses import dataclass
 
 from .errors import (ConstructionError, DomainError, InternalError,
                      ResourceLimitError)
-from .exact import (FpPoly, PrimeModulus, RatFunc, get_degree_cap,
-                    ratfunc_int_pow, slot_bytes, unpack_slots)
+from .exact import (FpPoly, PrimeModulus, RatFunc, _guard_size,
+                    get_degree_cap, pack_slots, ratfunc_int_pow, slot_bytes,
+                    unpack_slots)
 from .lrs import Lrs, companion_matrix, mat_pow
-from .torus import (
-    Equation,
-    TorusPoint,
-    TorusSelfMap,
-    Variety,
-    variety_contains,
-)
+from .torus import Equation, TorusPoint, TorusSelfMap, Variety
 
 _SELF_CHECK_SAMPLES = 50
 _SELF_CHECK_SEED = 0x5E1F
 # Largest ambient dimension p - 1 of a p-set variety. The Vandermonde
-# inverse and the self-check grow like p^3; p = 113 builds in about 17 s
-# for c = (1, 1) on a 2-core machine.
+# inverse and its check grow like p^3, the packed self-check like p^2;
+# p = 113 builds in about 3 s for c = (1, 1) on a 2-core machine, 2 s of
+# it in the Vandermonde check.
 _MAX_VARIETY_DIM = 112
 
 
@@ -323,39 +320,166 @@ def _sres_to_equation(poly: SymPoly, e_lin, e_const, p: PrimeModulus,
                  if cc % p.p)
 
 
+class PolySystem:
+    """Equations sum c * prod x_a^(e_a) = 0 with integer coefficients and
+    exponents e_a >= 0, evaluated exactly at points whose coordinates are
+    polynomials over F_p.
+
+    Each coordinate is packed once into one int at a slot width no sum
+    can carry out of (exact.pack_slots), the powers each term needs come
+    from one table per point, and every equation is summed over Z and
+    reduced mod p once per slot after unpacking. Terms are kept sorted so
+    that each reuses the product of the factors it shares with the term
+    before it, as a walk over a prefix tree. Inputs outside that shape
+    (a coefficient that is not a constant, a coordinate with a
+    denominator, a negative exponent) raise InternalError: no term is ever
+    skipped. torus.variety_contains stays the dense oracle.
+    """
+
+    def __init__(self, equations, p: PrimeModulus, n_vars: int):
+        self.p = p
+        self.n_vars = n_vars
+        pv = p.p
+        eqs = []
+        self.top: dict[int, int] = {}  # largest exponent of each variable
+        self.degree = 0
+        self.terms = 1
+        self.monomials: set[tuple[tuple[int, int], ...]] = set()
+        for eq in equations:
+            terms = []
+            for ev, coeff in eq:
+                if len(ev) != n_vars or any(e < 0 for e in ev):
+                    raise InternalError(
+                        "packed evaluation needs non-negative exponent "
+                        f"vectors of length {n_vars}")
+                c = _int_coefficient(coeff, p) % pv
+                if not c:
+                    continue
+                factors = tuple((a, e) for a, e in enumerate(ev) if e)
+                for a, e in factors:
+                    self.top[a] = max(self.top.get(a, 0), e)
+                self.degree = max(self.degree, sum(ev))
+                self.monomials.add(factors)
+                terms.append((factors, c))
+            self.terms = max(self.terms, len(terms))
+            # (c, k, rest): the first k factors are the previous term's
+            prefixed = []
+            prev: tuple[tuple[int, int], ...] = ()
+            for factors, c in sorted(terms):
+                k = 0
+                while k < min(len(prev), len(factors)) and (
+                        prev[k] == factors[k]):
+                    k += 1
+                prefixed.append((c, k, factors[k:]))
+                prev = factors
+            eqs.append(tuple(prefixed))
+        self.equations = tuple(eqs)
+
+    def vanishes_at(self, xs) -> bool:
+        """Does every equation vanish at the polynomial point xs?"""
+        if len(xs) != self.n_vars:
+            raise InternalError("packed evaluation at a point of the wrong "
+                                "dimension")
+        polys = [_poly_value(x, self.p) for x in xs]
+        pv = self.p.p
+        span = max((len(f.coeffs) for f in polys), default=1)
+        if self.degree * (span - 1) + 1 > get_degree_cap():
+            for factors in self.monomials:
+                _guard_size(sum(e * (len(polys[a].coeffs) - 1)
+                                for a, e in factors) + 1)
+        # A coefficient of a product of d coordinates is a sum of at most
+        # span^(d-1) products of d coefficients below p; with c < p and the
+        # terms of one equation summed, no slot reaches this bound.
+        width = slot_bytes(self.terms * (pv - 1) ** (self.degree + 1)
+                           * span ** max(self.degree - 1, 0))
+        powers = {}
+        for a, top in self.top.items():
+            x = pack_slots(polys[a].coeffs, width)
+            row = [1, x]
+            for _ in range(top - 1):
+                row.append(row[-1] * x)
+            powers[a] = row
+        bits = 8 * width
+        for eq in self.equations:
+            total = 0
+            stack = [1]  # stack[i]: the current term's first i factors
+            for c, k, rest in eq:
+                del stack[k + 1:]
+                for a, e in rest:
+                    stack.append(stack[-1] * powers[a][e])
+                total += c * stack[-1]
+            if total and any(v % pv for v in unpack_slots(
+                    total, width, -(-total.bit_length() // bits))):
+                return False
+        return True
+
+
+def _int_coefficient(c, p: PrimeModulus) -> int:
+    """c as an int: an int, or a RatFunc that is a constant of F_p."""
+    if isinstance(c, RatFunc):
+        if (c.modulus.p != p.p or not c.den.is_one()
+                or c.num.degree > 0):
+            raise InternalError(f"packed evaluation needs constant "
+                                f"coefficients in F_{p.p}, got {c!r}")
+        return c.num.coeffs[0] if c.num.coeffs else 0
+    if isinstance(c, int):
+        return c
+    raise InternalError(f"packed evaluation needs integer coefficients, "
+                        f"got {c!r}")
+
+
+def _poly_value(x, p: PrimeModulus) -> FpPoly:
+    """x as an FpPoly: an FpPoly, or a RatFunc with denominator 1."""
+    if isinstance(x, RatFunc):
+        if not x.den.is_one():
+            raise InternalError(f"packed evaluation needs polynomial "
+                                f"coordinates, got {x!r}")
+        x = x.num
+    if not isinstance(x, FpPoly) or x.modulus.p != p.p:
+        raise InternalError(f"packed evaluation needs coordinates in "
+                            f"F_{p.p}[t], got {x!r}")
+    return x
+
+
 def _self_check(pv: PsetVariety):
     """Emitted equations must vanish on parametrized sample points and
     reject perturbed non-members; failure aborts the construction."""
-    rng = random.Random(_SELF_CHECK_SEED)
-    p = pv.p
-    for _ in range(_SELF_CHECK_SAMPLES):
-        # degree >= 1 parameters keep every shifted base nonzero
-        ys = [_random_poly(rng, p) for _ in range(len(pv.coefficients))]
-        coords = []
-        for a in range(1, p.p):
-            acc = RatFunc.one(p)
-            for y, cj in zip(ys, pv.coefficients):
-                acc = acc * ratfunc_int_pow(y + RatFunc.const(a, p), cj)
-            coords.append(acc)
-        point = TorusPoint(tuple(coords))
-        if not variety_contains(pv.X, point):
+    system = PolySystem(pv.X.equations, pv.p, pv.X.n_vars)
+    for member, twist in _self_check_points(pv):
+        if not system.vanishes_at(member):
             raise InternalError("parametrized point violates equations")
-        # scaling a coordinate with nonzero row weight breaks the
-        # normalization row, so this is a non-member by construction
-        a0 = next(a for a in range(1, p.p)
-                  if pv.A_inv[pv.ell_prime][a - 1])
-        twist = list(coords)
-        twist[a0 - 1] = twist[a0 - 1] * RatFunc(
-            FpPoly([rng.randrange(p.p), 1], p))
-        if variety_contains(pv.X, TorusPoint(tuple(twist))):
+        if system.vanishes_at(twist):
             raise InternalError("perturbed non-member satisfied equations")
 
 
-def _random_poly(rng: random.Random, p: PrimeModulus) -> RatFunc:
+def _self_check_points(pv: PsetVariety):
+    """The self-check's seeded (member, non-member) pairs of polynomial
+    points: x_a = prod (y_j + a)^(c_j), and the same point with one
+    coordinate of nonzero normalization-row weight times t + r."""
+    rng = random.Random(_SELF_CHECK_SEED)
+    p = pv.p
+    a0 = next(a for a in range(1, p.p) if pv.A_inv[pv.ell_prime][a - 1])
+    for _ in range(_SELF_CHECK_SAMPLES):
+        # degree >= 1 parameters keep every shifted base nonzero
+        ys = [_random_poly(rng, p) for _ in range(len(pv.coefficients))]
+        member = []
+        for a in range(1, p.p):
+            acc = FpPoly.one(p)
+            for y, cj in zip(ys, pv.coefficients):
+                acc = acc * (y + FpPoly.const(a, p)) ** cj
+            member.append(acc)
+        # scaling a coordinate with nonzero row weight breaks the
+        # normalization row, so this is a non-member by construction
+        twist = list(member)
+        twist[a0 - 1] = twist[a0 - 1] * FpPoly([rng.randrange(p.p), 1], p)
+        yield member, twist
+
+
+def _random_poly(rng: random.Random, p: PrimeModulus) -> FpPoly:
     deg = rng.randint(1, 3)
     coeffs = [rng.randrange(p.p) for _ in range(deg)] + [
         rng.randrange(1, p.p)]
-    return RatFunc(FpPoly(coeffs, p))
+    return FpPoly(coeffs, p)
 
 
 def exponent_set(pv: PsetVariety, bound: int) -> list[int]:
@@ -365,9 +489,9 @@ def exponent_set(pv: PsetVariety, bound: int) -> list[int]:
     exact.pack_slots); the step to (t+a)^(m+1) is a shift and an add, and
     one multiply-shift-mask quotient reduces every slot mod p at once. The
     linear rows are packed sums, and the rare survivors of that sieve get
-    the subresultant equations evaluated through FpPoly products. Nothing
-    here goes through the structured membership tests of torus, so this
-    stays their independent oracle.
+    the subresultant equations evaluated by PolySystem at e_1..e_ell'.
+    Nothing here goes through the structured membership tests of torus, so
+    this stays their independent oracle.
     """
     if bound < 0:
         raise DomainError("bound must be non-negative")
@@ -395,42 +519,28 @@ def exponent_set(pv: PsetVariety, bound: int) -> list[int]:
 
     one_row = rows(pv.ell_prime)
     zero_rows = [rows(k) for k in range(pv.ell_prime + 1, p - 1)]
+    sres = (PolySystem([poly.items() for poly in pv.sres], pv.p,
+                       pv.ell_prime) if pv.sres else None)
     xs = [1] * (p - 1)  # xs[a - 1] = (t+a)^m
     hits = []
     for m in range(bound + 1):
         if (mod_p(sum(c * xs[a] for c, a in one_row)) == 1
                 and not any(mod_p(sum(c * xs[a] for c, a in row))
                             for row in zero_rows)
-                and (not pv.sres or _sres_vanish(pv, xs, m + 1, width,
-                                                 mod_p))):
+                and (sres is None or sres.vanishes_at(_symmetric_coords(
+                    pv, xs, m + 1, width, mod_p)))):
             hits.append(m)
         if m < bound:
             xs = [mod_p((x << w) + a * x) for a, x in enumerate(xs, 1)]
     return hits
 
 
-def _sres_vanish(pv: PsetVariety, xs: list[int], length: int, width: int,
-                 mod_p) -> bool:
-    """The subresultant equations at the packed coordinates xs."""
-    top = max(max(ev) for poly in pv.sres for ev in poly)
-    powers = []  # powers[k][j] = e_(k+1)^j
-    for k in range(pv.ell_prime):
-        e = FpPoly(unpack_slots(mod_p(pv.e_const[k] + sum(
-            c * x for c, x in zip(pv.e_lin[k], xs))), width, length), pv.p)
-        powers.append([FpPoly.one(pv.p), e])
-        for _ in range(top - 1):
-            powers[k].append(powers[k][-1] * e)
-    for poly in pv.sres:
-        total = FpPoly.zero(pv.p)
-        for ev, coeff in poly.items():
-            term = FpPoly.const(coeff, pv.p)
-            for pw, j in zip(powers, ev):
-                if j:
-                    term = term * pw[j]
-            total = total + term
-        if total:
-            return False
-    return True
+def _symmetric_coords(pv: PsetVariety, xs: list[int], length: int,
+                      width: int, mod_p) -> list[FpPoly]:
+    """e_1..e_ell' at the packed coordinates xs."""
+    return [FpPoly(unpack_slots(mod_p(pv.e_const[k] + sum(
+        c * x for c, x in zip(pv.e_lin[k], xs))), width, length), pv.p)
+        for k in range(pv.ell_prime)]
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,8 @@ def pexp_classify(inst: PexpInstance, n_max: int,
     Unresolved irrational root factors force the raw fallback, flagged in
     the notes.
     """
+    if period_cap < 1 or cyclotomic_bound < 1:
+        raise DomainError("period cap and cyclotomic bound must be at least 1")
     solutions = pexp_solution_set(inst, n_max)
     oracle = solutions.__contains__
     if not inst.terms:

@@ -447,11 +447,12 @@ def minimal_polynomial(a) -> tuple[int, ...]:
     """
     m = _as_matrix(a)
     n = len(m)
-    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
-    for _ in range(n):
-        powers.append(mat_mul(powers[-1], [list(r) for r in m]))
-    vecs = [[Fraction(x) for row in pk for x in row] for pk in powers]
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    vecs = [[Fraction(x) for row in power for x in row]]
     for l in range(1, n + 1):
+        # A^l only when no lower degree gave a dependency
+        power = mat_mul(power, m)
+        vecs.append([Fraction(x) for row in power for x in row])
         sol = _solve_exact(vecs[:l], vecs[l])
         if sol is not None:
             coeffs = [-c for c in sol] + [Fraction(1)]
@@ -627,8 +628,10 @@ def frobenius_obstruction(a, p: PrimeModulus, r_max: int = DEFAULT_R_MAX,
     if r_max < 1 or s_max < 1:
         raise DomainError("bounds must be at least 1")
     m = [list(r) for r in _as_matrix(a)]
+    ar = m
     for r in range(1, r_max + 1):
-        ar = mat_pow(m, r)
+        if r > 1:
+            ar = mat_mul(ar, m)
         cp = list(char_poly_of_matrix(ar))
         for s in range(0, s_max + 1):
             if _synthetic_div(cp, p.p ** s) is not None:

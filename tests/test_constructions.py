@@ -1,10 +1,16 @@
+import dataclasses
 import random
+import subprocess
+import sys
 
 import pytest
 
-from pdml.errors import ConstructionError, DomainError
+from pdml.errors import ConstructionError, DomainError, InternalError
 from pdml.exact import FpPoly, PrimeModulus, RatFunc, ratfunc_int_pow
 from pdml.constructions import (
+    PolySystem,
+    _self_check,
+    _self_check_points,
     build_pset_variety,
     dml_instance,
     encode_lrs,
@@ -16,7 +22,7 @@ from pdml.constructions import (
 from pdml.lrs import Lrs, constant, fibonacci, lrs_eval, lrs_prefix
 from pdml.pexp import PexpInstance, pexp_solution_set
 from pdml.psets import pset_enumerate, pset_of
-from pdml.torus import TorusPoint, return_set, variety_contains
+from pdml.torus import TorusPoint, Variety, return_set, variety_contains
 
 P3, P5, P7, P11, P13 = (PrimeModulus(p) for p in (3, 5, 7, 11, 13))
 
@@ -128,6 +134,153 @@ class TestBuildPsetVariety:
                         vanish = False
                         break
                 assert vanish == (d_gcd >= count)
+
+
+def mutated(pv, index):
+    """pv with the first coefficient of equation `index` moved by one."""
+    eqs = list(pv.X.equations)
+    (ev, coeff), *rest = eqs[index]
+    eqs[index] = ((ev, coeff + RatFunc.one(pv.p)), *rest)
+    return dataclasses.replace(pv, X=Variety(pv.X.n_vars, tuple(eqs)))
+
+
+def as_point(coords):
+    return TorusPoint(tuple(RatFunc(c) for c in coords))
+
+
+SELF_CHECK_CASES = [
+    pytest.param(p, c, id=f"{p.p}-{','.join(map(str, c))}")
+    for p, c in ((P5, [1, 1]), (P7, [1, 2]), (P11, [1, 1]), (P7, [1, 1, 2]))]
+
+
+class TestPackedEvaluator:
+    """PolySystem against torus.variety_contains, the dense oracle."""
+
+    @pytest.mark.parametrize("p,c", SELF_CHECK_CASES)
+    def test_agrees_on_self_check_points(self, p, c):
+        pv = build_pset_variety(p, c)
+        system = PolySystem(pv.X.equations, p, pv.X.n_vars)
+        pairs = list(_self_check_points(pv))
+        assert len(pairs) == 50
+        for member, twist in pairs:
+            assert system.vanishes_at(member)
+            assert variety_contains(pv.X, as_point(member))
+            assert not system.vanishes_at(twist)
+            assert not variety_contains(pv.X, as_point(twist))
+
+    def test_agrees_off_the_variety(self):
+        # each equation alone, at multiples of P (on the linear rows, some
+        # on the variety) and at random polynomial points
+        pv = build_pset_variety(P7, [1, 1, 2])
+        rng = random.Random(3)
+        points = [[c.num for c in multiple_of_p_point(pv, m).coords]
+                  for m in range(12)]
+        points += [[FpPoly([rng.randrange(7) for _ in range(4)], P7)
+                    for _ in range(6)] for _ in range(4)]
+        for k in range(len(pv.X.equations)):
+            sub = Variety(6, pv.X.equations[k:k + 1])
+            system = PolySystem(sub.equations, P7, 6)
+            for pt in points:
+                assert system.vanishes_at(pt) == variety_contains(
+                    sub, as_point(pt))
+
+    @pytest.mark.parametrize("p,c", SELF_CHECK_CASES)
+    def test_mutated_coefficient_fails_self_check(self, p, c):
+        pv = build_pset_variety(p, c)
+        _self_check(pv)
+        for index in range(len(pv.X.equations)):
+            with pytest.raises(InternalError):
+                _self_check(mutated(pv, index))
+
+    def test_mutated_equation_exits_5(self, monkeypatch, capsys):
+        import pdml.constructions
+        from pdml.cli import main
+
+        emit = pdml.constructions._sres_to_equation
+
+        def off_by_one(*args):
+            (ev, coeff), *rest = emit(*args)
+            return ((ev, coeff + RatFunc.one(P7)), *rest)
+
+        monkeypatch.setattr(pdml.constructions, "_sres_to_equation",
+                            off_by_one)
+        assert main(["exponent-set", "--p", "7", "--c", "1,2",
+                     "--bound", "10"]) == 5
+        assert capsys.readouterr().err == (
+            "internal invariant failure: parametrized point violates "
+            "equations\n")
+
+    def test_denominator_raises(self):
+        x = RatFunc(FpPoly([0, 1], P5), FpPoly([1, 1], P5))
+        # x1 - x2 vanishes at (x, x); the evaluator refuses, not accepts
+        eq = (((1, 0), RatFunc.one(P5)), ((0, 1), -RatFunc.one(P5)))
+        assert variety_contains(Variety(2, (eq,)), TorusPoint((x, x)))
+        system = PolySystem((eq,), P5, 2)
+        with pytest.raises(InternalError):
+            system.vanishes_at([x, x])
+        t = FpPoly([0, 1], P5)
+        assert system.vanishes_at([RatFunc(t), t])
+
+    def test_non_constant_coefficient_raises(self):
+        eq = (((1,), RatFunc(FpPoly([0, 1], P5))), ((0,), RatFunc.one(P5)))
+        with pytest.raises(InternalError):
+            PolySystem((eq,), P5, 1)
+        with pytest.raises(InternalError):
+            PolySystem(((((1,), RatFunc.const(1, P7)),),), P5, 1)
+
+    def test_negative_exponent_raises(self):
+        # x1^-1 - x2: a Laurent equation the dense oracle accepts
+        eq = (((-1, 0), RatFunc.one(P5)), ((0, 1), -RatFunc.one(P5)))
+        with pytest.raises(InternalError):
+            PolySystem((eq,), P5, 2)
+
+    def test_wrong_dimension_raises(self):
+        system = PolySystem(((((1, 0), 1),),), P5, 2)
+        with pytest.raises(InternalError):
+            system.vanishes_at([FpPoly.one(P5)])
+        with pytest.raises(InternalError):
+            PolySystem(((((1,), 1),),), P5, 2)
+
+    def test_integer_coefficients_reduced_mod_p(self):
+        # 7 x^2 - 3 x y - 4 over F_5, coefficients outside [0, p)
+        system = PolySystem(({(2, 0): 7, (1, 1): -3, (0, 0): -4}.items(),),
+                            P5, 2)
+        rng = random.Random(5)
+        for _ in range(40):
+            x, y = (FpPoly([rng.randrange(5) for _ in range(rng.randint(
+                0, 3))], P5) for _ in range(2))
+            value = (x * x).scale(7) - (x * y).scale(3) - FpPoly.const(4, P5)
+            assert system.vanishes_at([x, y]) == value.is_zero()
+        const = [FpPoly.const(a, P5) for a in (2, 4)]
+        assert system.vanishes_at(const)  # 28 - 24 - 4 = 0
+
+    def test_checks_survive_optimize(self):
+        # no check of the evaluator or the self-check is an assert
+        code = (
+            "from pdml.constructions import (PolySystem, _self_check, "
+            "build_pset_variety)\n"
+            "from pdml.errors import InternalError\n"
+            "from pdml.exact import FpPoly, PrimeModulus, RatFunc\n"
+            "from pdml.torus import Variety\n"
+            "import dataclasses\n"
+            "p = PrimeModulus(7)\n"
+            "pv = build_pset_variety(p, [1, 2])\n"
+            "eqs = list(pv.X.equations)\n"
+            "(ev, c), *rest = eqs[-1]\n"
+            "eqs[-1] = ((ev, c + RatFunc.one(p)), *rest)\n"
+            "bad = dataclasses.replace(pv, X=Variety(6, tuple(eqs)))\n"
+            "system = PolySystem(pv.X.equations, p, 6)\n"
+            "x = RatFunc(FpPoly([1], p), FpPoly([0, 1], p))\n"
+            "for call in (lambda: _self_check(bad),\n"
+            "             lambda: system.vanishes_at([x] * 6)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except InternalError:\n"
+            "        continue\n"
+            "    raise SystemExit('accepted')\n")
+        result = subprocess.run([sys.executable, "-O", "-c", code],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
 
 class TestExponentSet:

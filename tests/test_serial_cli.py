@@ -341,6 +341,20 @@ class TestErrorExits:
         assert err == f"validation error: {field} must be non-negative\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--period-cap", "0"), ("--period-cap", "-3"),
+        ("--cyclotomic-bound", "-1")])
+    def test_classify_caps_exit_3(self, tmp_path, capsys, flag, value):
+        # classify-pexp rejects its caps below 1 as obstruct does its bounds
+        out = tmp_path / "report.txt"
+        code, err = exit_with_one_line(
+            tmp_path, capsys,
+            ["classify-pexp", "{pexp}", flag, value, "--out", str(out)])
+        assert code == 3
+        assert err == ("error: period cap and cyclotomic bound must be at "
+                       "least 1\n")
+        assert not out.exists()
+
     def test_flags_per_command(self):
         # each command offers exactly the flags it reads, plus --out
         parser = build_parser()

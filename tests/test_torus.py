@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+import pdml.torus as torus_mod
 from pdml.errors import DomainError, ResourceLimitError
 from pdml.exact import FpPoly, PrimeModulus, RatFunc, frobenius_power, ratfunc_int_pow
-from pdml.lrs import lrs_prefix, mat_mul, mat_pow
+from pdml.lrs import (_synthetic_div, char_poly_of_matrix, lrs_prefix,
+                      mat_mul, mat_pow)
 from pdml.torus import (
     Factored,
     ObstructionVerdict,
@@ -254,6 +257,80 @@ class TestReduction:
             alpha = TorusPoint(tuple(rnd.choice(pool) for _ in range(n_dim)))
             rd = reduction_decompose(phi, alpha)
             assert verify_reduction(rd, phi, alpha, 30)
+
+
+def _eager_minimal_polynomial(a):
+    """Reference: every power A^0..A^n first, then the least dependency."""
+    n = len(a)
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    for _ in range(n):
+        powers.append(mat_mul(powers[-1], a))
+    vecs = [[Fraction(x) for row in pk for x in row] for pk in powers]
+    for l in range(1, n + 1):
+        sol = torus_mod._solve_exact(vecs[:l], vecs[l])
+        if sol is not None:
+            return tuple(int(-c) for c in sol) + (1,)
+
+
+def _block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(row)] = row
+        at += len(b)
+    return out
+
+
+def _matrix_cases():
+    rnd = random.Random(441)
+    cases = [[[rnd.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+             for n in (1, 2, 3, 4, 5) for _ in range(8)]
+    companions = ([[0, 1], [1, 1]], [[0, 1], [1, 0]], [[0, 1], [-1, 0]],
+                  [[0, 1, 0], [0, 0, 1], [2, -1, 1]], [[5]], [[-2]])
+    for _ in range(12):
+        k = rnd.randint(2, 4)
+        cases.append(_block_diagonal(
+            [rnd.choice(companions) for _ in range(k)]))
+    # the per11 shape of the orbit benchmark: ten equal 2x2 blocks
+    cases.append(_block_diagonal([[[0, 1], [1, 0]]] * 10))
+    return cases
+
+
+class TestLazyPowers:
+    def test_minimal_polynomial_matches_eager(self):
+        for a in _matrix_cases():
+            assert minimal_polynomial(a) == _eager_minimal_polynomial(a)
+
+    def test_minimal_polynomial_stops_at_its_degree(self, monkeypatch):
+        calls = []
+
+        def counting_mul(x, y):
+            calls.append(1)
+            return mat_mul(x, y)
+
+        monkeypatch.setattr(torus_mod, "mat_mul", counting_mul)
+        a = _block_diagonal([[[0, 1], [1, 0]]] * 10)
+        assert minimal_polynomial(a) == (-1, 0, 1)
+        assert len(calls) == 2
+
+    def test_obstruction_matches_fresh_powers(self):
+        for a in _matrix_cases():
+            for p in (P3, P5):
+                v = frobenius_obstruction(a, p, r_max=4, s_max=6)
+                # the scan with A^r recomputed from scratch for every r
+                hit = next(((r, s) for r in range(1, 5)
+                            for cp in [list(char_poly_of_matrix(
+                                mat_pow(a, r)))]
+                            for s in range(7)
+                            if _synthetic_div(cp, p.p ** s) is not None),
+                           None)
+                if hit is not None:
+                    assert v == ObstructionVerdict(True, *hit)
+                else:
+                    assert v in (ObstructionVerdict(False, r_max=4, s_max=6),
+                                 ObstructionVerdict(True, 2, v.s))
 
 
 class TestObstruction:
