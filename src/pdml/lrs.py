@@ -120,11 +120,35 @@ def mat_pow(a: list[list[int]], e: int) -> list[list[int]]:
 
 
 def char_poly_of_matrix(a: list[list[int]]) -> tuple[int, ...]:
-    """Characteristic polynomial det(xI - A), exactly over the integers.
+    """det(xI - A) over Z, lowest degree first: the product over the
+    connected blocks of A's nonzero pattern (i ~ j when A_ij or A_ji is
+    nonzero), which a simultaneous permutation makes diagonal blocks."""
+    n = len(a)
+    parent = list(range(n))
 
-    Faddeev-LeVerrier; each division by k is exact for integer matrices.
-    Returned lowest degree first, monic.
-    """
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(n):
+            if a[i][j]:
+                parent[find(i)] = find(j)
+    blocks: dict[int, list[int]] = {}
+    for i in range(n):
+        blocks.setdefault(find(i), []).append(i)
+    out: tuple[int, ...] = (1,)
+    for idx in blocks.values():
+        out = _poly_mul_z(out, _faddeev_leverrier(
+            [[a[i][j] for j in idx] for i in idx]))
+    return out
+
+
+def _faddeev_leverrier(a: list[list[int]]) -> tuple[int, ...]:
+    """det(xI - A) by Faddeev-LeVerrier; each division by k is exact for
+    integer matrices."""
     n = len(a)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
@@ -140,6 +164,14 @@ def char_poly_of_matrix(a: list[list[int]]) -> tuple[int, ...]:
         c = -tr // k
         coeffs[n - k] = c
     return tuple(coeffs)
+
+
+def _poly_mul_z(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
 
 
 def lrs_subsequence(s: Lrs, a: int, b: int) -> Lrs:

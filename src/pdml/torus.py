@@ -1,12 +1,12 @@
 """Dynamics of affine self-maps x -> y * [A]x on split tori over F_p(t).
 
 Every coordinate of Phi^n(alpha) is a product of powers of the irreducible
-factors of alpha and y, so orbits are carried in one form: factored (a unit
-times a product of monic irreducibles with big-integer exponents), where a
-step is exponent bookkeeping and points like (t+1)^(10^8) stay cheap. The
-equation coefficients are factored as well, once per call. Membership is
-decided by a factored ratio test for two terms, an exact digit-structured
-evaluation for linear equations in equal Frobenius powers, and otherwise by
+factors of alpha and y, so orbits are exponent rows: a unit mod p and one
+integer exponent per key of a sorted basis of monic irreducibles. A step is
+row_i <- y_i + sum_j A_ij row_j, so points like (t+1)^(10^8) stay cheap.
+Points and varieties keep their factorizations, built on first use.
+Membership is a row ratio test for two terms, an exact digit-structured
+evaluation for linear equations in equal Frobenius powers, and otherwise
 dense expansion under the degree cap. Everything user-facing remains plain
 RatFunc coordinates; dense iteration (selfmap_iterate, variety_contains)
 stays as the independent oracle.
@@ -14,14 +14,15 @@ stays as the independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, InternalError, ResourceLimitError, UsageError
 from .exact import (FpPoly, PrimeModulus, RatFunc, get_degree_cap,
                     poly_factor, ratfunc_int_pow)
-from .lrs import (Lrs, _synthetic_div, char_poly_of_matrix, lrs_char_roots,
-                  lrs_prefix, lrs_root_p_dependence, mat_mul, mat_pow)
+from .lrs import (Lrs, _poly_mul_z, _synthetic_div, char_poly_of_matrix,
+                  lrs_char_roots, lrs_prefix, lrs_root_p_dependence, mat_mul,
+                  mat_pow)
 from .pexp import fit_solution_desc
 from .psets import ReturnSetDesc
 
@@ -40,6 +41,9 @@ class TorusPoint:
     """Point of G_m^N: every coordinate a nonzero element of F_p(t)."""
 
     coords: tuple[RatFunc, ...]
+    # factorizations, built on first use by factor_point
+    _factors: list = field(default_factory=list, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
@@ -104,6 +108,9 @@ class Variety:
 
     n_vars: int
     equations: tuple[Equation, ...]
+    # factored equations, built on first use by _factor_equations
+    _factored: list = field(default_factory=list, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         eqs = []
@@ -194,8 +201,7 @@ def variety_contains(v: Variety, x: TorusPoint) -> bool:
 class Factored:
     """Element of F_p(t)^* in factored form with exact integer exponents.
 
-    Keys are monic irreducible polynomials (by canonical coefficient tuple),
-    so equality of values is equality of unit and exponent dictionaries.
+    Keys are monic irreducible polynomials (by canonical coefficient tuple).
     """
 
     __slots__ = ("unit", "powers", "p")
@@ -209,10 +215,6 @@ class Factored:
             raise DomainError("factored values are nonzero")
 
     @staticmethod
-    def one(p: PrimeModulus) -> "Factored":
-        return Factored(1, {}, p)
-
-    @staticmethod
     def from_ratfunc(x: RatFunc) -> "Factored":
         """Factor a nonzero x; numerator and denominator are coprime and the
         denominator is monic, so the unit is the numerator's leading
@@ -222,24 +224,6 @@ class Factored:
         for f, m in poly_factor(x.den)[1]:
             powers[f.coeffs] = -m
         return Factored(unit, powers, x.modulus)
-
-    def __mul__(self, other: "Factored") -> "Factored":
-        powers = dict(self.powers)
-        for k, e in other.powers.items():
-            powers[k] = powers.get(k, 0) + e
-        return Factored(self.unit * other.unit % self.p.p, powers, self.p)
-
-    def __pow__(self, e: int) -> "Factored":
-        pm1 = self.p.p - 1
-        return Factored(pow(self.unit, e % pm1, self.p.p),
-                        {k: v * e for k, v in self.powers.items()}, self.p)
-
-    def inv(self) -> "Factored":
-        return self ** -1
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Factored) and self.unit == other.unit
-                and self.powers == other.powers)
 
     def __repr__(self):
         return f"Factored(unit={self.unit}, powers={self.powers})"
@@ -270,19 +254,63 @@ class Factored:
 
 
 def factor_point(x: TorusPoint) -> list[Factored]:
-    return [Factored.from_ratfunc(c) for c in x.coords]
+    """The coordinates' factorizations, computed once per point."""
+    if not x._factors:
+        x._factors.extend([Factored.from_ratfunc(c) for c in x.coords])
+    return list(x._factors)
 
 
-def _affine_apply_factored(matrix: Matrix, shift: list[Factored],
-                           pt: list[Factored]) -> list[Factored]:
-    """shift * [matrix]pt, coordinatewise."""
+# ---------------------------------------------------------------------------
+# Exponent rows: a unit mod p and one exponent per key of a shared basis
+# ---------------------------------------------------------------------------
+
+
+Row = tuple[int, list[int]]
+
+
+def _basis(*groups: list[Factored]) -> list[tuple[int, ...]]:
+    """The sorted monic irreducible keys of every value in groups."""
+    return sorted({k for g in groups for f in g for k in f.powers})
+
+
+def _rows(values: list[Factored], basis: list[tuple[int, ...]]
+          ) -> list[Row]:
+    index = {k: i for i, k in enumerate(basis)}
     out = []
-    for row, acc in zip(matrix, shift):
-        for a, xj in zip(row, pt):
-            if a:
-                acc = acc * xj ** a
-        out.append(acc)
+    for f in values:
+        row = [0] * len(basis)
+        for k, e in f.powers.items():
+            row[index[k]] = e
+        out.append((f.unit, row))
     return out
+
+
+def _sparse(matrix) -> list[list[tuple[int, int]]]:
+    """The (column, entry) pairs of each row's nonzero entries."""
+    return [[(j, a) for j, a in enumerate(row) if a] for row in matrix]
+
+
+def _combine(base: Row, exps: list[tuple[int, int]], rows: list[Row],
+             p: int) -> Row:
+    """base * prod rows[j]^e over the pairs (j, e) of exps; units are
+    nonzero mod p, so their exponents reduce mod p - 1."""
+    unit, acc = base
+    for j, e in exps:
+        u, row = rows[j]
+        unit = unit * pow(u, e % (p - 1), p) % p
+        acc = [x + e * y for x, y in zip(acc, row)]
+    return unit, acc
+
+
+def _orbit(phi: TorusSelfMap, start: list[Row], y_rows: list[Row], p: int,
+           n_max: int):
+    """The rows of Phi^n(start) for n = 0..n_max."""
+    step = _sparse(phi.matrix)
+    cur = start
+    for n in range(n_max + 1):
+        yield cur
+        if n < n_max:
+            cur = [_combine(y, row, cur, p) for y, row in zip(y_rows, step)]
 
 
 # ---------------------------------------------------------------------------
@@ -332,75 +360,73 @@ def _structured_zero_test(lin: list[tuple[int, int]], const: int, m: int,
 FactoredEquation = list[tuple[tuple[int, ...], Factored]]
 
 
-def _factor_equation(eq: Equation) -> FactoredEquation:
-    """Factor the nonzero coefficients; zero coefficients drop out."""
-    return [(ev, Factored.from_ratfunc(c)) for ev, c in eq if not c.is_zero()]
+def _factor_equations(v: Variety) -> list[FactoredEquation]:
+    """The equations with their nonzero coefficients factored, computed
+    once per variety; zero coefficients drop out."""
+    if not v._factored:
+        v._factored.extend([[(ev, Factored.from_ratfunc(c)) for ev, c in eq
+                             if not c.is_zero()] for eq in v.equations])
+    return v._factored
 
 
-def _eval_equation_factored(eq: FactoredEquation, pt: list[Factored],
-                            p: PrimeModulus) -> bool:
-    """Exact zero test of one equation at a factored point.
+def _equation_zero(terms: list[Row], basis: list[tuple[int, ...]],
+                   p: PrimeModulus) -> bool:
+    """Exact zero test of one equation from the rows of its terms.
 
-    One term never vanishes; two terms reduce to a factored ratio test whose
+    One term never vanishes; two terms reduce to a row ratio test whose
     degrees are exact, so unequal degrees decide without expansion. Linear
     combinations of equal Frobenius powers of distinct linear bases go
     through the digit-structured route; what remains is expanded under the
     degree cap after the common monomial factor is stripped.
     """
-    terms = []
-    for ev, acc in eq:
-        for i, e in enumerate(ev):
-            if e:
-                acc = acc * pt[i] ** e
-        terms.append(acc)
     if len(terms) <= 2:
-        return not terms or (len(terms) == 2 and _two_term_zero(*terms))
+        return not terms or (len(terms) == 2 and _two_term_zero(*terms, p.p))
 
-    structured = _try_structured(terms, p)
+    structured = _try_structured(terms, basis, p.p)
     if structured is not None:
         return structured
 
     # strip the common monomial factor; zeroness is unaffected, and every
     # term is then a polynomial
-    keys = set().union(*(f.powers for f in terms))
-    common = {k: min(f.powers.get(k, 0) for f in terms) for k in keys}
+    common = [min(col) for col in zip(*(row for _, row in terms))]
     total = FpPoly.zero(p)
-    for f in terms:
-        reduced = {k: f.powers.get(k, 0) - common[k] for k in keys}
-        total = total + Factored(f.unit, reduced, p).to_ratfunc().num
+    for unit, row in terms:
+        reduced = {k: e - c for k, e, c in zip(basis, row, common)}
+        total = total + Factored(unit, reduced, p).to_ratfunc().num
     return total.is_zero()
 
 
-def _two_term_zero(a: Factored, b: Factored) -> bool:
+def _two_term_zero(a: Row, b: Row, p: int) -> bool:
     """a + b = 0 iff a/b = -1; degrees of the reduced ratio are exact, so
-    any nonzero exponent already decides."""
-    ratio = a * b.inv()
-    return not ratio.powers and (ratio.unit + 1) % a.p.p == 0
+    any unequal exponent already decides."""
+    return a[1] == b[1] and (a[0] + b[0]) % p == 0
 
 
-def _try_structured(terms: list[Factored], p: PrimeModulus) -> bool | None:
+def _try_structured(terms: list[Row], basis: list[tuple[int, ...]],
+                    p: int) -> bool | None:
     """Terms c_a (t + s_a)^m and constants through _structured_zero_test;
     None for any other shape."""
     lin: list[tuple[int, int]] = []
     const = 0
     m_common: int | None = None
-    for fac in terms:
-        if not fac.powers:
-            const = (const + fac.unit) % p.p
+    for unit, row in terms:
+        nonzero = [(k, e) for k, e in zip(basis, row) if e]
+        if not nonzero:
+            const = (const + unit) % p
             continue
-        if len(fac.powers) != 1:
+        if len(nonzero) != 1:
             return None
-        (key, e), = fac.powers.items()
+        (key, e), = nonzero
         if len(key) != 2 or key[0] == 0:
             return None  # base is not t + s with s != 0
         if m_common is None:
             m_common = e
         elif m_common != e:
             return None
-        lin.append((key[0], fac.unit))
+        lin.append((key[0], unit))
     if m_common is None:
         return const == 0
-    return _structured_zero_test(lin, const, m_common, p.p)
+    return _structured_zero_test(lin, const, m_common, p)
 
 
 # ---------------------------------------------------------------------------
@@ -412,25 +438,24 @@ def return_set(phi: TorusSelfMap, alpha: TorusPoint, v: Variety,
                n_max: int) -> list[int]:
     """{n <= n_max : Phi^n(alpha) in V} by sequential iteration.
 
-    alpha, the translation y and the equation coefficients are factored
-    once; each step cur -> y * [A]cur is then exponent bookkeeping, and
-    membership is decided on the factored point.
-    """
+    alpha, y and the equation coefficients become rows over one basis; a
+    step cur -> y * [A]cur is an integer row recurrence."""
     if n_max < 0:
         raise DomainError("n_max must be non-negative")
     if v.n_vars != alpha.dim or phi.dim != alpha.dim:
         raise UsageError("dimension mismatch")
     p = alpha.modulus
-    equations = [_factor_equation(eq) for eq in v.equations]
+    f_eqs = _factor_equations(v)
     f_y = factor_point(phi.translation)
-    cur = factor_point(alpha)
-    hits = []
-    for n in range(n_max + 1):
-        if all(_eval_equation_factored(eq, cur, p) for eq in equations):
-            hits.append(n)
-        if n < n_max:
-            cur = _affine_apply_factored(phi.matrix, f_y, cur)
-    return hits
+    f_alpha = factor_point(alpha)
+    basis = _basis(f_alpha, f_y, *([f for _, f in eq] for eq in f_eqs))
+    equations = [list(zip(_sparse([ev for ev, _ in eq]),
+                          _rows([f for _, f in eq], basis))) for eq in f_eqs]
+    orbit = _orbit(phi, _rows(f_alpha, basis), _rows(f_y, basis), p.p, n_max)
+    return [n for n, cur in enumerate(orbit)
+            if all(_equation_zero([_combine(coeff, ev, cur, p.p)
+                                   for ev, coeff in eq], basis, p)
+                   for eq in equations)]
 
 
 # ---------------------------------------------------------------------------
@@ -541,14 +566,6 @@ def reduction_decompose(phi: TorusSelfMap, alpha: TorusPoint
     return ReductionData(minpoly, u_seqs, v_seqs, tuple(q_points))
 
 
-def _poly_mul_z(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
-
-
 def _shift_mod(s: list[int], minpoly: tuple[int, ...]) -> list[int]:
     """x * s mod minpoly over Z, for monic minpoly of degree l = len(s)."""
     out = [0] + s[:-1]
@@ -563,32 +580,33 @@ def verify_reduction(rd: ReductionData, phi: TorusSelfMap,
                      alpha: TorusPoint, n_max: int) -> bool:
     """Exact check of the decomposition identity for every n <= n_max.
 
-    Both sides are computed independently in factored form: the left by
-    iterating the affine map, the right from the stored recurrences and
-    points.
+    Both sides are computed independently as exponent rows over one basis:
+    the left by iterating the affine map, the right from the stored
+    recurrences and points.
     """
     l = len(rd.minpoly) - 1
-    p = alpha.modulus
-    u_vals = [lrs_prefix(s, n_max) for s in rd.u_seqs]
-    v_vals = [lrs_prefix(s, n_max) for s in rd.v_seqs]
-    ones = [Factored.one(p) for _ in range(alpha.dim)]
+    pv = alpha.modulus.p
+    seqs = [lrs_prefix(seq[i], n_max) for seq in (rd.u_seqs, rd.v_seqs)
+            for i in range(l)]
     f_alpha = factor_point(alpha)
     f_y = factor_point(phi.translation)
-    f_q = [factor_point(q) for q in rd.q_points]
+    f_q = [factor_point(rd.q_points[i]) for i in range(l)]
+    basis = _basis(f_alpha, f_y, *f_q)
+    one = (1, [0] * len(basis))
+    alpha_rows = _rows(f_alpha, basis)
     apow = [list(r) for r in phi.matrix]
-    f_aa = [_affine_apply_factored(mat_pow(apow, i), ones, f_alpha)
-            for i in range(l)]
-    cur = f_alpha
-    for n in range(n_max + 1):
-        rhs = list(ones)
-        for i in range(l):
-            for d in range(alpha.dim):
-                rhs[d] = rhs[d] * f_q[i][d] ** u_vals[i][n]
-                rhs[d] = rhs[d] * f_aa[i][d] ** v_vals[i][n]
-        if cur != rhs:
+    aa_rows = [[_combine(one, row, alpha_rows, pv)
+                for row in _sparse(mat_pow(apow, i))] for i in range(l)]
+    # coordinate d of the right side is prod_k factors[d][k]^seqs[k][n]
+    q_rows = [_rows(f, basis) for f in f_q]
+    factors = [[q[d] for q in q_rows] + [aa[d] for aa in aa_rows]
+               for d in range(alpha.dim)]
+    orbit = _orbit(phi, alpha_rows, _rows(f_y, basis), pv, n_max)
+    for n, cur in enumerate(orbit):
+        exps = [(k, s[n]) for k, s in enumerate(seqs) if s[n]]
+        if any(c != _combine(one, exps, f, pv)
+               for c, f in zip(cur, factors)):
             return False
-        if n < n_max:
-            cur = _affine_apply_factored(phi.matrix, f_y, cur)
     return True
 
 

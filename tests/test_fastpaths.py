@@ -7,16 +7,23 @@ from fractions import Fraction
 
 import pytest
 
+import pdml.torus as torus_mod
+from pdml.constructions import dml_instance
 from pdml.errors import ResourceLimitError
 from pdml.exact import (FpPoly, PrimeModulus, RatFunc, get_degree_cap,
                         ratfunc_int_pow, set_degree_cap)
+from pdml.lrs import Lrs
 from pdml.psets import PSet, pset_enumerate, pset_membership
 from pdml.torus import (
     Factored,
     TorusPoint,
     TorusSelfMap,
     Variety,
+    _basis,
+    _combine,
+    _rows,
     _structured_zero_test,
+    _two_term_zero,
     reduction_decompose,
     return_set,
     selfmap_iterate,
@@ -25,6 +32,7 @@ from pdml.torus import (
 )
 
 P3, P5, P7 = PrimeModulus(3), PrimeModulus(5), PrimeModulus(7)
+P11 = PrimeModulus(11)
 
 
 class TestStructuredZeroTest:
@@ -85,14 +93,16 @@ class TestFactoredRatioTest:
             c2 = rnd.randrange(1, pv)
             b1 = RatFunc(FpPoly([s1, 1], p))
             b2 = RatFunc(FpPoly([s2, 1], p))
-            f1 = Factored.from_ratfunc(b1) ** e1
-            f2 = Factored.from_ratfunc(b2) ** e2
+            f1 = Factored.from_ratfunc(b1)
+            f2 = Factored.from_ratfunc(b2)
+            k1, k2 = (Factored.from_ratfunc(RatFunc.const(c, p))
+                      for c in (c1, c2))
             lhs = ratfunc_int_pow(b1, e1) * RatFunc.const(c1, p) + \
                 ratfunc_int_pow(b2, e2) * RatFunc.const(c2, p)
-            from pdml.torus import _two_term_zero
-
-            got = _two_term_zero(f1 * Factored.from_ratfunc(RatFunc.const(c1, p)),
-                                 f2 * Factored.from_ratfunc(RatFunc.const(c2, p)))
+            basis = _basis([f1, f2])
+            rows = _rows([f1, f2, k1, k2], basis)
+            got = _two_term_zero(_combine(rows[2], [(0, e1)], rows, pv),
+                                 _combine(rows[3], [(1, e2)], rows, pv), pv)
             assert got == lhs.is_zero()
 
 
@@ -242,7 +252,7 @@ class TestSingleFactoredPath:
 
     def test_expansion_refused_at_degree_cap(self):
         p = P5
-        f = Factored.from_ratfunc(RatFunc(FpPoly([1, 1], p))) ** 50
+        f = Factored(1, {(1, 1): 50}, p)
         old = get_degree_cap()
         set_degree_cap(40)
         try:
@@ -252,3 +262,80 @@ class TestSingleFactoredPath:
             set_degree_cap(old)
         assert f.to_ratfunc() == ratfunc_int_pow(RatFunc(FpPoly([1, 1], p)),
                                                  50)
+
+
+class TestRowKernel:
+    """The exponent-row orbit against the dense oracle,
+    variety_contains(selfmap_iterate(...))."""
+
+    def _count_routes(self, monkeypatch):
+        routes = {"structured": 0, "expanded": 0}
+        structured = torus_mod._structured_zero_test
+        expand = Factored.to_ratfunc
+
+        def count_structured(*args):
+            routes["structured"] += 1
+            return structured(*args)
+
+        def count_expand(self):
+            routes["expanded"] += 1
+            return expand(self)
+
+        monkeypatch.setattr(torus_mod, "_structured_zero_test",
+                            count_structured)
+        monkeypatch.setattr(Factored, "to_ratfunc", count_expand)
+        return routes
+
+    def test_multiplicity_instance_linear_sequence(self, monkeypatch):
+        # u_n = n + s at p = 7, c = (1, 2): the p-set rows go through the
+        # structured route, the subresultant equation through expansion
+        routes = self._count_routes(monkeypatch)
+        for s in (0, 4, 9):
+            phi, alpha, v = dml_instance(Lrs((1, -2), (s, s + 1)), P7, [1, 2])
+            hits = return_set(phi, alpha, v, 12)
+            assert hits == dense_hits(phi, alpha, v, 12)
+            assert hits == [n for n in range(13) if n + s in (3, 9, 15, 21)]
+        assert routes["structured"] > 0 and routes["expanded"] > 0
+
+    def test_period_two_instance(self):
+        # u alternates 2, 3 at p = 11, c = (1, 1): 2 = 1 + 1 is in the
+        # p-set and 3 is not, so the returns are the even n
+        phi, alpha, v = dml_instance(Lrs((-1, 0), (2, 3)), P11, [1, 1])
+        hits = return_set(phi, alpha, v, 7)
+        assert hits == dense_hits(phi, alpha, v, 7) == [0, 2, 4, 6]
+        assert verify_reduction(reduction_decompose(phi, alpha), phi,
+                                alpha, 7)
+
+    def test_affine_maps_with_constant_units(self):
+        # the units 2 and 3 have orders 4, 4 at p = 5 and 3, 6 at p = 7;
+        # negative entries invert them, so unit exponents wrap mod p - 1
+        rnd = random.Random(4242)
+        for _ in range(16):
+            p = rnd.choice([P5, P7])
+            pv = p.p
+
+            def coord():
+                unit = RatFunc.const(rnd.choice([1, 2, 3]), p)
+                if rnd.random() < 0.3:
+                    return unit
+                return unit * ratfunc_int_pow(
+                    RatFunc(FpPoly([rnd.randrange(pv), 1], p)),
+                    rnd.choice([-1, 1, 2]))
+
+            mat = tuple(tuple(rnd.randint(-2, 1) for _ in range(2))
+                        for _ in range(2))
+            phi = TorusSelfMap(mat, TorusPoint((coord(), coord())))
+            alpha = TorusPoint((coord(), coord()))
+            n0 = rnd.randint(0, 4)
+            x1, x2 = selfmap_iterate(phi, alpha, n0).coords
+            one = RatFunc.one(p)
+            v = Variety(2, rnd.choice((
+                ((((1, 0), one), ((0, 0), -x1)),),
+                ((((1, 0), one), ((0, 1), -x1 / x2)),),
+                ((((1, 0), one), ((0, 1), one), ((0, 0), -x1 - x2)),),
+            )))
+            hits = return_set(phi, alpha, v, 6)
+            assert n0 in hits
+            assert hits == dense_hits(phi, alpha, v, 6), (mat, phi, alpha)
+            assert verify_reduction(reduction_decompose(phi, alpha), phi,
+                                    alpha, 6)

@@ -4,8 +4,10 @@ import pytest
 
 from pdml.errors import UnsupportedError
 from pdml.exact import PrimeModulus
+import pdml.lrs as lrs_mod
 from pdml.lrs import (
     CharRoots,
+    _faddeev_leverrier,
     Lrs,
     char_poly_of_matrix,
     companion_matrix,
@@ -244,3 +246,49 @@ class TestMatrixHelpers:
     def test_mat_pow(self):
         m = mat_pow([[1, 1], [0, 1]], 13)
         assert m == [[1, 13], [0, 1]]
+
+    def test_char_poly_block_split_matches_whole_matrix(self):
+        # oracle: Faddeev-LeVerrier on the whole matrix, unsplit
+        rnd = random.Random(122)
+        cases = []
+        for _ in range(200):
+            n = rnd.randint(1, 8)
+            cases.append([[rnd.randint(-3, 3) if rnd.random() < 0.25 else 0
+                           for _ in range(n)] for _ in range(n)])
+        for _ in range(40):
+            sizes = [rnd.randint(1, 3) for _ in range(rnd.randint(2, 4))]
+            n = sum(sizes)
+            m = [[0] * n for _ in range(n)]
+            at = 0
+            for k in sizes:
+                for i in range(at, at + k):
+                    for j in range(at, at + k):
+                        m[i][j] = rnd.randint(-3, 3)
+                at += k
+            perm = rnd.sample(range(n), n)
+            cases.append([[m[perm[i]][perm[j]] for j in range(n)]
+                          for i in range(n)])
+        from pdml.constructions import dml_instance
+
+        for p, c, u in ((5, [1, 1], Lrs((1, -2), (0, 1))),
+                        (5, [1, 1], fibonacci()),
+                        (7, [1, 2], Lrs((1, -2), (0, 1))),
+                        (11, [1, 1], Lrs((-1, 0), (2, 3)))):
+            phi, _, _ = dml_instance(u, PrimeModulus(p), c)
+            cases.append([list(r) for r in phi.matrix])
+        for a in cases:
+            assert char_poly_of_matrix(a) == _faddeev_leverrier(a)
+
+    def test_char_poly_runs_per_block(self, monkeypatch):
+        sizes = []
+        real = lrs_mod._faddeev_leverrier
+
+        def counting(a):
+            sizes.append(len(a))
+            return real(a)
+
+        monkeypatch.setattr(lrs_mod, "_faddeev_leverrier", counting)
+        # the per11 shape: ten 2x2 swap blocks
+        a = [[int(j == i ^ 1) for j in range(20)] for i in range(20)]
+        assert char_poly_of_matrix(a) == _faddeev_leverrier(a)
+        assert sizes == [2] * 10

@@ -15,6 +15,9 @@ from pdml.torus import (
     TorusPoint,
     TorusSelfMap,
     Variety,
+    _basis,
+    _combine,
+    _rows,
     endo_apply,
     factor_point,
     frobenius_obstruction,
@@ -160,12 +163,15 @@ class TestFactored:
 
     def test_equality_across_forms(self):
         a = Factored.from_ratfunc(t_plus(1) * t_plus(1))
-        b = Factored.from_ratfunc(t_plus(1)) ** 2
-        assert a == b
+        f = Factored.from_ratfunc(t_plus(1))
+        basis = _basis([a, f])
+        b = _combine((1, [0] * len(basis)), [(0, 2)], _rows([f], basis), 5)
+        assert _rows([a], basis)[0] == b
 
     def test_unit_torsion(self):
         two = Factored.from_ratfunc(const(2))
-        assert (two ** 4).unit == 1  # 2^4 = 16 = 1 mod 5
+        # 2^4 = 16 = 1 mod 5
+        assert _combine((1, []), [(0, 4)], _rows([two], []), 5)[0] == 1
 
     def test_irreducible_quadratic(self):
         # t^2 + 2 has no roots mod 5
@@ -185,6 +191,53 @@ class TestFactored:
         fs = factor_point(pt)
         assert fs is not None
         assert [f.to_ratfunc() for f in fs] == list(pt.coords)
+
+
+class TestFactorCache:
+    def _instance(self):
+        phi = TorusSelfMap(((0, -1), (1, 0)),
+                           TorusPoint((const(2), t_plus(1))))
+        alpha = TorusPoint((t_plus(1) * t_plus(2), t_plus(3).inv()))
+        v = Variety(2, ((((1, 0), RatFunc.one(P5)),
+                         ((0, 0), -alpha.coords[0])),))
+        return phi, alpha, v, reduction_decompose(phi, alpha)
+
+    def test_second_analysis_factors_nothing(self, monkeypatch):
+        calls = []
+        real = Factored.from_ratfunc
+
+        def counting(x):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(Factored, "from_ratfunc", staticmethod(counting))
+        ops = (lambda phi, alpha, v, rd: return_set(phi, alpha, v, 8),
+               lambda phi, alpha, v, rd: full_pipeline(phi, alpha, v, 8),
+               lambda phi, alpha, v, rd: verify_reduction(rd, phi, alpha, 8))
+        for op in ops:
+            inst = self._instance()
+            first = op(*inst)
+            made = len(calls)
+            assert made > 0
+            assert op(*inst) == first
+            assert len(calls) == made
+
+    def test_cache_is_invisible(self):
+        from pdml.serial import torus_instance_to_text
+
+        phi, alpha, v, _ = self._instance()
+        twin_phi, twin_alpha, twin_v, _ = self._instance()
+        text = torus_instance_to_text(P5, phi, alpha, v, 8)
+        reprs = (repr(alpha), repr(v))
+        return_set(phi, alpha, v, 8)
+        assert alpha._factors and v._factored and not twin_alpha._factors
+        assert alpha == twin_alpha and hash(alpha) == hash(twin_alpha)
+        assert v == twin_v and hash(v) == hash(twin_v)
+        assert phi == twin_phi and hash(phi) == hash(twin_phi)
+        assert (repr(alpha), repr(v)) == reprs == (repr(twin_alpha),
+                                                   repr(twin_v))
+        assert torus_instance_to_text(P5, phi, alpha, v, 8) == text == \
+            torus_instance_to_text(P5, twin_phi, twin_alpha, twin_v, 8)
 
 
 class TestMinimalPolynomial:
@@ -243,6 +296,25 @@ class TestReduction:
                             (Lrs(rd.u_seqs[0].rec_coeffs, (1, 2)),),
                             rd.v_seqs, rd.q_points)
         assert not verify_reduction(bad, phi, alpha, 5)
+
+    def test_corrupted_point_or_v_sequence_fails(self):
+        from pdml.lrs import Lrs
+
+        phi = TorusSelfMap(((0, -1), (1, 1)), TorusPoint((t(), const(2))))
+        alpha = TorusPoint((t_plus(1), const(3) * t_plus(2).inv()))
+        rd = reduction_decompose(phi, alpha)
+        assert verify_reduction(rd, phi, alpha, 8)
+        q0 = rd.q_points[0]
+        for bad_q in (TorusPoint((q0.coords[0] * t_plus(3), q0.coords[1])),
+                      TorusPoint((q0.coords[0], q0.coords[1] * const(4)))):
+            bad = ReductionData(rd.minpoly, rd.u_seqs, rd.v_seqs,
+                                (bad_q,) + rd.q_points[1:])
+            assert not verify_reduction(bad, phi, alpha, 8)
+        v1 = rd.v_seqs[1]
+        bad = ReductionData(rd.minpoly, rd.u_seqs,
+                            (rd.v_seqs[0], Lrs(v1.rec_coeffs, (0, 2))),
+                            rd.q_points)
+        assert not verify_reduction(bad, phi, alpha, 8)
 
     def test_randomized(self):
         rnd = random.Random(99)
