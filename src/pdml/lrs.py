@@ -119,10 +119,10 @@ def mat_pow(a: list[list[int]], e: int) -> list[list[int]]:
     return result
 
 
-def char_poly_of_matrix(a: list[list[int]]) -> tuple[int, ...]:
-    """det(xI - A) over Z, lowest degree first: the product over the
-    connected blocks of A's nonzero pattern (i ~ j when A_ij or A_ji is
-    nonzero), which a simultaneous permutation makes diagonal blocks."""
+def matrix_blocks(a) -> list[list[int]]:
+    """Index sets of the connected blocks of a square matrix's nonzero
+    pattern (i ~ j when A_ij or A_ji is nonzero), each in increasing order;
+    a simultaneous permutation makes them diagonal blocks."""
     n = len(a)
     parent = list(range(n))
 
@@ -139,8 +139,14 @@ def char_poly_of_matrix(a: list[list[int]]) -> tuple[int, ...]:
     blocks: dict[int, list[int]] = {}
     for i in range(n):
         blocks.setdefault(find(i), []).append(i)
+    return list(blocks.values())
+
+
+def char_poly_of_matrix(a: list[list[int]]) -> tuple[int, ...]:
+    """det(xI - A) over Z, lowest degree first: the product over the
+    blocks of matrix_blocks."""
     out: tuple[int, ...] = (1,)
-    for idx in blocks.values():
+    for idx in matrix_blocks(a):
         out = _poly_mul_z(out, _faddeev_leverrier(
             [[a[i][j] for j in idx] for i in idx]))
     return out

@@ -139,7 +139,9 @@ def fit_solution_desc(
 
     Tries AP extraction, then (if allowed) two-exponent p-set shapes on the
     residual, then falls back to the raw exceptional set, which always
-    verifies. The returned description always carries verified_bound = n_max.
+    verifies. fit_pset_shapes drops every shape with a small member in
+    [0, n_max] outside the solutions, so only the survivors are enumerated.
+    The returned description always carries verified_bound = n_max.
     """
     oracle = solutions.__contains__
     indicator = [n in solutions for n in range(n_max + 1)]
@@ -152,7 +154,7 @@ def fit_solution_desc(
 
     candidates: list[tuple[tuple[int, int], ReturnSetDesc]] = []
     if residual and len(residual) >= _PSET_FIT_MIN and allow_psets:
-        for cand in fit_pset_shapes(residual, p):
+        for cand in fit_pset_shapes(residual, p, n_max, oracle):
             if cand.nontrivial_terms() > max_nontrivial:
                 continue
             cand_members = set(pset_enumerate(cand, p, n_max))

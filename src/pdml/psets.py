@@ -33,6 +33,9 @@ _SINGLETON_FIT_MAX = 32
 # Largest exponent multiplier l in the shapes fit_pset_shapes proposes.
 _FIT_LEVEL_MAX = 6
 
+# Exponents n_i at which fit_pset_shapes checks a shape's own members.
+_REFUTE_EXPONENTS = (0, 1, 2)
+
 
 @dataclass(frozen=True)
 class ArithProg:
@@ -441,7 +444,7 @@ def pset_intersect_bounded(
         candidates.append([S1])
     if elements == sorted(e2):
         candidates.append([S2])
-    for fit in fit_pset_shapes(elements, p):
+    for fit in fit_pset_shapes(elements, p, bound, oracle):
         candidates.append([fit])
     if elements and max(elements) <= bound // p.p and len(elements) <= _SINGLETON_FIT_MAX:
         candidates.append([pset_of((x, 0)) for x in elements])
@@ -456,41 +459,53 @@ def pset_intersect_bounded(
     return elements, None
 
 
-def fit_pset_shapes(values: list[int], p: PrimeModulus) -> list[PSet]:
+def fit_pset_shapes(values: list[int], p: PrimeModulus, bound: int = -1,
+                    oracle=None) -> list[PSet]:
     """Deterministic candidates of shape d0 + d1 p^(l1 n1) + d2 p^(l2 n2).
 
     Solved exactly from the smallest values under fixed exponent-pattern
-    assignments; callers must verify every candidate before use.
+    assignments, in cleared form d_i = e_i / D with integer e_i and
+    D = prod (p^l_i - 1). Given an oracle, a shape is dropped before it
+    becomes a PSet when one of its members with every n_i in
+    _REFUTE_EXPONENTS lies in [0, bound] and the oracle rejects it: that
+    shape would fail verification against the oracle on [0, bound].
+    Callers must verify every candidate before use.
     """
     vs = sorted(set(values))
     pv = p.p
     out: list[PSet] = []
     seen: set[tuple] = set()
+    levels = range(1, _FIT_LEVEL_MAX + 1)
+    steps = {l: [pv ** (l * n) for n in _REFUTE_EXPONENTS] for l in levels}
 
-    def emit(d0: Fraction, pairs: list[tuple[Fraction, int]]):
-        terms = [(c, k) for c, k in pairs if c != 0]
-        if d0 != 0 or not terms:
-            terms.append((d0, 0))
+    def emit(D: int, e0: int, pairs: list[tuple[int, int]]):
+        if oracle is not None:
+            # exact: a member is r1 plus integer multiples of
+            # (p^(l n) - 1) / (p^l - 1), so D divides its numerator
+            for ps in itertools.product(*(steps[l] for _, l in pairs)):
+                M = (e0 + sum(e * q for (e, _), q in zip(pairs, ps))) // D
+                if 0 <= M <= bound and not oracle(M):
+                    return
+        terms = [(Fraction(e, D), l) for e, l in pairs]
+        if e0:
+            terms.append((Fraction(e0, D), 0))
         cand = PSet(tuple(sorted(terms, key=lambda t: (t[1], t[0]))))
         if cand.terms not in seen:
             seen.add(cand.terms)
             out.append(cand)
 
+    # vs is strictly increasing, so every d_i below is positive
     if len(vs) >= 2:
-        r1, r2 = Fraction(vs[0]), Fraction(vs[1])
-        for l1 in range(1, _FIT_LEVEL_MAX + 1):
-            d1 = (r2 - r1) / (pv ** l1 - 1)
-            if d1 == 0:
-                continue
-            emit(r1 - d1, [(d1, l1)])
+        for l1 in levels:
+            D = pv ** l1 - 1
+            emit(D, vs[0] * D - (vs[1] - vs[0]), [(vs[1] - vs[0], l1)])
     if len(vs) >= 3:
-        r1, r2, r3 = Fraction(vs[0]), Fraction(vs[1]), Fraction(vs[2])
-        for l1 in range(1, _FIT_LEVEL_MAX + 1):
-            d1 = (r2 - r1) / (pv ** l1 - 1)
-            for l2 in range(1, _FIT_LEVEL_MAX + 1):
+        for l1 in levels:
+            for l2 in levels:
+                q1, q2 = pv ** l1 - 1, pv ** l2 - 1
                 # assignments (0,0), (1,0) and then (0,1) or (1,1)
-                for r in (r1, r2):
-                    d2 = (r3 - r) / (pv ** l2 - 1)
-                    if d1 != 0 and d2 != 0:
-                        emit(r1 - d1 - d2, [(d1, l1), (d2, l2)])
+                for r in vs[:2]:
+                    e1, e2 = (vs[1] - vs[0]) * q2, (vs[2] - r) * q1
+                    emit(q1 * q2, vs[0] * q1 * q2 - e1 - e2,
+                         [(e1, l1), (e2, l2)])
     return out

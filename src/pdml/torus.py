@@ -22,7 +22,7 @@ from .exact import (FpPoly, PrimeModulus, RatFunc, get_degree_cap,
                     poly_factor, ratfunc_int_pow)
 from .lrs import (Lrs, _poly_mul_z, _synthetic_div, char_poly_of_matrix,
                   lrs_char_roots, lrs_prefix, lrs_root_p_dependence, mat_mul,
-                  mat_pow)
+                  mat_pow, matrix_blocks)
 from .pexp import fit_solution_desc
 from .psets import ReturnSetDesc
 
@@ -466,11 +466,19 @@ def return_set(phi: TorusSelfMap, alpha: TorusPoint, v: Variety,
 def minimal_polynomial(a) -> tuple[int, ...]:
     """Minimal monic polynomial of an integer matrix, lowest degree first.
 
-    Finds the least degree l with A^l in the span of lower powers by exact
-    rational elimination; the result has integer coefficients because A is
-    integral over Z.
+    It is the lcm of the minimal polynomials of the blocks of matrix_blocks,
+    which repeated blocks do not change, so A is first cut down to one copy
+    of each distinct block. Finds the least degree l with A^l in the span of
+    lower powers by exact rational elimination; the result has integer
+    coefficients because A is integral over Z.
     """
-    m = _as_matrix(a)
+    full = _as_matrix(a)
+    distinct: dict[Matrix, list[int]] = {}
+    for idx in matrix_blocks(full):
+        distinct.setdefault(
+            tuple(tuple(full[i][j] for j in idx) for i in idx), idx)
+    keep = [i for idx in distinct.values() for i in idx]
+    m = [[full[i][j] for j in keep] for i in keep]
     n = len(m)
     power = [[int(i == j) for j in range(n)] for i in range(n)]
     vecs = [[Fraction(x) for row in power for x in row]]

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import pdml.psets as psets_mod
 from pdml.errors import ValidationError
 from pdml.exact import PrimeModulus
 from pdml.lrs import Lrs, constant, fibonacci, lrs_prefix
@@ -17,9 +18,9 @@ from pdml.pexp import (
     pexp_solution_set,
     pexp_solve,
 )
-from pdml.psets import ArithProg
+from pdml.psets import ArithProg, ReturnSetDesc, pset_of
 
-P2, P3, P5 = PrimeModulus(2), PrimeModulus(3), PrimeModulus(5)
+P2, P3, P5, P7 = (PrimeModulus(p) for p in (2, 3, 5, 7))
 
 THREE_POW_MINUS_TWO = Lrs((3, -4), (-1, 1))
 LINEAR = Lrs((1, -2), (0, 1))  # u_n = n
@@ -214,6 +215,25 @@ class TestFitSolutionDesc:
         assert ArithProg(2, 0) in desc.aps
         assert len(desc.psets) == 1 and desc.psets[0].nontrivial_terms() == 1
         assert desc.verified_bound == n_max
+
+    def test_refuted_shapes_build_no_automaton(self, monkeypatch):
+        """u_n = n + 36 against 7^a + 2 7^b: about 80 fitted shapes, most
+        refuted by a small member before any automaton is built."""
+        built = []
+        init = psets_mod._DigitAutomaton.__init__
+
+        def counting(self, *args):
+            built.append(args[0])
+            init(self, *args)
+
+        monkeypatch.setattr(psets_mod._DigitAutomaton, "__init__", counting)
+        inst = PexpInstance(Lrs((1, -2), (36, 37)), P7, ((1, 1), (2, 1)))
+        desc = pexp_classify(inst, 179)
+        assert desc == ReturnSetDesc(
+            P7, psets=(pset_of((2, 1), (13, 0)),), exceptional=(63, 69),
+            verified_bound=179,
+            notes=("piece 1k+0: two-exponent shape fitted",))
+        assert len(built) <= 10
 
 
 class TestFArith:

@@ -6,8 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pdml.pexp as pexp_mod
+import pdml.psets as psets_mod
 from pdml.errors import DomainError
 from pdml.exact import PrimeModulus
+from pdml.pexp import fit_solution_desc
 from pdml.psets import (
     ArithProg,
     PSet,
@@ -402,3 +405,123 @@ def test_automaton_agrees_with_brute_force(p, terms, exps, offset, bound):
             assert w == want[M]
     assert pset_enumerate(S, P, bound) == sorted(
         v for v in want if 0 <= v <= bound)
+
+
+# ---------------------------------------------------------------------------
+# Fit refutation: every shape, enumerated, is the slow path
+# ---------------------------------------------------------------------------
+
+
+def every_shape(values, p):
+    """Reference fitter: every shape in Fraction arithmetic, none refuted,
+    in the fitter's order and deduplicated."""
+    vs = sorted(set(values))
+    pv = p.p
+    levels = range(1, psets_mod._FIT_LEVEL_MAX + 1)
+    out, seen = [], set()
+
+    def emit(d0, pairs):
+        terms = [(c, k) for c, k in pairs if c != 0]
+        if d0 != 0 or not terms:
+            terms.append((d0, 0))
+        cand = PSet(tuple(sorted(terms, key=lambda t: (t[1], t[0]))))
+        if cand.terms not in seen:
+            seen.add(cand.terms)
+            out.append(cand)
+
+    if len(vs) >= 2:
+        r1, r2 = Fraction(vs[0]), Fraction(vs[1])
+        for l1 in levels:
+            d1 = (r2 - r1) / (pv ** l1 - 1)
+            if d1 != 0:
+                emit(r1 - d1, [(d1, l1)])
+    if len(vs) >= 3:
+        r1, r2, r3 = Fraction(vs[0]), Fraction(vs[1]), Fraction(vs[2])
+        for l1 in levels:
+            d1 = (r2 - r1) / (pv ** l1 - 1)
+            for l2 in levels:
+                for r in (r1, r2):
+                    d2 = (r3 - r) / (pv ** l2 - 1)
+                    if d1 != 0 and d2 != 0:
+                        emit(r1 - d1 - d2, [(d1, l1), (d2, l2)])
+    return out
+
+
+def every_shape_fitter(values, p, bound=-1, oracle=None):
+    return every_shape(values, p)
+
+
+def shifted_solution_sets(seed, count):
+    """(p, solutions, n_max): a shifted p-set {p^a + c p^(k b) - s} on
+    [0, n_max], n_max up to 400, with a few points added or removed in
+    half of the cases."""
+    rnd = random.Random(seed)
+    for _ in range(count):
+        P = rnd.choice((P3, P5, P7))
+        S = pset_of((1, 1), (rnd.randint(1, P.p - 1), rnd.randint(1, 2)),
+                    (-rnd.randrange(40), 0))
+        n_max = rnd.randint(60, 400)
+        sols = set(pset_enumerate(S, P, n_max))
+        if rnd.random() < 0.5:
+            sols |= {rnd.randint(0, n_max) for _ in range(rnd.randint(1, 3))}
+            sols -= set(rnd.sample(sorted(sols), 1))
+        yield P, sols, n_max
+
+
+class TestFitRefutation:
+    def test_survivors_keep_order_and_dropped_shapes_fail(self):
+        for P, sols, n_max in shifted_solution_sets(5, 40):
+            full = every_shape(sols, P)
+            kept = fit_pset_shapes(sols, P, n_max, sols.__contains__)
+            assert kept == [c for c in full if c in kept]
+            for cand in full:
+                if cand not in kept:
+                    assert not set(pset_enumerate(cand, P, n_max)) <= sols
+
+    def test_fit_solution_desc_matches_every_shape(self, monkeypatch):
+        cases = list(shifted_solution_sets(6, 40))
+        fast = [fit_solution_desc(sols, P, n_max, allow_psets=True)
+                for P, sols, n_max in cases]
+        monkeypatch.setattr(pexp_mod, "fit_pset_shapes", every_shape_fitter)
+        slow = [fit_solution_desc(sols, P, n_max, allow_psets=True)
+                for P, sols, n_max in cases]
+        assert fast == slow
+        assert sum(1 for d in fast if d.psets) >= 10
+
+    def test_intersect_matches_every_shape(self, monkeypatch):
+        rnd = random.Random(7)
+        cases = []
+        for _ in range(40):
+            P = rnd.choice((P3, P5, P7))
+            bound = rnd.randint(60, 400)
+            S1 = pset_of((1, 1), (rnd.randint(1, P.p - 1), rnd.randint(1, 2)),
+                         (-rnd.randrange(40), 0))
+            # S2 = {c p^(k n) + x - c p^(k n0)} meets S1 in a member x
+            x = rnd.choice(pset_enumerate(S1, P, bound) or [0])
+            c, k = rnd.randint(1, 3), rnd.randint(1, 2)
+            const = x - c * P.p ** (k * rnd.randint(0, 1))
+            S2 = rnd.choice((pset_of((c, k), (const, 0)),
+                             pset_of((c, k), (1, 1), (const - 1, 0))))
+            cases.append((S1, S2, P, bound))
+        fast = [pset_intersect_bounded(*c) for c in cases]
+        monkeypatch.setattr(psets_mod, "fit_pset_shapes", every_shape_fitter)
+        slow = [pset_intersect_bounded(*c) for c in cases]
+        assert fast == slow
+        fitted = [cand for (S1, S2, _, _), (_, cand) in zip(cases, fast)
+                  if cand and cand not in ([S1], [S2])
+                  and any(k for ps in cand for _, k in ps.terms)]
+        assert len(fitted) >= 5
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]),
+       values=st.lists(st.integers(-100, 400), min_size=2, max_size=5,
+                       unique=True),
+       bound=st.integers(0, 600))
+def test_fit_refutes_only_by_members(p, values, bound):
+    """A shape is dropped only for one of its members in [0, bound]: an
+    oracle accepting exactly those members keeps it."""
+    P = PrimeModulus(p)
+    for cand in fit_pset_shapes(values, P):
+        members = set(pset_enumerate(cand, P, bound))
+        assert cand in fit_pset_shapes(values, P, bound, members.__contains__)

@@ -375,6 +375,21 @@ class TestLazyPowers:
         for a in _matrix_cases():
             assert minimal_polynomial(a) == _eager_minimal_polynomial(a)
 
+    def test_minimal_polynomial_of_repeated_and_distinct_blocks(self):
+        swap, fib = [[0, 1], [1, 0]], [[0, 1], [1, 1]]
+        cubic = [[0, 1, 0], [0, 0, 1], [2, -1, 1]]
+        rnd = random.Random(17)
+        for blocks in ([swap] * 3 + [fib] * 2, [fib, swap, fib, cubic, swap],
+                       [cubic, cubic], [[[5]], swap, [[5]], [[-2]], [[5]]],
+                       [[[0, 2], [1, 0]], [[0, 1], [2, 0]]]):
+            a = _block_diagonal(blocks)
+            want = _eager_minimal_polynomial(a)
+            assert minimal_polynomial(a) == want
+            # the same blocks with their indices interleaved
+            perm = rnd.sample(range(len(a)), len(a))
+            b = [[a[i][j] for j in perm] for i in perm]
+            assert minimal_polynomial(b) == _eager_minimal_polynomial(b) == want
+
     def test_minimal_polynomial_stops_at_its_degree(self, monkeypatch):
         calls = []
 
