@@ -19,9 +19,7 @@ from functools import partial
 from . import serial
 from .constructions import build_pset_variety, dml_instance, exponent_set
 from .errors import ParseError, PdmlError, ValidationError
-from .exact import DEFAULT_DEGREE_CAP, set_degree_cap
-from .lrs import DEFAULT_CYCLOTOMIC_BOUND
-from .pexp import DEFAULT_PERIOD_CAP, PexpInstance, pexp_classify, pexp_solve
+from .pexp import PexpInstance, pexp_classify, pexp_solve
 from .psets import ap_intersect_pset, pset_intersect_bounded
 from .torus import (
     DEFAULT_R_MAX,
@@ -102,9 +100,7 @@ def cmd_solve_pexp(args, started: float) -> str:
 
 def cmd_classify_pexp(args, started: float) -> str:
     p, u, terms, n_max, _ = _pexp(args)
-    desc = pexp_classify(PexpInstance(u, p, terms), n_max,
-                         period_cap=args.period_cap,
-                         cyclotomic_bound=args.cyclotomic_bound)
+    desc = pexp_classify(PexpInstance(u, p, terms), n_max)
     return _report(started, serial.pexp_instance_to_text(p, u, terms, n_max),
                    serial.desc_to_text(desc))
 
@@ -187,28 +183,18 @@ _FLAGS = {
     "--rmax": (_int("rmax"), DEFAULT_R_MAX, "obstruction iterate bound"),
     "--smax": (_int("smax"), DEFAULT_S_MAX,
                "obstruction Frobenius-power bound"),
-    "--degree-cap": (_int("degree cap"), DEFAULT_DEGREE_CAP,
-                     "polynomial coefficient cap"),
-    "--period-cap": (_int("period cap"), DEFAULT_PERIOD_CAP,
-                     "progression-detection period cap"),
-    "--cyclotomic-bound": (_int("cyclotomic bound"), DEFAULT_CYCLOTOMIC_BOUND,
-                           "cyclotomic trial-division bound"),
 }
 
 # name: (handler, reads an input file, the flags it reads besides --out)
 _COMMANDS = {
-    "return-set": (cmd_return_set, True,
-                   ("--nmax", "--rmax", "--smax", "--degree-cap")),
+    "return-set": (cmd_return_set, True, ("--nmax", "--rmax", "--smax")),
     "solve-pexp": (cmd_solve_pexp, True, ("--nmax",)),
-    "classify-pexp": (cmd_classify_pexp, True,
-                      ("--nmax", "--period-cap", "--cyclotomic-bound")),
+    "classify-pexp": (cmd_classify_pexp, True, ("--nmax",)),
     "intersect-psets": (cmd_intersect_psets, True, ("--bound",)),
     "ap-cap-pset": (cmd_ap_cap_pset, True, ()),
-    "verify-reduction": (cmd_verify_reduction, True,
-                         ("--nmax", "--degree-cap")),
-    "gen-instance": (cmd_gen_instance, True, ("--nmax", "--degree-cap")),
-    "exponent-set": (cmd_exponent_set, False,
-                     ("--p", "--c", "--bound", "--degree-cap")),
+    "verify-reduction": (cmd_verify_reduction, True, ("--nmax",)),
+    "gen-instance": (cmd_gen_instance, True, ("--nmax",)),
+    "exponent-set": (cmd_exponent_set, False, ("--p", "--c", "--bound")),
     "obstruction": (cmd_obstruction, True, ("--rmax", "--smax")),
 }
 
@@ -246,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # every call starts from its own cap, so none leaks into the next
-        set_degree_cap(getattr(args, "degree_cap", DEFAULT_DEGREE_CAP))
         _emit(args.handler(args, time.monotonic()), args.out)
     except PdmlError as e:
         print(f"{e.prefix}: {e}", file=sys.stderr)

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 from .errors import (ConstructionError, DomainError, InternalError,
                      ResourceLimitError)
-from .exact import (FpPoly, PrimeModulus, RatFunc, _guard_size,
-                    get_degree_cap, pack_slots, ratfunc_int_pow, slot_bytes,
-                    unpack_slots)
+from .exact import (FpPoly, PrimeModulus, RatFunc, _guard_size, pack_slots,
+                    ratfunc_int_pow, slot_bytes, unpack_slots)
 from .lrs import Lrs, companion_matrix, mat_pow
 from .torus import Equation, TorusPoint, TorusSelfMap, Variety
 
@@ -383,10 +382,8 @@ class PolySystem:
         polys = [_poly_value(x, self.p) for x in xs]
         pv = self.p.p
         span = max((len(f.coeffs) for f in polys), default=1)
-        if self.degree * (span - 1) + 1 > get_degree_cap():
-            for factors in self.monomials:
-                _guard_size(sum(e * (len(polys[a].coeffs) - 1)
-                                for a, e in factors) + 1)
+        _guard_size(max((sum(e * (len(polys[a].coeffs) - 1) for a, e in f)
+                         for f in self.monomials), default=0) + 1)
         # A coefficient of a product of d coordinates is a sum of at most
         # span^(d-1) products of d coefficients below p; with c < p and the
         # terms of one equation summed, no slot reaches this bound.
@@ -495,9 +492,7 @@ def exponent_set(pv: PsetVariety, bound: int) -> list[int]:
     """
     if bound < 0:
         raise DomainError("bound must be non-negative")
-    if bound + 1 > get_degree_cap():
-        raise ResourceLimitError(
-            f"coordinate degree {bound} exceeds the degree cap")
+    _guard_size(bound + 1)
     p = pv.p.p
     # Slots hold values below 2^bits: reduced coefficients, a step's c + a*c'
     # (below p^2) and a row sum of p - 1 products (at most (p-1)^3). For

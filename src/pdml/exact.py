@@ -18,19 +18,8 @@ from .errors import DomainError, ResourceLimitError, UsageError
 
 # Intermediate polynomials above this many coefficients are rejected instead
 # of exhausting memory; x^m for huge m is degree m, so callers must bound m.
-DEFAULT_DEGREE_CAP = 10**6
-_degree_cap = DEFAULT_DEGREE_CAP
-
-
-def set_degree_cap(n: int) -> None:
-    global _degree_cap
-    if n < 1:
-        raise DomainError("degree cap must be positive")
-    _degree_cap = n
-
-
-def get_degree_cap() -> int:
-    return _degree_cap
+# _guard_size is the one reader.
+_DEGREE_CAP = 10**6
 
 # Schoolbook multiplication below this many coefficient products; one
 # packed big-int product (Kronecker substitution) from there on.
@@ -340,10 +329,10 @@ def unpack_slots(x: int, width: int, n: int) -> list[int]:
 
 
 def _guard_size(n_coeffs: int):
-    if n_coeffs > _degree_cap:
+    if n_coeffs > _DEGREE_CAP:
         raise ResourceLimitError(
             f"polynomial with {n_coeffs} coefficients exceeds cap "
-            f"{_degree_cap}")
+            f"{_DEGREE_CAP}")
 
 
 class RatFunc:
@@ -400,10 +389,6 @@ class RatFunc:
     @staticmethod
     def t(modulus: PrimeModulus) -> "RatFunc":
         return RatFunc(FpPoly.x(modulus))
-
-    @staticmethod
-    def from_poly(poly: FpPoly) -> "RatFunc":
-        return RatFunc(poly, FpPoly.one(poly.modulus), _canonical=True)
 
     # -- queries ---------------------------------------------------------------
 

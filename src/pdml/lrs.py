@@ -19,9 +19,6 @@ from .exact import PrimeModulus
 # of powering the companion matrix.
 _ITER_LIMIT = 1024
 
-# Cyclotomic trial-division bound used by the non-degenerate splitter.
-DEFAULT_CYCLOTOMIC_BOUND = 64
-
 
 @dataclass(frozen=True)
 class Lrs:
@@ -313,24 +310,39 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def lrs_nondegenerate_split(
-    s: Lrs, cyclotomic_bound: int = DEFAULT_CYCLOTOMIC_BOUND
-) -> list[tuple[int, int, Lrs]]:
+def _totient(m: int) -> int:
+    """Euler's phi(m) from the factorization of m by trial division."""
+    out, n, q = m, m, 2
+    while q * q <= n:
+        if n % q == 0:
+            out -= out // q
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out -= out // n
+    return out
+
+
+def lrs_nondegenerate_split(s: Lrs) -> list[tuple[int, int, Lrs]]:
     """Partition N_0 into progressions {Mk + l} with non-degenerate pieces.
 
     The piece on {Mk + l} is lrs_subsequence(s, M, l); M is the least common
     modulus killing every root of unity among the characteristic roots and
     every ratio -1 between integer roots. Requires the non-integer factor of
-    the characteristic polynomial to be a product of cyclotomics detected by
-    trial division up to the configured bound; otherwise raises
-    UnsupportedError and the caller must fall back to bounded search.
+    the characteristic polynomial to be a product of cyclotomics; otherwise
+    raises UnsupportedError and the caller must fall back to bounded search.
+    Phi_m has degree phi(m) >= sqrt(m / 2), so only the m <= 2 deg^2 with
+    phi(m) <= deg are tried, deg the degree of the factor left so far.
     """
     roots = lrs_char_roots(s)
     rem = list(roots.unresolved_factor)
     orders: list[int] = []
     m = 1
-    while len(rem) > 1 and m <= cyclotomic_bound:
+    while len(rem) > 1 and m < 2 * (len(rem) - 1) ** 2:
         m += 1
+        if _totient(m) > len(rem) - 1:
+            continue
         phi = list(cyclotomic_poly(m))
         while True:
             quo = _poly_divide_exact(rem, phi)
@@ -347,7 +359,14 @@ def lrs_nondegenerate_split(
     ints = roots.root_set()
     if -1 in ints or any(r in ints and -r in ints and r > 0 for r in ints):
         mod = lcm(mod, 2)
-    return [(mod, l, lrs_subsequence(s, mod, l)) for l in range(mod)]
+    if mod == 1:
+        return [(1, 0, s)]
+    # every piece shares the characteristic polynomial of C^mod, and piece
+    # l starts at u_l, u_(l+mod), ..., u_(l+(d-1)mod): one prefix holds all
+    poly = char_poly_of_matrix(mat_pow(companion_matrix(s), mod))
+    values = lrs_prefix(s, mod * s.order - 1)
+    return [(mod, l, lrs_from_char_poly(poly, tuple(values[l::mod])))
+            for l in range(mod)]
 
 
 @dataclass(frozen=True)

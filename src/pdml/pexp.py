@@ -18,7 +18,6 @@ from .errors import (DomainError, InternalError, UnsupportedError,
                      ValidationError)
 from .exact import PrimeModulus
 from .lrs import (
-    DEFAULT_CYCLOTOMIC_BOUND,
     Lrs,
     lrs_char_roots,
     lrs_eval,
@@ -30,8 +29,8 @@ from .psets import (ArithProg, PSet, ReturnSetDesc, desc_verify,
                     fit_pset_shapes, pset_contains, pset_enumerate,
                     pset_membership)
 
-# Eventual-periodicity detection cap for AP extraction.
-DEFAULT_PERIOD_CAP = 360
+# Largest period AP extraction tries.
+_PERIOD_CAP = 360
 
 # Residual sets at least this large get a p-set fit attempt before the
 # plain exceptional-set fallback.
@@ -97,13 +96,12 @@ def pexp_solution_set(inst: PexpInstance, n_max: int) -> set[int]:
 # ---------------------------------------------------------------------------
 
 
-def _extract_aps(indicator: list[bool], period_cap: int
-                 ) -> tuple[list[tuple[int, int]], int]:
-    """Smallest period q <= cap such that the indicator is q-periodic on a
-    tail covering at least three periods; returns (aps as (q, offset), tail
-    start). No valid period yields ([], len(indicator))."""
+def _extract_aps(indicator: list[bool]) -> list[tuple[int, int]]:
+    """The progressions (q, offset) of the smallest period q <= _PERIOD_CAP
+    for which the indicator is q-periodic on a tail covering at least three
+    periods; [] when no period is."""
     n = len(indicator)
-    for q in range(1, period_cap + 1):
+    for q in range(1, _PERIOD_CAP + 1):
         if 3 * q > n:
             break
         start = 0
@@ -122,8 +120,8 @@ def _extract_aps(indicator: list[bool], period_cap: int
                     while first - q >= 0 and indicator[first - q]:
                         first -= q
                     aps.append((q, first))
-            return aps, start
-    return [], n
+            return aps
+    return []
 
 
 def fit_solution_desc(
@@ -132,7 +130,6 @@ def fit_solution_desc(
     n_max: int,
     allow_psets: bool,
     max_nontrivial: int = 2,
-    period_cap: int = DEFAULT_PERIOD_CAP,
     notes: tuple[str, ...] = (),
 ) -> ReturnSetDesc:
     """Fit-and-verify a ReturnSetDesc for a solution set on [0, n_max].
@@ -145,8 +142,7 @@ def fit_solution_desc(
     """
     oracle = solutions.__contains__
     indicator = [n in solutions for n in range(n_max + 1)]
-    ap_pairs, tail = _extract_aps(indicator, period_cap)
-    aps = tuple(ArithProg(q, b) for q, b in ap_pairs)
+    aps = tuple(ArithProg(q, b) for q, b in _extract_aps(indicator))
     covered = set()
     for ap in aps:
         covered.update(ap.members(n_max))
@@ -191,10 +187,7 @@ def fit_solution_desc(
 # ---------------------------------------------------------------------------
 
 
-def pexp_classify(inst: PexpInstance, n_max: int,
-                  period_cap: int = DEFAULT_PERIOD_CAP,
-                  cyclotomic_bound: int = DEFAULT_CYCLOTOMIC_BOUND
-                  ) -> ReturnSetDesc:
+def pexp_classify(inst: PexpInstance, n_max: int) -> ReturnSetDesc:
     """Classify {n : u_n representable} into a verified description.
 
     Dispatch per non-degenerate piece of u: when every integer root is
@@ -204,8 +197,6 @@ def pexp_classify(inst: PexpInstance, n_max: int,
     Unresolved irrational root factors force the raw fallback, flagged in
     the notes.
     """
-    if period_cap < 1 or cyclotomic_bound < 1:
-        raise DomainError("period cap and cyclotomic bound must be at least 1")
     solutions = pexp_solution_set(inst, n_max)
     oracle = solutions.__contains__
     if not inst.terms:
@@ -213,7 +204,7 @@ def pexp_classify(inst: PexpInstance, n_max: int,
                              notes=("void equation: ambient progression",))
         return _verified(desc, oracle, n_max)
     try:
-        pieces = lrs_nondegenerate_split(inst.u, cyclotomic_bound)
+        pieces = lrs_nondegenerate_split(inst.u)
     except UnsupportedError:
         desc = ReturnSetDesc(
             inst.p, exceptional=tuple(sorted(solutions)),
@@ -243,8 +234,7 @@ def pexp_classify(inst: PexpInstance, n_max: int,
             all_exc.extend(mod * k + off for k in sorted(k_sols))
             notes.append(f"piece {mod}k+{off}: raw solutions")
             continue
-        sub = fit_solution_desc(k_sols, inst.p, k_max, allow_psets=allow,
-                                period_cap=period_cap)
+        sub = fit_solution_desc(k_sols, inst.p, k_max, allow_psets=allow)
         for ap in sub.aps:
             all_aps.append(ArithProg(ap.a * mod, ap.b * mod + off))
         for ps in sub.psets:

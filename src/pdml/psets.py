@@ -18,13 +18,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
-from .errors import DomainError, InternalError, UnsupportedError
+from .errors import (DomainError, InternalError, ResourceLimitError,
+                     UnsupportedError)
 from .exact import PrimeModulus
 
 # Split depth for excluding single points from a p-set before giving up.
 _EXCLUDE_SPLIT_CAP = 64
+
+# ap_intersect_pset follows a power orbit mod the progression modulus for
+# at most this many steps, walks at most this many choices for all terms
+# but the last, and emits at most this many pieces: a piece's coefficients
+# reach p^(k * orbit length), so the answer grows like the square of this.
+_AP_WALK_CAP = 10**4
 
 # Singleton-union fallback in pset_intersect_bounded is only offered for
 # element sets that are plausibly complete: all below bound // p and few.
@@ -282,17 +289,18 @@ def pset_enumerate(S: PSet, p: PrimeModulus, bound: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _power_orbit(g: int, mod: int) -> tuple[int, int]:
-    """Preperiod and period of g^n mod `mod` starting at n = 0."""
+def _power_orbit(g: int, mod: int) -> tuple[int, list[int]]:
+    """Preperiod rho of g^n mod `mod` and the powers g^n mod `mod` for n
+    below rho plus the period."""
     seen: dict[int, int] = {}
     x = 1 % mod
-    n = 0
     while x not in seen:
-        seen[x] = n
+        if len(seen) == _AP_WALK_CAP:
+            raise ResourceLimitError(
+                f"powers of {g} mod {mod} repeat beyond cap {_AP_WALK_CAP}")
+        seen[x] = len(seen)
         x = x * g % mod
-        n += 1
-    rho = seen[x]
-    return rho, n - rho
+    return seen[x], list(seen)
 
 
 def ap_intersect_pset(A: ArithProg, S: PSet, p: PrimeModulus) -> list[PSet]:
@@ -302,6 +310,9 @@ def ap_intersect_pset(A: ArithProg, S: PSet, p: PrimeModulus) -> list[PSet]:
     exponent variable either gets pinned to a preperiodic value (the term
     becomes a constant) or restricted to a residue class of its period (the
     term's coefficient absorbs p^(k(rho+r)) and its step becomes k*period).
+    The choices of all terms but the last are walked; the last term's
+    choices are looked up by the residue they must hit, so pieces come out
+    in the order of the full product.
     """
     pv = p.p
     if A.a == 0:
@@ -309,27 +320,30 @@ def ap_intersect_pset(A: ArithProg, S: PSet, p: PrimeModulus) -> list[PSet]:
     D, terms = _cleared(S)
     mod = D * A.a
     b_res = (D * A.b) % mod
-    choices: list[list[tuple[str, int, int]]] = []
-    for e, k in terms:
-        g = pow(pv, k, mod)
-        rho, pi = _power_orbit(g, mod)
-        opts: list[tuple[str, int, int]] = []
-        for v in range(rho):
-            opts.append(("pin", v, e * pow(pv, k * v, mod) % mod))
-        for r in range(pi):
-            opts.append(("free", r, e * pow(pv, k * (rho + r), mod) % mod))
-        choices.append((opts, rho, pi))
+    orbits = [_power_orbit(pow(pv, k, mod), mod) for _, k in terms]
+    walked = prod(len(powers) for _, powers in orbits[:-1])
+    if walked > _AP_WALK_CAP:
+        raise ResourceLimitError(
+            f"{walked} exponent choices exceed cap {_AP_WALK_CAP}")
+    # per term: (v, residue of its cleared coefficient times p^(k v)) for v
+    # below rho plus the period; v < rho pins the term to p^(k v), a larger
+    # v frees it on the class of v mod the period
+    options = [[(v, e * x % mod) for v, x in enumerate(powers)]
+               for (e, _), (_, powers) in zip(terms, orbits)]
+    last: dict[int, list[int]] = {}
+    for v, res in options[-1]:
+        last.setdefault(res, []).append(v)
     out: list[PSet] = []
-    for combo in itertools.product(*(c[0] for c in choices)):
-        if sum(res for _, _, res in combo) % mod != b_res:
-            continue
-        new_terms: list[tuple[Fraction, int]] = []
-        for (kind, val, _), (c, k), (_, rho, pi) in zip(combo, S.terms, choices):
-            if kind == "pin":
-                new_terms.append((c * pv ** (k * val), 0))
-            else:
-                new_terms.append((c * pv ** (k * (rho + val)), k * pi))
-        out.append(PSet(tuple(new_terms)))
+    for head in itertools.product(*options[:-1]):
+        need = (b_res - sum(res for _, res in head)) % mod
+        for v_last in last.get(need, ()):
+            vs = [v for v, _ in head] + [v_last]
+            out.append(PSet(tuple(
+                (c * pv ** (k * v), 0 if v < rho else k * (len(powers) - rho))
+                for v, (c, k), (rho, powers) in zip(vs, S.terms, orbits))))
+            if len(out) > _AP_WALK_CAP:
+                raise ResourceLimitError(
+                    f"more than {_AP_WALK_CAP} pieces")
     if A.b >= A.a:
         out = _exclude_prefix(out, A, S, p)
     return out

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DomainError, InternalError, ResourceLimitError, UsageError
-from .exact import (FpPoly, PrimeModulus, RatFunc, get_degree_cap,
-                    poly_factor, ratfunc_int_pow)
+from .errors import DomainError, InternalError, UsageError
+from .exact import (FpPoly, PrimeModulus, RatFunc, _guard_size, poly_factor,
+                    ratfunc_int_pow)
 from .lrs import (Lrs, _poly_mul_z, _synthetic_div, char_poly_of_matrix,
                   lrs_char_roots, lrs_prefix, lrs_root_p_dependence, mat_mul,
                   mat_pow, matrix_blocks)
@@ -238,9 +238,7 @@ class Factored:
         """Dense expansion under the degree cap. Numerator and denominator
         are products of powers of distinct monic irreducibles, so they are
         coprime and the denominator is monic: no gcd runs."""
-        if self.expanded_len() > get_degree_cap():
-            raise ResourceLimitError(
-                "factored value too large to expand densely")
+        _guard_size(self.expanded_len())
         return RatFunc(self._expand(1).scale(self.unit), self._expand(-1),
                        _canonical=True)
 

@@ -10,8 +10,8 @@ import pytest
 import pdml.torus as torus_mod
 from pdml.constructions import dml_instance
 from pdml.errors import ResourceLimitError
-from pdml.exact import (FpPoly, PrimeModulus, RatFunc, get_degree_cap,
-                        ratfunc_int_pow, set_degree_cap)
+from pdml.exact import (_DEGREE_CAP, FpPoly, PrimeModulus, RatFunc,
+                        ratfunc_int_pow)
 from pdml.lrs import Lrs
 from pdml.psets import PSet, pset_enumerate, pset_membership
 from pdml.torus import (
@@ -252,14 +252,10 @@ class TestSingleFactoredPath:
 
     def test_expansion_refused_at_degree_cap(self):
         p = P5
+        # refused before any product is formed
+        with pytest.raises(ResourceLimitError):
+            Factored(1, {(1, 1): _DEGREE_CAP}, p).to_ratfunc()
         f = Factored(1, {(1, 1): 50}, p)
-        old = get_degree_cap()
-        set_degree_cap(40)
-        try:
-            with pytest.raises(ResourceLimitError):
-                f.to_ratfunc()
-        finally:
-            set_degree_cap(old)
         assert f.to_ratfunc() == ratfunc_int_pow(RatFunc(FpPoly([1, 1], p)),
                                                  50)
 

@@ -185,6 +185,36 @@ class TestNondegenerateSplit:
     def test_unsupported_irrational(self):
         with pytest.raises(UnsupportedError):
             lrs_nondegenerate_split(fibonacci())
+        # degree 64 with no cyclotomic factor: every m <= 2 * 64^2 with
+        # phi(m) <= 64 is tried, and the split still refuses
+        with pytest.raises(UnsupportedError):
+            lrs_nondegenerate_split(Lrs((-1, -1) + (0,) * 62, (0,) * 64))
+
+    def test_cyclotomic_order_66(self):
+        # Phi_66 has degree 20; its roots have order 66, above 64
+        s = lrs_mod.lrs_from_char_poly(cyclotomic_poly(66), (1,) + (0,) * 19)
+        pieces = lrs_nondegenerate_split(s)
+        assert [(a, b) for a, b, _ in pieces] == [(66, l) for l in range(66)]
+        vals = lrs_prefix(s, 66 * 25 - 1)
+        for _, off, piece in pieces:
+            assert lrs_char_roots(piece).integer_roots == ((1, 20),)
+            assert lrs_prefix(piece, 24) == vals[off::66]
+
+    def test_pieces_match_subsequence(self):
+        # one prefix and one power of C for all pieces gives exactly the
+        # recurrences lrs_subsequence builds piece by piece
+        mul = lrs_mod._poly_mul_z
+        rnd = random.Random(8)
+        for poly in (mul(cyclotomic_poly(3), cyclotomic_poly(4)),
+                     mul(cyclotomic_poly(5), (-2, 1)),
+                     mul(mul(cyclotomic_poly(12), (2, 1)), (-2, 1)),
+                     mul(cyclotomic_poly(9), (3, 1)), (-3, 1), (1, 1)):
+            init = tuple(rnd.randint(-5, 5) for _ in range(len(poly) - 1))
+            s = lrs_mod.lrs_from_char_poly(poly, init)
+            pieces = lrs_nondegenerate_split(s)
+            mod = pieces[0][0]
+            assert pieces == [(mod, l, lrs_subsequence(s, mod, l))
+                              for l in range(mod)]
 
     def test_split_correctness_randomized(self):
         rnd = random.Random(13)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import pdml.pexp as pexp_mod
 import pdml.psets as psets_mod
-from pdml.errors import DomainError
+from pdml.errors import DomainError, ResourceLimitError
 from pdml.exact import PrimeModulus
 from pdml.pexp import fit_solution_desc
 from pdml.psets import (
@@ -214,6 +214,60 @@ class TestApIntersect:
         want = {n for n in pset_enumerate(pset_of((1, 1)), P3, 10**4)
                 if n >= 4 and (n - 4) % 3 == 0}
         assert values == want
+
+    def test_pieces_in_full_product_order(self):
+        # slow path: every option tuple of every term, filtered by residue,
+        # in itertools.product order (the lookup walk must emit the same)
+        def every_combo(A, S, p):
+            D, terms = psets_mod._cleared(S)
+            mod = D * A.a
+            choices = []
+            for e, k in terms:
+                rho, powers = psets_mod._power_orbit(pow(p.p, k, mod), mod)
+                pi = len(powers) - rho
+                opts = [("pin", v, e * pow(p.p, k * v, mod) % mod)
+                        for v in range(rho)]
+                opts += [("free", r, e * pow(p.p, k * (rho + r), mod) % mod)
+                         for r in range(pi)]
+                choices.append((opts, rho, pi))
+            out = []
+            for combo in itertools.product(*(c[0] for c in choices)):
+                if sum(res for _, _, res in combo) % mod != D * A.b % mod:
+                    continue
+                out.append(PSet(tuple(
+                    (c * p.p ** (k * val), 0) if kind == "pin"
+                    else (c * p.p ** (k * (rho + val)), k * pi)
+                    for (kind, val, _), (c, k), (_, rho, pi)
+                    in zip(combo, S.terms, choices))))
+            return out
+
+        rnd = random.Random(11)
+        pieces = 0
+        for _ in range(60):
+            p = rnd.choice([P2, P3, P5, P7])
+            S = random_pset(rnd)
+            if rnd.random() < 0.3:
+                j = rnd.randrange(S.m)
+                c, k = S.terms[j]
+                S = PSet(S.terms[:j] + ((c / rnd.randint(2, 5), k),)
+                         + S.terms[j + 1:])
+            a = rnd.randint(1, 40)
+            A = ArithProg(a, rnd.randrange(a))
+            got = ap_intersect_pset(A, S, p)
+            assert got == every_combo(A, S, p)
+            pieces += len(got)
+        assert pieces > 100
+
+    def test_large_modulus_hits_cap(self):
+        # 5 has order 100002 mod 100003 and 504 mod 1009: a power orbit,
+        # the choices walked and the pieces emitted each pass the cap
+        S = pset_of((1, 1), (1, 1))
+        assert len(ap_intersect_pset(ArithProg(1009, 0), S, P5)) == 504
+        for A, T in ((ArithProg(100003, 0), pset_of((1, 1), (1, 1), (1, 1))),
+                     (ArithProg(1009, 0), pset_of((1, 1), (1, 1), (1, 1))),
+                     (ArithProg(1009, 0), pset_of((1009, 1), (1009, 1)))):
+            with pytest.raises(ResourceLimitError):
+                ap_intersect_pset(A, T, P5)
 
     def test_offset_exclusion_accumulation_point(self):
         from pdml.errors import UnsupportedError

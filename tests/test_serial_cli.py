@@ -174,6 +174,37 @@ class TestCli:
         assert code == 0
         assert "count = 1" in report
 
+    def test_ap_cap_pset_large_modulus(self, tmp_path, capsys):
+        # 5 has order 100002 mod 100003: exit 4 at once, not an endless walk
+        inst = tmp_path / "ap.txt"
+        inst.write_text("p = 5\nap = 100003,0\n"
+                        "pset = 1*p^(1*n1)+1*p^(1*n2)+1*p^(1*n3)\n")
+        start = time.perf_counter()
+        assert main(["ap-cap-pset", str(inst)]) == 4
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith("resource cap: ")
+        inst.write_text("p = 5\nap = 1009,0\npset = 1*p^(1*n1)+1*p^(1*n2)\n")
+        code, report = run_cli(tmp_path, "ap-cap-pset", str(inst))
+        assert code == 0
+        assert "count = 504" in report
+
+    def test_classify_derives_cyclotomic_bound(self, tmp_path):
+        # the roots of Phi_66 (degree 20) have order 66: the split finds
+        # them from the degree, with no bound to raise
+        phi66 = "1,1,0,-1,-1,0,1,1,0,-1,-1,-1,0,1,1,0,-1,-1,0,1"
+        inst = tmp_path / "inst.txt"
+        inst.write_text(f"p = 5\nlrs = 20;{phi66};1,1{',0' * 18}\n"
+                        "terms = 1,1\nn_max = 200\n")
+        code, report = run_cli(tmp_path, "classify-pexp", str(inst))
+        assert code == 0
+        assert "piece 66k+65: " in report
+        assert "unsupported" not in report
+        inst.write_text("p = 5\nlrs = 2;-1,-1;0,1\nterms = 1,1\n"
+                        "n_max = 200\n")
+        code, report = run_cli(tmp_path, "classify-pexp", str(inst))
+        assert code == 0
+        assert "unsupported: irrational characteristic roots" in report
+
     def test_intersect_psets(self, tmp_path):
         inst = tmp_path / "pair.txt"
         inst.write_text("p = 3\nbound = 100\npset1 = 1*p^(1*n1)\n"
@@ -219,21 +250,13 @@ class TestCli:
     def test_missing_input_exit(self, tmp_path):
         assert main(["solve-pexp", str(tmp_path / "nope.txt")]) == 2
 
-    def test_resource_cap_exit(self):
-        import pdml.exact as exact
-
-        try:
-            assert main(["exponent-set", "--p", "5", "--c", "1,1",
-                         "--bound", "100", "--degree-cap", "10"]) == 4
-        finally:
-            exact.set_degree_cap(exact.DEFAULT_DEGREE_CAP)
-
-    def test_degree_cap_does_not_leak(self):
-        # a cap given to one call does not carry over to the next
+    def test_resource_cap_exit(self, capsys):
+        # (t + a)^(10^6) has one coefficient more than the degree cap
         assert main(["exponent-set", "--p", "5", "--c", "1,1",
-                     "--bound", "100", "--degree-cap", "10"]) == 4
-        assert main(["exponent-set", "--p", "5", "--c", "1,1",
-                     "--bound", "100"]) == 0
+                     "--bound", "1000000"]) == 4
+        assert capsys.readouterr().err == (
+            "resource cap: polynomial with 1000001 coefficients exceeds cap "
+            "1000000\n")
 
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(
@@ -267,14 +290,14 @@ FLAG_FILES = {
 }
 # the flags each command reads besides --out
 COMMAND_FLAGS = {
-    "return-set": {"--nmax", "--rmax", "--smax", "--degree-cap"},
+    "return-set": {"--nmax", "--rmax", "--smax"},
     "solve-pexp": {"--nmax"},
-    "classify-pexp": {"--nmax", "--period-cap", "--cyclotomic-bound"},
+    "classify-pexp": {"--nmax"},
     "intersect-psets": {"--bound"},
     "ap-cap-pset": set(),
-    "verify-reduction": {"--nmax", "--degree-cap"},
-    "gen-instance": {"--nmax", "--degree-cap"},
-    "exponent-set": {"--p", "--c", "--bound", "--degree-cap"},
+    "verify-reduction": {"--nmax"},
+    "gen-instance": {"--nmax"},
+    "exponent-set": {"--p", "--c", "--bound"},
     "obstruction": {"--rmax", "--smax"},
 }
 
@@ -343,17 +366,21 @@ class TestErrorExits:
 
     @pytest.mark.parametrize("flag,value", [
         ("--period-cap", "0"), ("--period-cap", "-3"),
-        ("--cyclotomic-bound", "-1")])
-    def test_classify_caps_exit_3(self, tmp_path, capsys, flag, value):
-        # classify-pexp rejects its caps below 1 as obstruct does its bounds
+        ("--cyclotomic-bound", "-1"), ("--degree-cap", "10")])
+    def test_removed_cap_flags_exit_2(self, tmp_path, capsys, flag, value):
+        # the caps are constants or derived from the input: no command
+        # takes a flag for one
         out = tmp_path / "report.txt"
-        code, err = exit_with_one_line(
-            tmp_path, capsys,
-            ["classify-pexp", "{pexp}", flag, value, "--out", str(out)])
-        assert code == 3
-        assert err == ("error: period cap and cyclotomic bound must be at "
-                       "least 1\n")
-        assert not out.exists()
+        for argv in (["return-set", "{torus}"], ["classify-pexp", "{pexp}"],
+                     ["verify-reduction", "{torus}"],
+                     ["gen-instance", "{pexp}"],
+                     ["exponent-set", "--p", "5", "--c", "1,1",
+                      "--bound", "9"]):
+            code, err = exit_with_one_line(
+                tmp_path, capsys, argv + [flag, value, "--out", str(out)])
+            assert code == 2
+            assert err.startswith("parse error: unrecognized arguments: ")
+            assert not out.exists()
 
     def test_flags_per_command(self):
         # each command offers exactly the flags it reads, plus --out
@@ -367,7 +394,7 @@ class TestErrorExits:
                      if s not in ("-h", "--help")}
             assert flags == COMMAND_FLAGS[name] | {"--out"}, name
             settable += len(flags)
-        assert settable == 28
+        assert settable == 22
 
     @pytest.mark.parametrize("argv", [[]] + [[c] for c in COMMAND_FLAGS],
                              ids=["pdml", *COMMAND_FLAGS])

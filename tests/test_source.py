@@ -1,7 +1,10 @@
 """Rules that every module of the library keeps."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pdml"
 
@@ -15,3 +18,25 @@ def test_library_has_no_assert():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_library_has_no_global():
+    """No module-level state is set at run time: every cap is a constant
+    or derived from the input."""
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Global)]
+    assert found == []
+
+
+def test_import_loads_only_what_a_module_uses():
+    """pdml/__init__ imports nothing, so the p-set layer comes without the
+    torus, construction and pexp layers."""
+    code = ("import sys, pdml.psets\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('pdml')))")
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
+    loaded = result.stdout.split()
+    assert "pdml.torus" not in loaded
+    assert loaded == ["pdml", "pdml.errors", "pdml.exact", "pdml.psets"]
