@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import lcm
 
 from .errors import DomainError, InternalError, UnsupportedError
-from .exact import PrimeModulus
+from .exact import PrimeModulus, is_prime
 
 # Threshold below which lrs_eval iterates the recurrence (lrs_prefix) instead
 # of powering the companion matrix.
@@ -177,11 +177,16 @@ def _poly_mul_z(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def lrs_subsequence(s: Lrs, a: int, b: int) -> Lrs:
+def lrs_subsequence(s: Lrs, a: int, b: int,
+                    poly: tuple[int, ...] | None = None,
+                    values: list[int] | None = None) -> Lrs:
     """The sequence v_k = u_{a k + b} as an Lrs.
 
     v satisfies the recurrence whose characteristic polynomial is that of
-    C^a, C the companion matrix of s; the order stays d.
+    C^a, C the companion matrix of s; the order stays d. Its first d terms
+    come from one prefix of u, or from powers of C past _ITER_LIMIT. A
+    caller building many subsequences passes that polynomial as poly and a
+    prefix reaching u_{b + a(d-1)} as values.
     """
     if a < 1:
         raise DomainError("step a must be positive")
@@ -189,9 +194,15 @@ def lrs_subsequence(s: Lrs, a: int, b: int) -> Lrs:
         raise DomainError("offset b must be non-negative")
     if a == 1 and b == 0:
         return s
-    ca = mat_pow(companion_matrix(s), a)
-    poly = char_poly_of_matrix(ca)
-    init = tuple(lrs_eval(s, b + a * k) for k in range(s.order))
+    if poly is None:
+        poly = char_poly_of_matrix(mat_pow(companion_matrix(s), a))
+    idx = range(b, b + a * s.order, a)
+    if values is None and idx[-1] < _ITER_LIMIT:
+        values = lrs_prefix(s, idx[-1])
+    if values is None:
+        init = tuple(lrs_eval(s, n) for n in idx)
+    else:
+        init = tuple(values[n] for n in idx)
     return lrs_from_char_poly(poly, init)
 
 
@@ -310,62 +321,100 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def _totient(m: int) -> int:
-    """Euler's phi(m) from the factorization of m by trial division."""
-    out, n, q = m, m, 2
-    while q * q <= n:
-        if n % q == 0:
-            out -= out // q
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out -= out // n
-    return out
+def _cyclotomic_orders(deg: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(m, phi(m), primes of m) for every m >= 3 with phi(m) <= deg,
+    ascending in m. Each m is built from primes q with q - 1 <= deg, so no m
+    with phi(m) > deg is visited; there are about 2 deg of them."""
+    primes = [q for q in range(2, deg + 2) if is_prime(q)]
+    out = []
+    stack = [(1, 1, 0, ())]
+    while stack:
+        m, phi, i, qs = stack.pop()
+        if m > 2:
+            out.append((m, phi, qs))
+        for j in range(i, len(primes)):
+            q = primes[j]
+            mq, fq = m * q, phi * (q - 1)
+            if fq > deg:
+                break
+            while fq <= deg:
+                stack.append((mq, fq, j + 1, qs + (q,)))
+                mq, fq = mq * q, fq * q
+    return sorted(out)
+
+
+def _unit_root(m: int, primes: tuple[int, ...]) -> tuple[int, int]:
+    """A prime q = 1 mod m and an element w of order m in F_q; w is a root
+    of Phi_m mod q, so Phi_m | f over Z forces f(w) = 0 mod q."""
+    q = m + 1
+    while not is_prime(q):
+        q += m
+    g = 2
+    while True:
+        w = pow(g, (q - 1) // m, q)
+        if all(pow(w, m // r, q) != 1 for r in primes):
+            return q, w
+        g += 1
+
+
+def lrs_split_modulus(roots: CharRoots) -> int:
+    """Least modulus M killing every root of unity among the characteristic
+    roots and every ratio -1 between integer roots.
+
+    Requires the unresolved factor to be a product of cyclotomics;
+    otherwise raises UnsupportedError and the caller must fall back to
+    bounded search. With the roots +-1 taken out such a product is
+    palindromic, and each Phi_m in it has phi(m) <= deg, deg the degree of
+    the factor left so far; Phi_m is divided out only where the factor
+    vanishes mod a prime at a root of Phi_m.
+    """
+    rem = list(roots.unresolved_factor)
+    if rem != rem[::-1]:
+        raise UnsupportedError(
+            "characteristic polynomial has a non-cyclotomic irrational factor")
+    mod = 1
+    for m, phi, primes in _cyclotomic_orders(len(rem) - 1):
+        if phi > len(rem) - 1:
+            continue
+        q, w = _unit_root(m, primes)
+        at_w = 0
+        for c in reversed(rem):
+            at_w = (at_w * w + c) % q
+        if at_w:
+            continue
+        cyc = list(cyclotomic_poly(m))
+        while (quo := _poly_divide_exact(rem, cyc)) is not None:
+            rem = quo
+            mod = lcm(mod, m)
+    if len(rem) > 1:
+        raise UnsupportedError(
+            "characteristic polynomial has a non-cyclotomic irrational factor")
+    ints = roots.root_set()
+    if -1 in ints or any(r in ints and -r in ints and r > 0 for r in ints):
+        mod = lcm(mod, 2)
+    return mod
 
 
 def lrs_nondegenerate_split(s: Lrs) -> list[tuple[int, int, Lrs]]:
     """Partition N_0 into progressions {Mk + l} with non-degenerate pieces.
 
-    The piece on {Mk + l} is lrs_subsequence(s, M, l); M is the least common
-    modulus killing every root of unity among the characteristic roots and
-    every ratio -1 between integer roots. Requires the non-integer factor of
-    the characteristic polynomial to be a product of cyclotomics; otherwise
-    raises UnsupportedError and the caller must fall back to bounded search.
-    Phi_m has degree phi(m) >= sqrt(m / 2), so only the m <= 2 deg^2 with
-    phi(m) <= deg are tried, deg the degree of the factor left so far.
+    M is lrs_split_modulus of the characteristic roots, and the piece on
+    {Mk + l} is lrs_subsequence(s, M, l). All pieces share one prefix of u
+    and one characteristic polynomial, that of C^M: its roots are r^M for
+    each integer root r and 1 for each root of unity.
     """
     roots = lrs_char_roots(s)
-    rem = list(roots.unresolved_factor)
-    orders: list[int] = []
-    m = 1
-    while len(rem) > 1 and m < 2 * (len(rem) - 1) ** 2:
-        m += 1
-        if _totient(m) > len(rem) - 1:
-            continue
-        phi = list(cyclotomic_poly(m))
-        while True:
-            quo = _poly_divide_exact(rem, phi)
-            if quo is None:
-                break
-            rem = quo
-            orders.append(m)
-    if len(rem) > 1:
-        raise UnsupportedError(
-            "characteristic polynomial has a non-cyclotomic irrational factor")
-    mod = 1
-    for m in orders:
-        mod = lcm(mod, m)
-    ints = roots.root_set()
-    if -1 in ints or any(r in ints and -r in ints and r > 0 for r in ints):
-        mod = lcm(mod, 2)
+    mod = lrs_split_modulus(roots)
     if mod == 1:
         return [(1, 0, s)]
-    # every piece shares the characteristic polynomial of C^mod, and piece
-    # l starts at u_l, u_(l+mod), ..., u_(l+(d-1)mod): one prefix holds all
-    poly = char_poly_of_matrix(mat_pow(companion_matrix(s), mod))
+    poly: tuple[int, ...] = (1,)
+    for _ in range(len(roots.unresolved_factor) - 1):
+        poly = _poly_mul_z(poly, (-1, 1))
+    for r, k in roots.integer_roots:
+        for _ in range(k):
+            poly = _poly_mul_z(poly, (-(r ** mod), 1))
     values = lrs_prefix(s, mod * s.order - 1)
-    return [(mod, l, lrs_from_char_poly(poly, tuple(values[l::mod])))
+    return [(mod, l, lrs_subsequence(s, mod, l, poly, values))
             for l in range(mod)]
 
 

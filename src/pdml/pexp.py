@@ -21,9 +21,9 @@ from .lrs import (
     Lrs,
     lrs_char_roots,
     lrs_eval,
-    lrs_nondegenerate_split,
     lrs_prefix,
     lrs_root_p_dependence,
+    lrs_split_modulus,
 )
 from .psets import (ArithProg, PSet, ReturnSetDesc, desc_verify,
                     fit_pset_shapes, pset_contains, pset_enumerate,
@@ -203,28 +203,29 @@ def pexp_classify(inst: PexpInstance, n_max: int) -> ReturnSetDesc:
         desc = ReturnSetDesc(inst.p, aps=(ArithProg(1, 0),),
                              notes=("void equation: ambient progression",))
         return _verified(desc, oracle, n_max)
+    roots = lrs_char_roots(inst.u)
     try:
-        pieces = lrs_nondegenerate_split(inst.u)
+        mod = lrs_split_modulus(roots)
     except UnsupportedError:
         desc = ReturnSetDesc(
             inst.p, exceptional=tuple(sorted(solutions)),
             notes=("unsupported: irrational characteristic roots; "
                    "raw solutions to bound",))
         return _verified(desc, oracle, n_max)
+    # every piece has the roots r^mod of the integer roots r and 1 for each
+    # root of unity; |r^mod| is a power of p iff |r| is, so the roots of u
+    # decide the dispatch and no piece is built or factored
+    independent = lrs_root_p_dependence(roots, inst.p).all_independent()
 
     all_aps: list[ArithProg] = []
     all_psets: list[PSet] = []
     all_exc: list[int] = []
     notes: list[str] = []
-    for mod, off, piece in pieces:
-        k_max = (n_max - off) // mod if off <= n_max else -1
+    for off in range(min(mod, n_max + 1)):
+        k_max = (n_max - off) // mod
         k_sols = {(n - off) // mod for n in solutions
                   if n >= off and (n - off) % mod == 0}
-        if k_max < 0:
-            continue
-        roots = lrs_char_roots(piece)
-        report = lrs_root_p_dependence(roots, inst.p)
-        if roots.fully_resolved() and report.all_independent():
+        if independent:
             allow = False
             notes.append(f"piece {mod}k+{off}: roots independent of p")
         elif inst.nontrivial_terms() <= 2:

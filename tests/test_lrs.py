@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -19,6 +20,7 @@ from pdml.lrs import (
     lrs_nondegenerate_split,
     lrs_prefix,
     lrs_root_p_dependence,
+    lrs_split_modulus,
     lrs_subsequence,
     lrs_zero_progression_certify,
     mat_pow,
@@ -185,10 +187,34 @@ class TestNondegenerateSplit:
     def test_unsupported_irrational(self):
         with pytest.raises(UnsupportedError):
             lrs_nondegenerate_split(fibonacci())
-        # degree 64 with no cyclotomic factor: every m <= 2 * 64^2 with
-        # phi(m) <= 64 is tried, and the split still refuses
         with pytest.raises(UnsupportedError):
             lrs_nondegenerate_split(Lrs((-1, -1) + (0,) * 62, (0,) * 64))
+        # palindromic, but with a factor x^4 + 3x^2 + 1 beside Phi_66
+        poly = lrs_mod._poly_mul_z(cyclotomic_poly(66), (1, 0, 3, 0, 1))
+        with pytest.raises(UnsupportedError):
+            lrs_split_modulus(CharRoots((), poly))
+
+    def test_high_order_refuses_quickly(self):
+        # x^1000 - x - 1 is not palindromic, so no Phi_m is tried; the
+        # palindromic x^1000 + 3x^500 + 1 fails the test mod a prime for
+        # each of the ~2000 m with phi(m) <= 1000
+        start = time.perf_counter()
+        for poly in ((-1, -1) + (0,) * 998 + (1,),
+                     (1,) + (0,) * 499 + (3,) + (0,) * 499 + (1,)):
+            s = lrs_mod.lrs_from_char_poly(poly, (0,) * 1000)
+            with pytest.raises(UnsupportedError):
+                lrs_nondegenerate_split(s)
+        assert time.perf_counter() - start < 3.0
+
+    def test_split_modulus_of_large_orders(self):
+        # Phi_1000 Phi_997 has degree 1396; the modulus comes without
+        # building its 997000 pieces
+        poly = lrs_mod._poly_mul_z(cyclotomic_poly(1000), cyclotomic_poly(997))
+        start = time.perf_counter()
+        assert lrs_split_modulus(CharRoots((), poly)) == 997000
+        assert lrs_split_modulus(CharRoots(((-2, 1), (2, 1)), poly)) == 997000
+        assert lrs_split_modulus(CharRoots(((-1, 1),), (1,))) == 2
+        assert time.perf_counter() - start < 3.0
 
     def test_cyclotomic_order_66(self):
         # Phi_66 has degree 20; its roots have order 66, above 64
@@ -215,6 +241,32 @@ class TestNondegenerateSplit:
             mod = pieces[0][0]
             assert pieces == [(mod, l, lrs_subsequence(s, mod, l))
                               for l in range(mod)]
+
+    def test_piece_roots_follow_roots_of_u(self):
+        # a piece has the roots r^mod of the integer roots r of u and 1 for
+        # its roots of unity, and is independent of p exactly when u is
+        mul = lrs_mod._poly_mul_z
+        for poly in ((6, -5, 1), (-4, 0, 1), mul(cyclotomic_poly(3), (-5, 1)),
+                     mul(cyclotomic_poly(4), (-3, 1)), mul((1, 1), (-25, 1)),
+                     mul(mul(cyclotomic_poly(6), (-2, 1)), (2, 1))):
+            s = lrs_mod.lrs_from_char_poly(poly, (1,) * (len(poly) - 1))
+            u_roots = lrs_char_roots(s)
+            independent = lrs_root_p_dependence(u_roots, P5).all_independent()
+            for mod, _, piece in lrs_nondegenerate_split(s):
+                roots = lrs_char_roots(piece)
+                assert roots.fully_resolved()
+                assert roots.root_set() == (
+                    {r ** mod for r in u_roots.root_set()}
+                    | ({1} if len(u_roots.unresolved_factor) > 1 else set()))
+                assert lrs_root_p_dependence(
+                    roots, P5).all_independent() == independent
+
+    def test_subsequence_far_out(self):
+        # past _ITER_LIMIT the first terms come from powers of C
+        s = fibonacci()
+        sub = lrs_subsequence(s, 2000, 3)
+        assert sub.initial == (lrs_eval(s, 3), lrs_eval(s, 2003))
+        assert lrs_eval(sub, 2) == lrs_eval(s, 4003)
 
     def test_split_correctness_randomized(self):
         rnd = random.Random(13)

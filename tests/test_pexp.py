@@ -168,6 +168,20 @@ class TestClassify:
         sols = pexp_solution_set(inst, 300)
         assert desc.members(300) == sols
 
+    def test_power_roots_not_factored(self):
+        # (x^2 - 25) Phi_7 splits mod 14 with the double root 5^14 on each
+        # piece; the dispatch reads the roots of u, so no piece's constant
+        # term 5^28 is scanned for divisors
+        u = Lrs((-25, -25, -24, -24, -24, -24, -24, 1),
+                (-2, 1, 1, -1, 3, 4, -4, 1))
+        inst = PexpInstance(u, P3, ((1, 2), (3, 2)))
+        start = time.perf_counter()
+        desc = pexp_classify(inst, 22)
+        assert time.perf_counter() - start < 2.0
+        assert desc.notes == tuple(
+            f"piece 14k+{l}: two-exponent shape fitted" for l in range(14))
+        assert desc.members(22) == oracle_solutions(inst, 22) == {5}
+
     def test_every_description_verified(self):
         rnd = random.Random(21)
         for _ in range(25):

@@ -259,15 +259,33 @@ class TestApIntersect:
         assert pieces > 100
 
     def test_large_modulus_hits_cap(self):
-        # 5 has order 100002 mod 100003 and 504 mod 1009: a power orbit,
-        # the choices walked and the pieces emitted each pass the cap
+        # 5 has order 100002 mod 100003, 3335 mod 20011 and 504 mod 1009: a
+        # power orbit, the choices walked and the pieces emitted each pass
+        # a cap, while 254,016 choices on 1009k are walked
         S = pset_of((1, 1), (1, 1))
         assert len(ap_intersect_pset(ArithProg(1009, 0), S, P5)) == 504
-        for A, T in ((ArithProg(100003, 0), pset_of((1, 1), (1, 1), (1, 1))),
-                     (ArithProg(1009, 0), pset_of((1, 1), (1, 1), (1, 1))),
-                     (ArithProg(1009, 0), pset_of((1009, 1), (1009, 1)))):
+        S3 = pset_of((1, 1), (1, 1), (1, 1))
+        assert len(ap_intersect_pset(ArithProg(1009, 0), S3, P5)) == 126504
+        for A, T in ((ArithProg(100003, 0), S3), (ArithProg(20011, 0), S3),
+                     (ArithProg(20011, 0), pset_of((20011, 1), (20011, 1)))):
             with pytest.raises(ResourceLimitError):
                 ap_intersect_pset(A, T, P5)
+
+    def test_walk_cap_boundary(self, monkeypatch):
+        # 5 has order 3 mod 31: {31*5^a + 31*5^b} on 31k walks 3 choices
+        # and emits 9 pieces; {5^a + 5^b + 5^c} walks 9 and emits the 6
+        # orders of 1 + 5 + 25
+        two = pset_of((31, 1), (31, 1))
+        three = pset_of((1, 1), (1, 1), (1, 1))
+        A = ArithProg(31, 0)
+        monkeypatch.setattr(psets_mod, "_AP_WALK_CAP", 9)
+        assert len(ap_intersect_pset(A, two, P5)) == 9
+        assert len(ap_intersect_pset(A, three, P5)) == 6
+        monkeypatch.setattr(psets_mod, "_AP_WALK_CAP", 8)
+        with pytest.raises(ResourceLimitError, match="more than 8 pieces"):
+            ap_intersect_pset(A, two, P5)
+        with pytest.raises(ResourceLimitError, match="9 exponent choices"):
+            ap_intersect_pset(A, three, P5)
 
     def test_offset_exclusion_accumulation_point(self):
         from pdml.errors import UnsupportedError

@@ -199,6 +199,17 @@ class TestCli:
         assert code == 0
         assert "piece 66k+65: " in report
         assert "unsupported" not in report
+        # (x - 5) Phi_66: every piece has the root 5^66, taken from the
+        # root 5 of u rather than found again by a divisor scan of 5^66
+        x5phi66 = "-5,-4,1,5,4,-1,-5,-4,1,5,4,4,-1,-5,-4,1,5,4,-1,-5,-4"
+        inst.write_text(f"p = 5\nlrs = 21;{x5phi66};1{',0' * 20}\n"
+                        "terms = 1,1\nn_max = 200\n")
+        start = time.perf_counter()
+        code, report = run_cli(tmp_path, "classify-pexp", str(inst))
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert "piece 66k+0: two-exponent shape fitted" in report
+        assert "exceptional]\n0,21\n" in report
         inst.write_text("p = 5\nlrs = 2;-1,-1;0,1\nterms = 1,1\n"
                         "n_max = 200\n")
         code, report = run_cli(tmp_path, "classify-pexp", str(inst))
