@@ -139,6 +139,27 @@ def matrix_blocks(a) -> list[list[int]]:
     return list(blocks.values())
 
 
+def mat_power_bound(a, n: int) -> int:
+    """A bound on the largest absolute row sum ||A^k|| for every k <= n.
+
+    A^k is block diagonal over matrix_blocks, and ||B^k|| is at most
+    max(1, ||B||)^n and at most the product of max(1, ||B^(2^j)||) over
+    j < bit_length(n); for unipotent blocks, whose powers grow
+    polynomially, the second has O(log^2 n) bits where the first has O(n)."""
+    def norm(m) -> int:
+        return max(1, max(sum(map(abs, row)) for row in m))
+
+    bound = 1
+    for idx in matrix_blocks(a):
+        block = square = [[a[i][j] for j in idx] for i in idx]
+        product = 1
+        for j in range(n.bit_length()):
+            square = mat_mul(square, square) if j else square
+            product *= norm(square)
+        bound = max(bound, min(product, norm(block) ** n))
+    return bound
+
+
 def char_poly_of_matrix(a: list[list[int]]) -> tuple[int, ...]:
     """det(xI - A) over Z, lowest degree first: the product over the
     blocks of matrix_blocks."""

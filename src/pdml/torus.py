@@ -2,27 +2,30 @@
 
 Every coordinate of Phi^n(alpha) is a product of powers of the irreducible
 factors of alpha and y, so orbits are exponent rows: a unit mod p and one
-integer exponent per key of a sorted basis of monic irreducibles. A step is
-row_i <- y_i + sum_j A_ij row_j, so points like (t+1)^(10^8) stay cheap.
-Points and varieties keep their factorizations, built on first use.
+int that packs a signed exponent per key of a sorted basis of monic
+irreducibles, in slots as wide as a bound proven before the orbit is
+walked. A step row_i <- y_i + sum_j A_ij row_j is then a few int products,
+so points like (t+1)^(10^8) stay cheap. Points and varieties keep their
+factorizations, built on first use.
 Membership is a row ratio test for two terms, an exact digit-structured
 evaluation for linear equations in equal Frobenius powers, and otherwise
-dense expansion under the degree cap. Everything user-facing remains plain
-RatFunc coordinates; dense iteration (selfmap_iterate, variety_contains)
-stays as the independent oracle.
+dense expansion under the degree cap from one power table per equation.
+Everything user-facing remains plain RatFunc coordinates; dense iteration
+(selfmap_iterate, variety_contains) stays as the independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import DomainError, InternalError, UsageError
 from .exact import (FpPoly, PrimeModulus, RatFunc, _guard_size, poly_factor,
-                    ratfunc_int_pow)
+                    ratfunc_int_pow, slot_bytes, unpack_slots)
 from .lrs import (Lrs, _poly_mul_z, _synthetic_div, char_poly_of_matrix,
                   lrs_char_roots, lrs_prefix, lrs_root_p_dependence, mat_mul,
-                  mat_pow, matrix_blocks)
+                  mat_power_bound, matrix_blocks)
 from .pexp import fit_solution_desc
 from .psets import ReturnSetDesc
 
@@ -259,11 +262,12 @@ def factor_point(x: TorusPoint) -> list[Factored]:
 
 
 # ---------------------------------------------------------------------------
-# Exponent rows: a unit mod p and one exponent per key of a shared basis
+# Exponent rows: a unit mod p and the exponents over a shared basis, packed
 # ---------------------------------------------------------------------------
 
 
-Row = tuple[int, list[int]]
+# (unit, sum_i e_i 2^(8 w i)) with |e_i| < 2^(8 w - 1): linear, one-to-one
+Row = tuple[int, int]
 
 
 def _basis(*groups: list[Factored]) -> list[tuple[int, ...]]:
@@ -271,16 +275,23 @@ def _basis(*groups: list[Factored]) -> list[tuple[int, ...]]:
     return sorted({k for g in groups for f in g for k in f.powers})
 
 
-def _rows(values: list[Factored], basis: list[tuple[int, ...]]
+def _height(*values: Factored) -> int:
+    """The largest |exponent| of any of the values."""
+    return max((abs(e) for f in values for e in f.powers.values()), default=0)
+
+
+def _orbit_height(matrix: Matrix, start: int, y: int, n_max: int) -> int:
+    """A bound on every |exponent| of Phi^n(alpha), n <= n_max: the rows are
+    A^n alpha + sum_(k<n) A^k y, so M (|alpha| + n_max |y|) bounds them when
+    M bounds the row sums ||A^k|| for k <= n_max."""
+    return mat_power_bound(matrix, n_max) * (start + n_max * y)
+
+
+def _rows(values: list[Factored], basis: list[tuple[int, ...]], width: int
           ) -> list[Row]:
-    index = {k: i for i, k in enumerate(basis)}
-    out = []
-    for f in values:
-        row = [0] * len(basis)
-        for k, e in f.powers.items():
-            row[index[k]] = e
-        out.append((f.unit, row))
-    return out
+    index = {k: 8 * width * i for i, k in enumerate(basis)}
+    return [(f.unit, sum(e << index[k] for k, e in f.powers.items()))
+            for f in values]
 
 
 def _sparse(matrix) -> list[list[tuple[int, int]]]:
@@ -295,8 +306,9 @@ def _combine(base: Row, exps: list[tuple[int, int]], rows: list[Row],
     unit, acc = base
     for j, e in exps:
         u, row = rows[j]
-        unit = unit * pow(u, e % (p - 1), p) % p
-        acc = [x + e * y for x, y in zip(acc, row)]
+        if u != 1:
+            unit = unit * pow(u, e % (p - 1), p) % p
+        acc += e * row
     return unit, acc
 
 
@@ -334,25 +346,22 @@ def _structured_zero_test(lin: list[tuple[int, int]], const: int, m: int,
     times W(K) = sum_a lam_a s_a^K, so the polynomial vanishes iff W does
     on the achievable exponent range. Returns None when inapplicable.
     """
-    shifts = [s for s, _ in lin]
-    if len(set(shifts)) != len(shifts) or any(s % p == 0 for s in shifts):
-        return None
     lam = [(s % p, l % p) for s, l in lin]
+    shifts = {s for s, _ in lam}
+    if len(shifts) != len(lam) or 0 in shifts:
+        return None
     if m == 0:
         return (sum(l for _, l in lam) + const) % p == 0
-    if m < 0:
+    D = _digit_sum(m, p) if m > 0 else 0
+    if m < 0 or min(D, p - 1) >= len(lam):
+        # W(0..len(lam)-1) = 0 is an invertible Vandermonde system: lam = 0
         return all(l == 0 for _, l in lam) and const % p == 0
-
-    def W(K: int) -> int:
-        return sum(l * pow(s, K % (p - 1) if K else 0, p)
-                   for s, l in lam) % p
-
-    D = _digit_sum(m, p)
-    top = min(D, p - 1)
-    for K in range(top):
-        if W(K) != 0:
+    powers = [1] * len(lam)
+    for _ in range(min(D, p - 1)):
+        if sum(l * x for (_, l), x in zip(lam, powers)) % p:
             return False
-    return (W(D % (p - 1) if D else 0) + const) % p == 0
+        powers = [x * s % p for (s, _), x in zip(lam, powers)]
+    return (sum(l * pow(s, D % (p - 1), p) for s, l in lam) + const) % p == 0
 
 
 FactoredEquation = list[tuple[tuple[int, ...], Factored]]
@@ -368,29 +377,42 @@ def _factor_equations(v: Variety) -> list[FactoredEquation]:
 
 
 def _equation_zero(terms: list[Row], basis: list[tuple[int, ...]],
-                   p: PrimeModulus) -> bool:
+                   p: PrimeModulus, width: int) -> bool:
     """Exact zero test of one equation from the rows of its terms.
 
     One term never vanishes; two terms reduce to a row ratio test whose
     degrees are exact, so unequal degrees decide without expansion. Linear
     combinations of equal Frobenius powers of distinct linear bases go
-    through the digit-structured route; what remains is expanded under the
-    degree cap after the common monomial factor is stripped.
+    through the digit-structured route; what remains is expanded.
     """
     if len(terms) <= 2:
         return not terms or (len(terms) == 2 and _two_term_zero(*terms, p.p))
+    structured = _try_structured(terms, basis, p.p, width)
+    return (_expanded_zero(terms, basis, p, width) if structured is None
+            else structured)
 
-    structured = _try_structured(terms, basis, p.p)
-    if structured is not None:
-        return structured
 
-    # strip the common monomial factor; zeroness is unaffected, and every
-    # term is then a polynomial
-    common = [min(col) for col in zip(*(row for _, row in terms))]
+def _expanded_zero(terms: list[Row], basis: list[tuple[int, ...]],
+                   p: PrimeModulus, width: int) -> bool:
+    """Dense zero test under the degree cap, the only route that decodes
+    rows. Stripping the common monomial leaves zeroness alone and makes each
+    term a polynomial; each distinct power of a key is computed once."""
+    n, half = len(basis), 1 << (8 * width - 1)
+    bias = half * ((1 << (8 * width * n)) - 1) // ((1 << (8 * width)) - 1)
+    rows = [[e - half for e in unpack_slots(q + bias, width, n)]
+            for _, q in terms]
+    common = [min(col) for col in zip(*rows)]
+    table: dict[tuple[int, int], FpPoly] = {}
     total = FpPoly.zero(p)
-    for unit, row in terms:
-        reduced = {k: e - c for k, e, c in zip(basis, row, common)}
-        total = total + Factored(unit, reduced, p).to_ratfunc().num
+    for (unit, _), row in zip(terms, rows):
+        exps = [(i, e - c) for i, e, c in zip(range(n), row, common) if e > c]
+        _guard_size(sum((len(basis[i]) - 1) * e for i, e in exps) + 1)
+        term = FpPoly.one(p)
+        for i, e in exps:
+            if (i, e) not in table:
+                table[i, e] = FpPoly(basis[i], p, _canonical=True) ** e
+            term = term * table[i, e]
+        total = total + term.scale(unit)
     return total.is_zero()
 
 
@@ -401,20 +423,23 @@ def _two_term_zero(a: Row, b: Row, p: int) -> bool:
 
 
 def _try_structured(terms: list[Row], basis: list[tuple[int, ...]],
-                    p: int) -> bool | None:
+                    p: int, width: int) -> bool | None:
     """Terms c_a (t + s_a)^m and constants through _structured_zero_test;
     None for any other shape."""
     lin: list[tuple[int, int]] = []
     const = 0
     m_common: int | None = None
-    for unit, row in terms:
-        nonzero = [(k, e) for k, e in zip(basis, row) if e]
-        if not nonzero:
+    for unit, q in terms:
+        if not q:
             const = (const + unit) % p
             continue
-        if len(nonzero) != 1:
+        # the lowest nonzero slot; q holds no other slot iff its value there
+        # lies inside the balanced-digit bound
+        i = ((q & -q).bit_length() - 1) // (8 * width)
+        e = q >> (8 * width * i)
+        if abs(e) >= 1 << (8 * width - 1):
             return None
-        (key, e), = nonzero
+        key = basis[i]
         if len(key) != 2 or key[0] == 0:
             return None  # base is not t + s with s != 0
         if m_common is None:
@@ -447,12 +472,18 @@ def return_set(phi: TorusSelfMap, alpha: TorusPoint, v: Variety,
     f_y = factor_point(phi.translation)
     f_alpha = factor_point(alpha)
     basis = _basis(f_alpha, f_y, *([f for _, f in eq] for eq in f_eqs))
+    reach = _orbit_height(phi.matrix, _height(*f_alpha), _height(*f_y), n_max)
+    width = slot_bytes(2 * max([reach] + [
+        _height(f) + reach * sum(map(abs, ev)) for eq in f_eqs for ev, f in eq
+    ]) + 1)
     equations = [list(zip(_sparse([ev for ev, _ in eq]),
-                          _rows([f for _, f in eq], basis))) for eq in f_eqs]
-    orbit = _orbit(phi, _rows(f_alpha, basis), _rows(f_y, basis), p.p, n_max)
+                          _rows([f for _, f in eq], basis, width)))
+                 for eq in f_eqs]
+    orbit = _orbit(phi, _rows(f_alpha, basis, width),
+                   _rows(f_y, basis, width), p.p, n_max)
     return [n for n, cur in enumerate(orbit)
             if all(_equation_zero([_combine(coeff, ev, cur, p.p)
-                                   for ev, coeff in eq], basis, p)
+                                   for ev, coeff in eq], basis, p, width)
                    for eq in equations)]
 
 
@@ -563,12 +594,12 @@ def reduction_decompose(phi: TorusSelfMap, alpha: TorusPoint
     u_seqs = tuple(Lrs(urec[:-1], tuple(u_init[i])) for i in range(l))
     q_points = []
     acc = phi.translation
-    apow = [list(r) for r in phi.matrix]
+    apow = m = [list(r) for r in phi.matrix]
     for i in range(1, l + 1):
         q_points.append(acc)
         if i < l:
-            image = endo_apply(mat_pow(apow, i), phi.translation)
-            acc = acc * image
+            acc = acc * endo_apply(apow, phi.translation)
+            apow = mat_mul(apow, m)
     return ReductionData(minpoly, u_seqs, v_seqs, tuple(q_points))
 
 
@@ -598,19 +629,27 @@ def verify_reduction(rd: ReductionData, phi: TorusSelfMap,
     f_y = factor_point(phi.translation)
     f_q = [factor_point(rd.q_points[i]) for i in range(l)]
     basis = _basis(f_alpha, f_y, *f_q)
-    one = (1, [0] * len(basis))
-    alpha_rows = _rows(f_alpha, basis)
-    apow = [list(r) for r in phi.matrix]
-    aa_rows = [[_combine(one, row, alpha_rows, pv)
-                for row in _sparse(mat_pow(apow, i))] for i in range(l)]
+    apows = list(accumulate([phi.matrix] * (l - 1), mat_mul, initial=[
+        [int(i == j) for j in range(alpha.dim)] for i in range(alpha.dim)]))
+    h_alpha = _height(*f_alpha)
+    # the largest |exponent| of any coordinate of each right-side factor
+    h_factors = [_height(*fq) for fq in f_q] + [
+        h_alpha * max(sum(map(abs, row)) for row in ap) for ap in apows]
+    width = slot_bytes(2 * max(
+        [_orbit_height(phi.matrix, h_alpha, _height(*f_y), n_max)]
+        + [sum(abs(s[n]) * h for s, h in zip(seqs, h_factors))
+           for n in range(n_max + 1)]) + 1)
+    alpha_rows = _rows(f_alpha, basis, width)
+    aa_rows = [[_combine((1, 0), row, alpha_rows, pv) for row in _sparse(ap)]
+               for ap in apows]
     # coordinate d of the right side is prod_k factors[d][k]^seqs[k][n]
-    q_rows = [_rows(f, basis) for f in f_q]
+    q_rows = [_rows(f, basis, width) for f in f_q]
     factors = [[q[d] for q in q_rows] + [aa[d] for aa in aa_rows]
                for d in range(alpha.dim)]
-    orbit = _orbit(phi, alpha_rows, _rows(f_y, basis), pv, n_max)
+    orbit = _orbit(phi, alpha_rows, _rows(f_y, basis, width), pv, n_max)
     for n, cur in enumerate(orbit):
         exps = [(k, s[n]) for k, s in enumerate(seqs) if s[n]]
-        if any(c != _combine(one, exps, f, pv)
+        if any(c != _combine((1, 0), exps, f, pv)
                for c, f in zip(cur, factors)):
             return False
     return True

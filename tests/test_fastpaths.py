@@ -1,6 +1,7 @@
 """Cross-validation of the factored/structured evaluation fast paths
 against plain dense arithmetic on ranges where both are feasible."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -8,14 +9,16 @@ from fractions import Fraction
 import pytest
 
 import pdml.torus as torus_mod
+from pdml.cli import main
 from pdml.constructions import dml_instance
 from pdml.errors import ResourceLimitError
 from pdml.exact import (_DEGREE_CAP, FpPoly, PrimeModulus, RatFunc,
                         ratfunc_int_pow)
-from pdml.lrs import Lrs
+from pdml.lrs import Lrs, lrs_prefix, mat_pow
 from pdml.psets import PSet, pset_enumerate, pset_membership
 from pdml.torus import (
     Factored,
+    ReductionData,
     TorusPoint,
     TorusSelfMap,
     Variety,
@@ -23,7 +26,9 @@ from pdml.torus import (
     _combine,
     _rows,
     _structured_zero_test,
+    _try_structured,
     _two_term_zero,
+    endo_apply,
     reduction_decompose,
     return_set,
     selfmap_iterate,
@@ -100,7 +105,7 @@ class TestFactoredRatioTest:
             lhs = ratfunc_int_pow(b1, e1) * RatFunc.const(c1, p) + \
                 ratfunc_int_pow(b2, e2) * RatFunc.const(c2, p)
             basis = _basis([f1, f2])
-            rows = _rows([f1, f2, k1, k2], basis)
+            rows = _rows([f1, f2, k1, k2], basis, 1)
             got = _two_term_zero(_combine(rows[2], [(0, e1)], rows, pv),
                                  _combine(rows[3], [(1, e2)], rows, pv), pv)
             assert got == lhs.is_zero()
@@ -267,19 +272,19 @@ class TestRowKernel:
     def _count_routes(self, monkeypatch):
         routes = {"structured": 0, "expanded": 0}
         structured = torus_mod._structured_zero_test
-        expand = Factored.to_ratfunc
+        expand = torus_mod._expanded_zero
 
         def count_structured(*args):
             routes["structured"] += 1
             return structured(*args)
 
-        def count_expand(self):
+        def count_expand(*args):
             routes["expanded"] += 1
-            return expand(self)
+            return expand(*args)
 
         monkeypatch.setattr(torus_mod, "_structured_zero_test",
                             count_structured)
-        monkeypatch.setattr(Factored, "to_ratfunc", count_expand)
+        monkeypatch.setattr(torus_mod, "_expanded_zero", count_expand)
         return routes
 
     def test_multiplicity_instance_linear_sequence(self, monkeypatch):
@@ -335,3 +340,396 @@ class TestRowKernel:
             assert hits == dense_hits(phi, alpha, v, 6), (mat, phi, alpha)
             assert verify_reduction(reduction_decompose(phi, alpha), phi,
                                     alpha, 6)
+
+
+# ---------------------------------------------------------------------------
+# The list-row kernel that packed rows replaced, kept as an oracle: a row is
+# (unit, [one exponent per basis key]) and nothing is packed or bounded
+# ---------------------------------------------------------------------------
+
+
+def list_rows(values, basis):
+    index = {k: i for i, k in enumerate(basis)}
+    out = []
+    for f in values:
+        row = [0] * len(basis)
+        for k, e in f.powers.items():
+            row[index[k]] = e
+        out.append((f.unit, row))
+    return out
+
+
+def list_combine(base, exps, rows, p):
+    unit, acc = base
+    for j, e in exps:
+        u, row = rows[j]
+        unit = unit * pow(u, e % (p - 1), p) % p
+        acc = [x + e * y for x, y in zip(acc, row)]
+    return unit, acc
+
+
+def list_orbit(phi, start, y_rows, p, n_max):
+    step = torus_mod._sparse(phi.matrix)
+    cur = start
+    for n in range(n_max + 1):
+        yield cur
+        if n < n_max:
+            cur = [list_combine(y, row, cur, p)
+                   for y, row in zip(y_rows, step)]
+
+
+def list_equation_zero(terms, basis, p):
+    """Two terms by equal rows, equal Frobenius powers of linear bases by
+    _structured_zero_test, the rest by expanding Factored values."""
+    if len(terms) <= 2:
+        return not terms or (len(terms) == 2 and terms[0][1] == terms[1][1]
+                             and (terms[0][0] + terms[1][0]) % p.p == 0)
+    lin, const, ms = [], 0, set()
+    for unit, row in terms:
+        nonzero = [(k, e) for k, e in zip(basis, row) if e]
+        if not nonzero:
+            const += unit
+        elif len(nonzero) == 1 and len(nonzero[0][0]) == 2 \
+                and nonzero[0][0][0]:
+            lin.append((nonzero[0][0][0], unit))
+            ms.add(nonzero[0][1])
+        else:
+            break
+    else:
+        got = (const % p.p == 0 if not ms else None if len(ms) > 1 else
+               _structured_zero_test(lin, const % p.p, ms.pop(), p.p))
+        if got is not None:
+            return got
+    common = [min(col) for col in zip(*(row for _, row in terms))]
+    total = FpPoly.zero(p)
+    for unit, row in terms:
+        reduced = {k: e - c for k, e, c in zip(basis, row, common)}
+        total = total + Factored(unit, reduced, p).to_ratfunc().num
+    return total.is_zero()
+
+
+def list_return_set(phi, alpha, v, n_max):
+    p = alpha.modulus
+    f_eqs = torus_mod._factor_equations(v)
+    f_y = torus_mod.factor_point(phi.translation)
+    f_alpha = torus_mod.factor_point(alpha)
+    basis = _basis(f_alpha, f_y, *([f for _, f in eq] for eq in f_eqs))
+    eqs = [list(zip(torus_mod._sparse([ev for ev, _ in eq]),
+                    list_rows([f for _, f in eq], basis))) for eq in f_eqs]
+    orbit = list_orbit(phi, list_rows(f_alpha, basis),
+                       list_rows(f_y, basis), p.p, n_max)
+    return [n for n, cur in enumerate(orbit)
+            if all(list_equation_zero([list_combine(c, ev, cur, p.p)
+                                       for ev, c in eq], basis, p)
+                   for eq in eqs)]
+
+
+def list_verify_reduction(rd, phi, alpha, n_max):
+    l = len(rd.minpoly) - 1
+    pv = alpha.modulus.p
+    seqs = [lrs_prefix(seq[i], n_max) for seq in (rd.u_seqs, rd.v_seqs)
+            for i in range(l)]
+    f_alpha = torus_mod.factor_point(alpha)
+    f_y = torus_mod.factor_point(phi.translation)
+    f_q = [torus_mod.factor_point(q) for q in rd.q_points]
+    basis = _basis(f_alpha, f_y, *f_q)
+    one = (1, [0] * len(basis))
+    alpha_rows = list_rows(f_alpha, basis)
+    aa_rows = [[list_combine(one, row, alpha_rows, pv) for row in
+                torus_mod._sparse(mat_pow([list(r) for r in phi.matrix], i))]
+               for i in range(l)]
+    q_rows = [list_rows(f, basis) for f in f_q]
+    factors = [[q[d] for q in q_rows] + [aa[d] for aa in aa_rows]
+               for d in range(alpha.dim)]
+    orbit = list_orbit(phi, alpha_rows, list_rows(f_y, basis), pv, n_max)
+    for n, cur in enumerate(orbit):
+        exps = [(k, s[n]) for k, s in enumerate(seqs) if s[n]]
+        if any(c != list_combine(one, exps, f, pv)
+               for c, f in zip(cur, factors)):
+            return False
+    return True
+
+
+def dense_verify_reduction(rd, phi, alpha, n_max):
+    """The decomposition identity checked on dense coordinates."""
+    l = len(rd.minpoly) - 1
+    seqs = [lrs_prefix(seq[i], n_max) for seq in (rd.u_seqs, rd.v_seqs)
+            for i in range(l)]
+    a = [list(r) for r in phi.matrix]
+    factors = list(rd.q_points) + [endo_apply(mat_pow(a, i), alpha)
+                                   for i in range(l)]
+    for n in range(n_max + 1):
+        rhs = TorusPoint.identity(alpha.dim, alpha.modulus)
+        for f, s in zip(factors, seqs):
+            rhs = rhs * TorusPoint(tuple(ratfunc_int_pow(c, s[n])
+                                         for c in f.coords))
+        if rhs != selfmap_iterate(phi, alpha, n):
+            return False
+    return True
+
+
+def lin(a, p):
+    return RatFunc(FpPoly([a, 1], p))
+
+
+def pack(values, width):
+    return sum(v << (8 * width * i) for i, v in enumerate(values))
+
+
+def block_diag(block, copies):
+    d = len(block)
+    return tuple(tuple(block[i % d][j % d] if i // d == j // d else 0
+                       for j in range(d * copies)) for i in range(d * copies))
+
+
+class TestPackedRows:
+    """Packed exponent rows against the list-row kernel and the dense
+    oracle, variety_contains(selfmap_iterate(...))."""
+
+    def test_exponents_past_2_64(self):
+        # two copies of [[2, 1], [1, 1]]: x1 = (t+1)^F(2n+1), x2 =
+        # (t+1)^F(2n), x3 = (t+2)^F(2n+1) with Fibonacci F, so exponents
+        # pass 2^64 at n = 47 and the slots are wider than 8 bytes
+        p = P5
+        fib = [0, 1]
+        while len(fib) < 130:
+            fib.append(fib[-1] + fib[-2])
+        phi = TorusSelfMap.endomorphism(block_diag(((2, 1), (1, 1)), 2), p)
+        one = RatFunc.one(p)
+        alpha = TorusPoint((lin(1, p), one, lin(2, p), one))
+        n_max = 60
+        assert fib[2 * n_max + 1] > 2 ** 64
+        rnd = random.Random(2024)
+        varieties = [
+            # x1^F(100) = x2^F(101) only at n = 50
+            Variety(4, ((((fib[100], 0, 0, 0), one),
+                          ((0, fib[101], 0, 0), -one)),)),
+            # x3 / x1 = ((t+2)/(t+1))^F(2n+1), a pole: never 1 for n >= 0
+            Variety(4, ((((0, 0, 1, 0), one), ((1, 0, 0, 0), -one)),)),
+        ] + [
+            # lam1 (t+1)^m + lam2 (t+2)^m + c with m = F(2n+1): the
+            # digit-structured route at every n; (1, -1, 1) vanishes iff m
+            # is a power of 5, so at n = 0 and 2
+            Variety(4, ((((1, 0, 0, 0), RatFunc.const(lams[0], p)),
+                         ((0, 0, 1, 0), RatFunc.const(lams[1], p)),
+                         ((0, 0, 0, 0), RatFunc.const(lams[2], p))),))
+            for lams in [(1, -1, 1)] + [[rnd.randrange(5) for _ in range(3)]
+                                        for _ in range(12)]]
+        seen = set()
+        for v in varieties:
+            hits = return_set(phi, alpha, v, n_max)
+            assert hits == list_return_set(phi, alpha, v, n_max)
+            seen.add(tuple(hits))
+            if v is not varieties[0]:
+                assert [n for n in hits if n <= 5] == dense_hits(
+                    phi, alpha, v, 5)
+        assert {(50,), (), (0, 2)} <= seen
+        rd = reduction_decompose(phi, alpha)
+        assert verify_reduction(rd, phi, alpha, n_max)
+        assert list_verify_reduction(rd, phi, alpha, n_max)
+        bad = ReductionData(rd.minpoly, rd.u_seqs, rd.v_seqs,
+                            (rd.q_points[0] * alpha,) + rd.q_points[1:])
+        assert verify_reduction(bad, phi, alpha, n_max) is False
+        assert list_verify_reduction(bad, phi, alpha, n_max) is False
+
+    def test_poles_random_against_dense(self):
+        rnd = random.Random(5150)
+        for _ in range(24):
+            p = rnd.choice([P5, P7])
+            pv = p.p
+
+            def coord():
+                c = RatFunc.const(rnd.randrange(1, pv), p)
+                for _ in range(rnd.randint(0, 2)):
+                    c = c * ratfunc_int_pow(lin(rnd.randrange(pv), p),
+                                            rnd.choice([-2, -1, 1, 2]))
+                return c
+
+            mat = tuple(tuple(rnd.randint(-2, 2) for _ in range(2))
+                        for _ in range(2))
+            y = TorusPoint((coord(), coord())) if rnd.random() < 0.7 else \
+                TorusPoint.identity(2, p)
+            phi = TorusSelfMap(mat, y)
+            alpha = TorusPoint((coord(), coord()))
+            n0 = rnd.randint(0, 3)
+            x1, x2 = selfmap_iterate(phi, alpha, n0).coords
+            one = RatFunc.one(p)
+            v = Variety(2, rnd.choice((
+                ((((1, 0), one), ((0, 0), -x1)),),
+                ((((1, -1), one), ((0, 0), -x1 / x2)),),
+                ((((-1, 0), one), ((0, 1), one),
+                  ((0, 0), -x1.inv() - x2)),),
+                ((((1, 0), one), ((0, 1), one), ((1, 1), -x2),
+                  ((0, 0), -x1 - x2 + x1 * x2 * x2)),),
+            )))
+            n_max = 4
+            hits = return_set(phi, alpha, v, n_max)
+            assert n0 in hits
+            assert hits == dense_hits(phi, alpha, v, n_max), (mat, v)
+            assert hits == list_return_set(phi, alpha, v, n_max)
+            rd = reduction_decompose(phi, alpha)
+            bad = ReductionData(rd.minpoly, rd.u_seqs, rd.v_seqs,
+                                (rd.q_points[0] * TorusPoint((x1, x2)),)
+                                + rd.q_points[1:])
+            for data in (rd, bad):
+                assert verify_reduction(data, phi, alpha, n_max) == \
+                    dense_verify_reduction(data, phi, alpha, n_max)
+            assert verify_reduction(rd, phi, alpha, n_max)
+
+    def test_unipotent_blocks_n_max_300(self):
+        # two companion blocks of (x - 1)^2: exponents grow linearly and
+        # the bound stays below 2^64, though ||A||^300 alone is 3^300
+        p = P7
+        phi = TorusSelfMap.endomorphism(block_diag(((0, 1), (-1, 2)), 2), p)
+        a1, a2 = lin(1, p), lin(2, p)
+        alpha = TorusPoint((a1, a1 * a1, a2, a2 * a2))
+        n_max = 300
+        h = torus_mod._orbit_height(phi.matrix, 2, 0, n_max)
+        assert 2 * n_max < h < 2 ** 64
+        one = RatFunc.one(p)
+        # x1 = (t+1)^(n+1), x3 = (t+2)^(n+1)
+        varieties = (
+            # a two-term ratio: n + 1 = 123
+            Variety(4, ((((1, 0, 0, 0), one),
+                         ((0, 0, 0, 0), -ratfunc_int_pow(a1, 123))),)),
+            # (t+1)^m - (t+2)^m + 1 with m = n + 1 vanishes iff m is a
+            # power of 7 (digit-structured)
+            Variety(4, ((((1, 0, 0, 0), one), ((0, 0, 1, 0), -one),
+                         ((0, 0, 0, 0), one)),)),
+            # two bases in one term: expanded
+            Variety(4, ((((1, 0, 0, 0), one), ((0, 0, 1, 0), one),
+                         ((1, 0, 1, 0), RatFunc.const(3, p))),)),
+        )
+        wants = ([122], [0, 6, 48], None)
+        # the dense orbit one step at a time
+        points = [alpha]
+        while len(points) <= n_max:
+            points.append(torus_mod.selfmap_apply(phi, points[-1]))
+        assert points[n_max] == selfmap_iterate(phi, alpha, n_max)
+        for v, want in zip(varieties, wants):
+            hits = return_set(phi, alpha, v, n_max)
+            assert hits == [n for n, x in enumerate(points)
+                            if variety_contains(v, x)]
+            assert hits == list_return_set(phi, alpha, v, n_max)
+            if want is not None:
+                assert hits == want
+        rd = reduction_decompose(phi, alpha)
+        assert verify_reduction(rd, phi, alpha, n_max)
+        assert list_verify_reduction(rd, phi, alpha, n_max)
+
+    @pytest.mark.parametrize("width", [1, 2, 8, 9, 17])
+    def test_two_slot_rows_are_not_structured(self, width):
+        p = P5
+        basis = [(1, 1), (2, 1)]
+        edge = (1 << (8 * width - 1)) - 1
+        const = (3, 0)
+        # (t+1)/(t+2), and rows at the edge of the width
+        for row in ([1, -1], [edge, 1], [-edge, 1], [edge, -1], [1, edge],
+                    [-1, -edge], [edge, edge], [-edge, -edge], [edge, -edge]):
+            terms = [(1, pack(row, width)), const, (4, 0)]
+            assert _try_structured(terms, basis, p.p, width) is None, row
+        # one slot at the edge is still a linear base: (t+1)^m, (t+2)^m
+        for m in (edge, -edge, 1, -1):
+            terms = [(1, pack([m, 0], width)), (4, pack([0, m], width)),
+                     const]
+            assert _try_structured(terms, basis, p.p, width) == \
+                _structured_zero_test([(1, 1), (2, 4)], 3, m, p.p)
+
+    def test_verify_width_covers_the_right_side(self):
+        # Q_0 off by (t+1)^256 / (t+2): at one-byte slots that difference
+        # packs to 0, so the bound on the right side must widen the slots
+        p = P5
+        phi = TorusSelfMap(((1,),), TorusPoint((lin(1, p),)))
+        alpha = TorusPoint((lin(2, p),))
+        rd = reduction_decompose(phi, alpha)
+        z = TorusPoint((ratfunc_int_pow(lin(1, p), 256) / lin(2, p),))
+        bad = ReductionData(rd.minpoly, rd.u_seqs, rd.v_seqs,
+                            (rd.q_points[0] * z,) + rd.q_points[1:])
+        assert verify_reduction(rd, phi, alpha, 3)
+        assert verify_reduction(bad, phi, alpha, 3) is False
+        assert dense_verify_reduction(bad, phi, alpha, 3) is False
+
+    def test_translation_drives_the_width(self):
+        # alpha has no factors, so the exponents n of x1 = (t+1)^n and
+        # x2 = (t+2)^n come from the translation alone
+        p = P7
+        one = RatFunc.one(p)
+        phi = TorusSelfMap(((1, 0), (0, 1)),
+                           TorusPoint((lin(1, p), lin(2, p))))
+        alpha = TorusPoint((one, RatFunc.const(3, p)))
+        v = Variety(2, ((((1, 0), one), ((0, 1), RatFunc.const(2, p)),
+                         ((0, 0), one)),))
+        points = [alpha]
+        while len(points) <= 300:
+            points.append(torus_mod.selfmap_apply(phi, points[-1]))
+        hits = return_set(phi, alpha, v, 300)
+        # (t+1)^n - (t+2)^n + 1 = 0 iff n is a power of 7
+        assert hits == [n for n, x in enumerate(points)
+                        if variety_contains(v, x)] == [1, 7, 49]
+
+    def test_expansion_route_keeps_the_degree_cap(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # x + x^2 + 1 with x = ((t+1)(t+3))^(1000^n) is neither two-term
+        # nor structured; at n = 2 its degree passes the cap
+        p = P5
+        phi = TorusSelfMap.endomorphism(((1000,),), p)
+        alpha = TorusPoint((lin(1, p) * lin(3, p),))
+        one = RatFunc.one(p)
+        v = Variety(1, ((((1,), one), ((2,), one), ((0,), one)),))
+        assert return_set(phi, alpha, v, 1) == dense_hits(phi, alpha, v, 1)
+        with pytest.raises(ResourceLimitError):
+            return_set(phi, alpha, v, 2)
+        inst = tmp_path / "cap.txt"
+        inst.write_text("p = 5\nn_max = 2\nmatrix = 1000\ny = 1/1\n"
+                        "alpha = 3,4,1/1\n"
+                        "equation = 1 : 1/1 ; 2 : 1/1 ; 0 : 1/1\n")
+        assert main(["return-set", str(inst)]) == 4
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "cap" in err
+        # each term is refused before any of its powers is formed
+        powers = []
+        monkeypatch.setattr(FpPoly, "__pow__",
+                            lambda self, e: powers.append(e))
+        half = _DEGREE_CAP // 2 + 1
+        basis = [(1, 1), (2, 1)]
+        terms = [(1, pack([half, half], 4)), (1, pack([0, 1], 4)), (1, 0)]
+        with pytest.raises(ResourceLimitError):
+            torus_mod._expanded_zero(terms, basis, p, 4)
+        assert powers == []
+
+
+class TestStructuredExhaustive:
+    """_structured_zero_test on every small case against the dense sum
+    sum_a lam_a (t + s_a)^m + const of FpPoly powers."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_small_cases(self, p):
+        mod = PrimeModulus(p)
+        pool = range(1, min(p, 6))
+        ms = sorted(set(range(2 * p + 1)) | {p * p - 1, p * p, p ** 3})
+        powers = {(s, m): FpPoly([s, 1], mod) ** m for s in pool for m in ms}
+        branches = {"vandermonde": 0, "stepped": 0}
+        outcomes = set()
+        for k in range(1, 4):
+            for shifts in itertools.combinations(pool, k):
+                for lams in itertools.product(range(3), repeat=k):
+                    for m in ms:
+                        digits, mm = 0, m
+                        while mm:
+                            digits += mm % p
+                            mm //= p
+                        if m:
+                            branches["vandermonde" if min(digits, p - 1) >= k
+                                     else "stepped"] += 1
+                        dense = FpPoly.zero(mod)
+                        for s, lam in zip(shifts, lams):
+                            dense = dense + powers[s, m].scale(lam)
+                        for const in range(3):
+                            got = _structured_zero_test(
+                                list(zip(shifts, lams)), const, m, p)
+                            want = (dense + FpPoly([const], mod)).is_zero()
+                            assert got == want, (shifts, lams, const, m)
+                            outcomes.add((got, m > 0))
+        assert branches["vandermonde"] and branches["stepped"]
+        assert outcomes == {(True, True), (False, True), (True, False),
+                            (False, False)}

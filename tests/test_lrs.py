@@ -24,6 +24,7 @@ from pdml.lrs import (
     lrs_subsequence,
     lrs_zero_progression_certify,
     mat_pow,
+    mat_power_bound,
 )
 
 P5 = PrimeModulus(5)
@@ -328,6 +329,27 @@ class TestMatrixHelpers:
     def test_mat_pow(self):
         m = mat_pow([[1, 1], [0, 1]], 13)
         assert m == [[1, 13], [0, 1]]
+
+    def test_power_bound_against_every_power(self):
+        # oracle: the row sums of A^k for every k <= n, by repeated products
+        rnd = random.Random(2718)
+        cases = [[[0, 1], [-1, 2]], [[2, 1], [1, 1]], [[0, -1], [1, 0]],
+                 [[0]], [[1, 1, 0], [0, 1, 1], [0, 0, 1]]]
+        for _ in range(60):
+            n = rnd.randint(1, 4)
+            cases.append([[rnd.randint(-2, 2) if rnd.random() < 0.6 else 0
+                           for _ in range(n)] for _ in range(n)])
+        for a in cases:
+            norm = max(1, max(sum(map(abs, row)) for row in a))
+            for n in (0, 1, 2, 5, 16, 33):
+                bound = mat_power_bound(a, n)
+                for k in range(n + 1):
+                    assert bound >= max(sum(map(abs, row))
+                                        for row in mat_pow(a, k)), (a, n, k)
+                assert bound <= norm ** n
+        # a unipotent block: O(log^2 n) bits, where ||A||^n has 1.6 n
+        assert mat_power_bound([[0, 1], [-1, 2]], 2 ** 20) < 2 ** 250
+        assert mat_power_bound([[0, 1], [-1, 2]], 2 ** 20 - 1) < 2 ** 250
 
     def test_char_poly_block_split_matches_whole_matrix(self):
         # oracle: Faddeev-LeVerrier on the whole matrix, unsplit

@@ -165,13 +165,13 @@ class TestFactored:
         a = Factored.from_ratfunc(t_plus(1) * t_plus(1))
         f = Factored.from_ratfunc(t_plus(1))
         basis = _basis([a, f])
-        b = _combine((1, [0] * len(basis)), [(0, 2)], _rows([f], basis), 5)
-        assert _rows([a], basis)[0] == b
+        b = _combine((1, 0), [(0, 2)], _rows([f], basis, 1), 5)
+        assert _rows([a], basis, 1)[0] == b
 
     def test_unit_torsion(self):
         two = Factored.from_ratfunc(const(2))
         # 2^4 = 16 = 1 mod 5
-        assert _combine((1, []), [(0, 4)], _rows([two], []), 5)[0] == 1
+        assert _combine((1, 0), [(0, 4)], _rows([two], [], 1), 5)[0] == 1
 
     def test_irreducible_quadratic(self):
         # t^2 + 2 has no roots mod 5
