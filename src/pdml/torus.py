@@ -352,10 +352,9 @@ def _structured_zero_test(lin: list[tuple[int, int]], const: int, m: int,
         return None
     if m == 0:
         return (sum(l for _, l in lam) + const) % p == 0
-    D = _digit_sum(m, p) if m > 0 else 0
-    if m < 0 or min(D, p - 1) >= len(lam):
-        # W(0..len(lam)-1) = 0 is an invertible Vandermonde system: lam = 0
+    if m < 0:
         return all(l == 0 for _, l in lam) and const % p == 0
+    D = _digit_sum(m, p)
     powers = [1] * len(lam)
     for _ in range(min(D, p - 1)):
         if sum(l * x for (_, l), x in zip(lam, powers)) % p:
