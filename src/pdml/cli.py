@@ -7,6 +7,8 @@ section. Each command takes only the flags it reads (`_COMMANDS`), and a
 flag value is parsed like the instance field it overrides. An error is one
 stderr line; its class in `pdml.errors` gives the prefix and the exit code:
 2 parse, 3 validation, 4 resource cap, 5 internal invariant failure.
+Each handler imports the library layers it runs, so a process loads only
+those of its command.
 """
 
 from __future__ import annotations
@@ -17,19 +19,7 @@ import time
 from functools import partial
 
 from . import serial
-from .constructions import build_pset_variety, dml_instance, exponent_set
 from .errors import ParseError, PdmlError, ValidationError
-from .pexp import PexpInstance, pexp_classify, pexp_solve
-from .psets import ap_intersect_pset, pset_intersect_bounded
-from .torus import (
-    DEFAULT_R_MAX,
-    DEFAULT_S_MAX,
-    classify_hits,
-    frobenius_obstruction,
-    reduction_decompose,
-    return_set,
-    verify_reduction,
-)
 
 
 def _read(path: str) -> str:
@@ -79,17 +69,29 @@ def _pexp(args):
     return p, u, terms, getattr(args, "nmax", n_max), c
 
 
+def _obstruction_bounds(args) -> dict[str, int]:
+    """--rmax and --smax as keyword arguments, where given; the torus
+    functions hold their defaults."""
+    return {name: getattr(args, flag)
+            for name, flag in (("r_max", "rmax"), ("s_max", "smax"))
+            if hasattr(args, flag)}
+
+
 def cmd_return_set(args, started: float) -> str:
+    from .torus import classify_hits, return_set
+
     inst = _torus(args)
     _, phi, alpha, variety, n_max = inst
     hits = return_set(phi, alpha, variety, n_max)
-    desc = classify_hits(phi, hits, n_max, r_max=args.rmax, s_max=args.smax)
+    desc = classify_hits(phi, hits, n_max, **_obstruction_bounds(args))
     return _report(started, serial.torus_instance_to_text(*inst),
                    _lines("[result]", "hits = " + _csv(hits)),
                    serial.desc_to_text(desc))
 
 
 def cmd_solve_pexp(args, started: float) -> str:
+    from .pexp import PexpInstance, pexp_solve
+
     p, u, terms, n_max, _ = _pexp(args)
     sols = pexp_solve(PexpInstance(u, p, terms), n_max)
     solved = _csv(n for n, _ in sols)
@@ -99,6 +101,8 @@ def cmd_solve_pexp(args, started: float) -> str:
 
 
 def cmd_classify_pexp(args, started: float) -> str:
+    from .pexp import PexpInstance, pexp_classify
+
     p, u, terms, n_max, _ = _pexp(args)
     desc = pexp_classify(PexpInstance(u, p, terms), n_max)
     return _report(started, serial.pexp_instance_to_text(p, u, terms, n_max),
@@ -106,6 +110,8 @@ def cmd_classify_pexp(args, started: float) -> str:
 
 
 def cmd_intersect_psets(args, started: float) -> str:
+    from .psets import pset_intersect_bounded
+
     p, s1, s2, bound = serial.pset_pair_from_text(_read(args.input))
     bound = getattr(args, "bound", bound)
     elements, cand = pset_intersect_bounded(s1, s2, p, bound)
@@ -120,6 +126,8 @@ def cmd_intersect_psets(args, started: float) -> str:
 
 
 def cmd_ap_cap_pset(args, started: float) -> str:
+    from .psets import ap_intersect_pset
+
     p, ap, s = serial.ap_pset_from_text(_read(args.input))
     pieces = ap_intersect_pset(ap, s, p)
     return _report(started,
@@ -131,6 +139,8 @@ def cmd_ap_cap_pset(args, started: float) -> str:
 
 
 def cmd_verify_reduction(args, started: float) -> str:
+    from .torus import reduction_decompose, verify_reduction
+
     inst = _torus(args)
     _, phi, alpha, _, n_max = inst
     rd = reduction_decompose(phi, alpha)
@@ -142,6 +152,8 @@ def cmd_verify_reduction(args, started: float) -> str:
 
 
 def cmd_gen_instance(args, started: float) -> str:
+    from .constructions import dml_instance
+
     p, u, _, n_max, c = _pexp(args)
     if c is None:
         raise ValidationError("gen-instance needs the c field")
@@ -150,6 +162,8 @@ def cmd_gen_instance(args, started: float) -> str:
 
 
 def cmd_exponent_set(args, started: float) -> str:
+    from .constructions import build_pset_variety, exponent_set
+
     hits = exponent_set(build_pset_variety(args.p, args.c), args.bound)
     return _report(started,
                    _lines(f"p = {args.p.p}", "c = " + _csv(args.c),
@@ -158,9 +172,11 @@ def cmd_exponent_set(args, started: float) -> str:
 
 
 def cmd_obstruction(args, started: float) -> str:
+    from .torus import frobenius_obstruction
+
     inst = _torus(args)
     p, phi = inst[:2]
-    verdict = frobenius_obstruction(phi.matrix, p, args.rmax, args.smax)
+    verdict = frobenius_obstruction(phi.matrix, p, **_obstruction_bounds(args))
     return _report(started, serial.torus_instance_to_text(*inst),
                    _lines("[result]", f"verdict = {verdict}"))
 
@@ -169,20 +185,21 @@ def _int(what: str):
     return partial(serial.parse_int, what=what)
 
 
-# Each flag once: (parser, default, help). A flag without a default
-# overrides the instance field it is parsed like: argparse leaves it unset
-# unless it is given, and a command with no input file requires it.
+# Each flag once: (parser, help). argparse leaves a flag unset unless it
+# is given, and a command with no input file requires its flags. A given
+# flag overrides the instance field it is parsed like (--nmax, --bound) or
+# the default of the library function that reads it (--rmax, --smax).
 _FLAGS = {
-    "--nmax": (partial(serial.parse_count, what="n_max"), None,
+    "--nmax": (partial(serial.parse_count, what="n_max"),
                "override the instance n_max"),
-    "--bound": (partial(serial.parse_count, what="bound"), None,
+    "--bound": (partial(serial.parse_count, what="bound"),
                 "enumeration bound"),
-    "--p": (serial.parse_prime, None, "prime"),
-    "--c": (serial.parse_coeffs, None,
-            "comma-separated positive coefficients"),
-    "--rmax": (_int("rmax"), DEFAULT_R_MAX, "obstruction iterate bound"),
-    "--smax": (_int("smax"), DEFAULT_S_MAX,
-               "obstruction Frobenius-power bound"),
+    "--p": (serial.parse_prime, "prime"),
+    "--c": (serial.parse_coeffs, "comma-separated positive coefficients"),
+    "--rmax": (_int("rmax"),
+               "obstruction iterate bound (default torus.DEFAULT_R_MAX)"),
+    "--smax": (_int("smax"), "obstruction Frobenius-power bound "
+               "(default torus.DEFAULT_S_MAX)"),
 }
 
 # name: (handler, reads an input file, the flags it reads besides --out)
@@ -218,14 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("input", help="instance file")
         sp.add_argument("--out", help="report path (default stdout)")
         for flag in flags:
-            parse, default, text = _FLAGS[flag]
-            if default is None:
-                sp.add_argument(flag, type=parse, help=text,
-                                default=argparse.SUPPRESS,
-                                required=not needs_input)
-            else:
-                sp.add_argument(flag, type=parse, default=default,
-                                help=text + " (default %(default)s)")
+            parse, text = _FLAGS[flag]
+            sp.add_argument(flag, type=parse, help=text,
+                            default=argparse.SUPPRESS,
+                            required=not needs_input)
     return parser
 
 

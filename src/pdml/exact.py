@@ -491,13 +491,17 @@ _FACTOR_SEED = 0
 def poly_factor(poly: FpPoly) -> tuple[int, list[tuple[FpPoly, int]]]:
     """(leading coefficient, [(monic irreducible, multiplicity), ...]).
 
-    Squarefree splitting, then distinct-degree splitting, then equal-degree
-    splitting (D. Cantor and H. Zassenhaus, Math. Comp. 36 (1981)); the
-    time is polynomial in the degree and in log p. Factors are sorted by
+    Squarefree splitting by Yun's algorithm (D. Y. Y. Yun, SYMSAC 1976) in
+    at most min(p - 1, largest multiplicity) gcd steps per p-th-root level,
+    then distinct-degree splitting, then equal-degree splitting (D. Cantor
+    and H. Zassenhaus, Math. Comp. 36 (1981)); the time is polynomial in
+    the degree and in log p. A unit gives (unit, []). Factors are sorted by
     degree, then by coefficients.
     """
     if poly.is_zero():
         raise DomainError("factorisation of zero")
+    if poly.degree == 0:
+        return poly.leading(), []
     rng = random.Random(_FACTOR_SEED)
     mult: dict[FpPoly, int] = {}
     for sqf, m in _squarefree(poly.monic()):
@@ -509,26 +513,38 @@ def poly_factor(poly: FpPoly) -> tuple[int, list[tuple[FpPoly, int]]]:
 
 
 def _squarefree(f: FpPoly) -> list[tuple[FpPoly, int]]:
-    """Monic f as [(squarefree monic factor, multiplicity)].
+    """Monic f as [(squarefree monic factor, multiplicity)], by Yun's
+    algorithm in characteristic p (J. von zur Gathen and J. Gerhard,
+    Modern Computer Algebra, ch. 14).
 
-    What gcd(f, f') leaves after the multiplicities prime to p are peeled
-    off is a p-th power; its p-th root is a stride of its coefficients.
+    With a = gcd(f, f'), b = f / a and c = f' / a, step i takes
+    g = gcd(b, c - b'): the product of the factors of b whose multiplicity
+    is i mod p. Then b <- b / g, c <- (c - b') / g and a <- a / g^(i-1), so
+    at most min(p - 1, largest multiplicity) steps run, each on
+    polynomials no larger than b. What is left of a is a p-th power; its
+    p-th root is a stride of its coefficients and is split the same way.
+    So an irreducible of multiplicity i + p q with 0 < i < p and q > 0 is
+    listed twice, at i and at a multiple of p; poly_factor adds the
+    multiplicities per irreducible.
     """
     out = []
-    c = f.gcd(f.derivative())
-    w = f.divmod(c)[0]
+    df = f.derivative()
+    a = f.gcd(df)
+    b = f.divmod(a)[0]
+    c = df.divmod(a)[0]
     i = 1
-    while w.degree > 0:
-        y = w.gcd(c)
-        fac = w.divmod(y)[0]
-        if fac.degree > 0:
-            out.append((fac, i))
-        w = y
-        c = c.divmod(y)[0]
+    while b.degree > 0:
+        d = c - b.derivative()
+        g = b.gcd(d)
+        if g.degree > 0:
+            out.append((g, i))
+            a = a.divmod(g ** (i - 1))[0]
+            b = b.divmod(g)[0]
+        c = d.divmod(g)[0]
         i += 1
-    if c.degree > 0:
+    if a.degree > 0:
         p = f.modulus.p
-        root = FpPoly(c.coeffs[::p], f.modulus, _canonical=True)
+        root = FpPoly(a.coeffs[::p], f.modulus, _canonical=True)
         out.extend((g, m * p) for g, m in _squarefree(root))
     return out
 

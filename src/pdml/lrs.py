@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import lcm
 
 from .errors import DomainError, InternalError, UnsupportedError
-from .exact import PrimeModulus, is_prime
+from .exact import PrimeModulus, _guard_size, is_prime
 
 # Threshold below which lrs_eval iterates the recurrence (lrs_prefix) instead
 # of powering the companion matrix.
@@ -422,12 +422,15 @@ def lrs_nondegenerate_split(s: Lrs) -> list[tuple[int, int, Lrs]]:
     M is lrs_split_modulus of the characteristic roots, and the piece on
     {Mk + l} is lrs_subsequence(s, M, l). All pieces share one prefix of u
     and one characteristic polynomial, that of C^M: its roots are r^M for
-    each integer root r and 1 for each root of unity.
+    each integer root r and 1 for each root of unity. The prefix of
+    M * order terms is held to the degree cap, so a modulus too large to
+    split raises ResourceLimitError before any term is computed.
     """
     roots = lrs_char_roots(s)
     mod = lrs_split_modulus(roots)
     if mod == 1:
         return [(1, 0, s)]
+    _guard_size(mod * s.order)
     poly: tuple[int, ...] = (1,)
     for _ in range(len(roots.unresolved_factor) - 1):
         poly = _poly_mul_z(poly, (-1, 1))

@@ -10,12 +10,16 @@ or `[section]` text; round trips are bit-exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, ParseError, ValidationError
 from .exact import FpPoly, PrimeModulus, RatFunc
-from .lrs import Lrs
 from .psets import ArithProg, PSet, ReturnSetDesc
-from .torus import TorusPoint, TorusSelfMap, Variety
+
+if TYPE_CHECKING:
+    # imported where they are built, so a command loads only its layers
+    from .lrs import Lrs
+    from .torus import TorusPoint, TorusSelfMap, Variety
 
 
 def parse_int(text: str, what: str) -> int:
@@ -71,6 +75,8 @@ def lrs_to_text(s: Lrs) -> str:
 
 
 def lrs_from_text(text: str) -> Lrs:
+    from .lrs import Lrs
+
     parts = text.strip().split(";")
     if len(parts) != 3:
         raise ParseError(f"recurrence needs order;coeffs;initial: {text!r}")
@@ -242,6 +248,8 @@ def torus_instance_to_text(p: PrimeModulus, phi: TorusSelfMap,
 def torus_instance_from_text(
     text: str
 ) -> tuple[PrimeModulus, TorusSelfMap, TorusPoint, Variety, int]:
+    from .torus import TorusPoint, TorusSelfMap, Variety
+
     kv = _kv_dict(text)
     p = parse_prime(_require(kv, "p"))
     n_max = parse_count(_require(kv, "n_max"), "n_max")

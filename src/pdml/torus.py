@@ -26,7 +26,6 @@ from .exact import (FpPoly, PrimeModulus, RatFunc, _guard_size, poly_factor,
 from .lrs import (Lrs, _poly_mul_z, _synthetic_div, char_poly_of_matrix,
                   lrs_char_roots, lrs_prefix, lrs_root_p_dependence, mat_mul,
                   mat_power_bound, matrix_blocks)
-from .pexp import fit_solution_desc
 from .psets import ReturnSetDesc
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -731,6 +730,8 @@ def classify_hits(phi: TorusSelfMap, hits: list[int], n_max: int,
     default) fits p-sets with at most two nontrivial exponent terms. The
     description always verifies against the raw hits on [0, n_max].
     """
+    from .pexp import fit_solution_desc
+
     p = phi.translation.modulus
     notes: list[str] = []
     allow_psets = True

@@ -14,7 +14,7 @@ from pdml.exact import (
     poly_factor,
     ratfunc_int_pow,
 )
-from pdml.exact import _binary_pow
+from pdml.exact import _binary_pow, _squarefree
 
 P5 = PrimeModulus(5)
 P3 = PrimeModulus(3)
@@ -337,7 +337,13 @@ class TestFactor:
         assert check_factorisation(poly([1, 0, 1, 0, 1], P2)) == \
             [(poly([1, 1, 1], P2), 2)]
 
-    def test_unit_and_constants(self):
+    def test_unit_and_constants(self, monkeypatch):
+        # a unit is answered before any gcd is taken
+        monkeypatch.setattr(FpPoly, "gcd", None)
+        for p in (P2, P5, PrimeModulus(10**9 + 7)):
+            for c in (1, p.p - 1):
+                assert poly_factor(FpPoly.const(c, p)) == (c, [])
+        monkeypatch.undo()
         assert poly_factor(poly([3])) == (3, [])
         assert poly_factor(poly([1, 2])) == (2, [(poly([3, 1]), 1)])
         with pytest.raises(DomainError):
@@ -350,3 +356,105 @@ class TestFactor:
         f = lin ** 2 * quad * FpPoly([5, 1], p)
         assert poly_factor(f) == (1, [(lin, 2), (FpPoly([5, 1], p), 1),
                                       (quad, 1)])
+
+
+def squarefree_by_multiplicity(f: FpPoly) -> list[tuple[FpPoly, int]]:
+    """Squarefree split with one gcd against the whole cofactor per
+    multiplicity: the slow oracle for exact._squarefree."""
+    out = []
+    c = f.gcd(f.derivative())
+    w = f.divmod(c)[0]
+    i = 1
+    while w.degree > 0:
+        y = w.gcd(c)
+        fac = w.divmod(y)[0]
+        if fac.degree > 0:
+            out.append((fac, i))
+        w = y
+        c = c.divmod(y)[0]
+        i += 1
+    if c.degree > 0:
+        p = f.modulus.p
+        root = FpPoly(c.coeffs[::p], f.modulus)
+        out.extend((g, m * p) for g, m in squarefree_by_multiplicity(root))
+    return out
+
+
+def irreducibles(p: PrimeModulus, rnd: random.Random, count: int,
+                 top: int) -> list[FpPoly]:
+    """count distinct monic irreducibles of degree at most top, found by
+    trial division (linear ones only for a large p)."""
+    found: list[FpPoly] = []
+    while len(found) < count:
+        d = rnd.randint(1, top if p.p < 100 else 1)
+        g = FpPoly([rnd.randrange(p.p) for _ in range(d)] + [1], p)
+        if g not in found and all(
+                not (g % h).is_zero()
+                for k in range(1, d // 2 + 1) for h in monics(p, k)):
+            found.append(g)
+    return found
+
+
+def level_multiplicities(split, factors) -> list[int]:
+    """The multiplicity of each known irreducible, summed over the pieces
+    of a squarefree split that it divides."""
+    return [sum(m for s, m in split if (s % g).is_zero()) for g in factors]
+
+
+class TestSquarefree:
+    @staticmethod
+    def products(p: PrimeModulus, rnd: random.Random):
+        """Seeded products with multiplicities above p: p^2 k + r, several
+        factors on one residue mod p, pure p-th powers."""
+        q = p.p
+        for shape in range(12):
+            fs = irreducibles(p, rnd, rnd.randint(1, 4), 3)
+            if q > 100:
+                ms = [rnd.randint(1, 40) for _ in fs]
+            elif shape % 3 == 0:
+                ms = [q * q * rnd.randint(1, 2) + rnd.randrange(q)
+                      for _ in fs]
+            elif shape % 3 == 1:
+                r = rnd.randrange(1, q)
+                ms = [r + q * rnd.randint(0, 6) for _ in fs]
+            else:
+                ms = [q * rnd.randint(1, 9) for _ in fs]
+            yield fs, ms
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 10**9 + 7])
+    def test_against_oracle(self, q):
+        p = PrimeModulus(q)
+        rnd = random.Random(q)
+        for fs, ms in self.products(p, rnd):
+            f = FpPoly.one(p)
+            for g, m in zip(fs, ms):
+                f = f * g ** m
+            split = _squarefree(f)
+            assert all(s.is_monic() and s.degree > 0 for s, _ in split)
+            assert level_multiplicities(split, fs) == ms
+            assert level_multiplicities(
+                squarefree_by_multiplicity(f), fs) == ms
+            expanded = FpPoly.one(p)
+            for s, m in split:
+                expanded = expanded * s ** m
+            assert expanded == f
+            lead = rnd.randrange(1, q)
+            assert check_factorisation(f.scale(lead)) == sorted(
+                zip(fs, ms), key=lambda gm: (gm[0].degree, gm[0].coeffs))
+
+    def test_quartic_power_in_few_steps(self, monkeypatch):
+        # (t^4 + t^2 + 2)^112 (t + 3)^3 at p = 5, degree 451: Yun's loop
+        # takes 1 + 3, 1 + 2 and 1 + 4 gcds on the levels 112, 22 and 4 of
+        # the quartic; one gcd per multiplicity takes 113
+        quartic, lin = poly([2, 0, 1, 0, 1]), poly([3, 1])
+        f = quartic ** 112 * lin ** 3
+        assert f.degree == 451
+        calls = []
+        gcd = FpPoly.gcd
+        monkeypatch.setattr(FpPoly, "gcd",
+                            lambda a, b: calls.append(1) or gcd(a, b))
+        split = _squarefree(f)
+        monkeypatch.undo()
+        assert len(calls) == 12
+        assert level_multiplicities(split, [quartic, lin]) == [112, 3]
+        assert poly_factor(f.scale(4)) == (4, [(lin, 3), (quartic, 112)])

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from pdml.errors import UnsupportedError
+from pdml.errors import ResourceLimitError, UnsupportedError
 from pdml.exact import PrimeModulus
 import pdml.lrs as lrs_mod
 from pdml.lrs import (
@@ -215,6 +215,16 @@ class TestNondegenerateSplit:
         assert lrs_split_modulus(CharRoots((), poly)) == 997000
         assert lrs_split_modulus(CharRoots(((-2, 1), (2, 1)), poly)) == 997000
         assert lrs_split_modulus(CharRoots(((-1, 1),), (1,))) == 2
+        assert time.perf_counter() - start < 3.0
+
+    def test_split_too_large_refused(self):
+        # Phi_1000 Phi_997: 997000 pieces would need a prefix of 1.39e9
+        # terms; the split refuses once the modulus is known
+        poly = lrs_mod._poly_mul_z(cyclotomic_poly(1000), cyclotomic_poly(997))
+        s = lrs_mod.lrs_from_char_poly(poly, (1,) + (0,) * 1395)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            lrs_nondegenerate_split(s)
         assert time.perf_counter() - start < 3.0
 
     def test_cyclotomic_order_66(self):

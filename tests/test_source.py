@@ -29,14 +29,22 @@ def test_library_has_no_global():
     assert found == []
 
 
-def test_import_loads_only_what_a_module_uses():
-    """pdml/__init__ imports nothing, so the p-set layer comes without the
-    torus, construction and pexp layers."""
-    code = ("import sys, pdml.psets\n"
+def _loaded_after(module: str) -> list[str]:
+    """The pdml modules that importing module loads, in a fresh process."""
+    code = (f"import sys, {module}\n"
             "print(*sorted(m for m in sys.modules if m.startswith('pdml')))")
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
-    loaded = result.stdout.split()
-    assert "pdml.torus" not in loaded
-    assert loaded == ["pdml", "pdml.errors", "pdml.exact", "pdml.psets"]
+    return result.stdout.split()
+
+
+def test_import_loads_only_what_a_module_uses():
+    """pdml/__init__ imports nothing, so the p-set layer comes without the
+    torus, construction and pexp layers; the CLI and the text forms import
+    a layer only in the command or parser that runs it."""
+    assert _loaded_after("pdml.psets") == [
+        "pdml", "pdml.errors", "pdml.exact", "pdml.psets"]
+    assert _loaded_after("pdml.cli") == [
+        "pdml", "pdml.cli", "pdml.errors", "pdml.exact", "pdml.psets",
+        "pdml.serial"]
