@@ -14,6 +14,7 @@ its parametrization before it is released, by exact packed-int evaluation
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -482,60 +483,59 @@ def _random_poly(rng: random.Random, p: PrimeModulus) -> FpPoly:
 def exponent_set(pv: PsetVariety, bound: int) -> list[int]:
     """{m in [0, bound] : [m]P in X} by exact evaluation.
 
-    Each coordinate (t+a)^m is one int with coefficient i in slot i (see
-    exact.pack_slots); the step to (t+a)^(m+1) is a shift and an add, and
-    one multiply-shift-mask quotient reduces every slot mod p at once. The
-    linear rows are packed sums, and the rare survivors of that sieve get
-    the subresultant equations evaluated by PolySystem at e_1..e_ell'.
-    Nothing here goes through the structured membership tests of torus, so
-    this stays their independent oracle.
+    By (t+a)^m = sum_i C(m,i) a^(m-i) t^i and the identity checked by
+    vandermonde_inverse, sum_a A[k][a-1] a^j = [j = k mod (p-1)], row k at
+    [m]P is the part of b = (t+1)^m on the slots i with m - i = k mod
+    (p-1). Slot 0 holds C(m,0) = 1, so row sum(c) is 1 only if m = sum(c)
+    mod (p-1), and only those m are walked: b is one packed int, times
+    (t+1)^(p-1) per step with every slot reduced mod p by one multiply-
+    shift-mask quotient, and the linear rows are one mask. Its rare
+    survivors get the subresultant equations by PolySystem at e_1..e_ell',
+    each a sum over slot classes of b. Nothing here uses the structured
+    membership tests of torus, so this stays their independent oracle.
     """
     if bound < 0:
         raise DomainError("bound must be non-negative")
     _guard_size(bound + 1)
-    p = pv.p.p
-    # Slots hold values below 2^bits: reduced coefficients, a step's c + a*c'
-    # (below p^2) and a row sum of p - 1 products (at most (p-1)^3). For
+    p, ell, n = pv.p.p, pv.ell_prime, pv.p.p - 1
+    # Slots hold values below 2^bits: reduced coefficients, a step's sum of
+    # p products (at most p(p-1)^2) and g * b in a class (below p^2). For
     # those, floor(v * recip / 2^shift) = floor(v / p), and v * recip fits
     # in one slot, so the quotients of all slots come out in one product.
-    bits = ((p - 1) ** 3).bit_length()
+    bits = (p * n * n).bit_length()
     shift = bits + p.bit_length()
     recip = -(-(1 << shift) // p)
     width = slot_bytes(((1 << bits) - 1) * recip)
     w = 8 * width
-    mask = ((1 << (w - shift)) - 1) * (
-        ((1 << (w * (bound + 1))) - 1) // ((1 << w) - 1))
+    slot, slots = (1 << w) - 1, (1 << (w * (bound + 1))) - 1
+    mask = ((1 << (w - shift)) - 1) * (slots // slot)
+    period = ((1 << (w * n * (bound // n + 1))) - 1) // ((1 << (w * n)) - 1)
 
     def mod_p(x: int) -> int:
         return x - p * ((x * recip >> shift) & mask)
 
-    def rows(k: int) -> list[tuple[int, int]]:
-        return [(c, a) for a, c in enumerate(pv.A_inv[k]) if c]
+    def classes(residues) -> int:  # the slots i with i mod (p-1) in residues
+        return sum(slot << (w * j) for j in residues) * period & slots
 
-    one_row = rows(pv.ell_prime)
-    zero_rows = [rows(k) for k in range(pv.ell_prime + 1, p - 1)]
-    sres = (PolySystem([poly.items() for poly in pv.sres], pv.p,
-                       pv.ell_prime) if pv.sres else None)
-    xs = [1] * (p - 1)  # xs[a - 1] = (t+a)^m
+    # slot i is in row (ell - i) mod (p-1): row ell is 1, those above vanish
+    sieve = classes([0, *range(ell + 1, n)])
+    if pv.sres:
+        sres = PolySystem([poly.items() for poly in pv.sres], pv.p, ell)
+        cls = [classes([j]) for j in range(n)]
+        # e_k = e_const[k] + sum_j g[k][j] * (b on residue j)
+        g = [[sum(c * pow(a, (ell - j) % n, p) for a, c in enumerate(row, 1))
+              % p for j in range(n)] for row in pv.e_lin]
+    step = pack_slots([math.comb(n, i) % p for i in range(p)], width)
+    b = pack_slots([math.comb(ell, i) % p for i in range(ell + 1)], width)
     hits = []
-    for m in range(bound + 1):
-        if (mod_p(sum(c * xs[a] for c, a in one_row)) == 1
-                and not any(mod_p(sum(c * xs[a] for c, a in row))
-                            for row in zero_rows)
-                and (sres is None or sres.vanishes_at(_symmetric_coords(
-                    pv, xs, m + 1, width, mod_p)))):
+    for m in range(ell, bound + 1, n):
+        if b & sieve == 1 and (not pv.sres or sres.vanishes_at([FpPoly(
+                unpack_slots(mod_p(e0 + sum(gj * (b & cj) for gj, cj in zip(
+                    gk, cls) if gj)), width, m + 1), pv.p)
+                for e0, gk in zip(pv.e_const, g)])):
             hits.append(m)
-        if m < bound:
-            xs = [mod_p((x << w) + a * x) for a, x in enumerate(xs, 1)]
+        b = mod_p(b * step) & slots
     return hits
-
-
-def _symmetric_coords(pv: PsetVariety, xs: list[int], length: int,
-                      width: int, mod_p) -> list[FpPoly]:
-    """e_1..e_ell' at the packed coordinates xs."""
-    return [FpPoly(unpack_slots(mod_p(pv.e_const[k] + sum(
-        c * x for c, x in zip(pv.e_lin[k], xs))), width, length), pv.p)
-        for k in range(pv.ell_prime)]
 
 
 # ---------------------------------------------------------------------------

@@ -235,11 +235,24 @@ class FpPoly:
         return self.divmod(other)[1]
 
     def gcd(self, other: "FpPoly") -> "FpPoly":
-        """Monic gcd via Euclid; gcd(0, 0) = 0."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        """Monic gcd by Euclid on coefficient lists, computing remainders
+        only (each divisor made monic first); gcd(0, 0) = 0."""
+        self._check(other)
+        p = self.modulus.p
+        a, b = list(self.coeffs), list(other.coeffs)
+        while b:
+            inv = pow(b[-1], p - 2, p)
+            b = [x * inv % p for x in b]
+            d = len(b) - 1
+            while len(a) > d:  # cancel the top of a with t^k * b
+                top = a.pop()
+                if top:
+                    k = len(a) - d
+                    a[k:] = [(x - top * y) % p for x, y in zip(a[k:], b)]
+            while a and not a[-1]:
+                a.pop()
+            a, b = b, a
+        return FpPoly(a, self.modulus, _canonical=True).monic()
 
     def monic(self) -> "FpPoly":
         if self.is_zero():

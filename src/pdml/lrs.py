@@ -8,12 +8,14 @@ All arithmetic is exact over Python ints.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
 from .errors import DomainError, InternalError, UnsupportedError
-from .exact import PrimeModulus, _guard_size, is_prime
+from .exact import FpPoly, PrimeModulus, _guard_size, is_prime
 
 # Threshold below which lrs_eval iterates the recurrence (lrs_prefix) instead
 # of powering the companion matrix.
@@ -273,21 +275,12 @@ def _poly_divide_exact(num: list[int], den: list[int]) -> list[int] | None:
     return out
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
-
-
 def lrs_char_roots(s: Lrs) -> CharRoots:
-    """Extract integer roots (divisor scan + synthetic division)."""
+    """Integer roots with multiplicity and the factor left after dividing
+    them out. Candidates are the simple roots mod a prime q of the
+    squarefree part g, lifted by Newton's iteration mod q^(2^i) past twice
+    the Cauchy bound of g, so every integer root is one of them; each is
+    confirmed, and its multiplicity counted, by synthetic division."""
     poly = list(s.char_poly())
     roots: list[tuple[int, int]] = []
     # root 0 first: strip the zero coefficients at the low end
@@ -298,11 +291,7 @@ def lrs_char_roots(s: Lrs) -> CharRoots:
     if mult0:
         roots.append((0, mult0))
     if len(poly) > 1:
-        candidates = set()
-        for d in _divisors(poly[0]):
-            candidates.add(d)
-            candidates.add(-d)
-        for r in sorted(candidates):
+        for r in _root_candidates(poly):
             mult = 0
             while len(poly) > 1:
                 quo = _synthetic_div(poly, r)
@@ -313,6 +302,59 @@ def lrs_char_roots(s: Lrs) -> CharRoots:
             if mult:
                 roots.append((r, mult))
     return CharRoots(tuple(sorted(roots)), tuple(poly))
+
+
+def _root_candidates(f: list[int]) -> list[int]:
+    """A list of integers holding every integer root of monic f."""
+    g = _squarefree_part(f)
+    dg = [i * c for i, c in enumerate(g)][1:]
+    bound = 1 + max(map(abs, g))
+    for q in filter(is_prime, itertools.count(2)):  # g mod q squarefree
+        gq = FpPoly(g, PrimeModulus(q))
+        if gq.gcd(gq.derivative()).degree == 0:
+            break
+    out = []
+    for r in range(q):
+        if _horner(g, r) % q:
+            continue
+        mod = q
+        while mod <= 2 * bound:
+            mod *= mod
+            r = (r - _horner(g, r) * pow(_horner(dg, r), -1, mod)) % mod
+        out.append(r if 2 * r <= mod else r - mod)
+    return out
+
+
+def _squarefree_part(f: list[int]) -> list[int]:
+    """f / gcd(f, f') for monic f over Z.
+
+    The gcd G is monic with integer coefficients, and G mod q divides the
+    gcd mod every prime q. So the gcds mod primes of least degree are
+    joined by the Chinese remainder theorem, and the first candidate that
+    divides f and f' over Z is G: no gcd mod a prime has lower degree.
+    """
+    df = [i * c for i, c in enumerate(f)][1:]
+    least, mod, crt = len(f), 1, []
+    for q in filter(is_prime, itertools.count(2)):
+        gq = FpPoly(f, PrimeModulus(q)).gcd(FpPoly(df, PrimeModulus(q)))
+        if gq.degree > least:
+            continue
+        if gq.degree < least:
+            least, mod, crt = gq.degree, 1, [0] * len(gq.coeffs)
+        inv = pow(mod, -1, q)
+        crt = [c + mod * ((x - c) * inv % q) for c, x in zip(crt, gq.coeffs)]
+        mod *= q
+        gcd = [c if 2 * c <= mod else c - mod for c in crt]
+        g = _poly_divide_exact(f, gcd)
+        if g is not None and _poly_divide_exact(df, gcd) is not None:
+            return g
+
+
+def _horner(poly: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(poly):
+        acc = acc * x + c
+    return acc
 
 
 def _synthetic_div(poly: list[int], r: int) -> list[int] | None:

@@ -139,6 +139,8 @@ class _DigitAutomaton:
         self._steps: dict[tuple, tuple] = {}
 
     def target(self, M: int | Fraction) -> int | None:
+        if isinstance(M, int):
+            return M * self.D - self.const
         scaled = Fraction(M) * self.D
         return int(scaled) - self.const if scaled.denominator == 1 else None
 

@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
-from pdml.errors import ConstructionError, DomainError, InternalError
-from pdml.exact import FpPoly, PrimeModulus, RatFunc, ratfunc_int_pow
+from pdml.errors import (ConstructionError, DomainError, InternalError,
+                         ResourceLimitError)
+from pdml.exact import (FpPoly, PrimeModulus, RatFunc, ratfunc_int_pow,
+                        slot_bytes, unpack_slots)
 from pdml.constructions import (
     PolySystem,
     _self_check,
@@ -29,6 +31,46 @@ P3, P5, P7, P11, P13 = (PrimeModulus(p) for p in (3, 5, 7, 11, 13))
 
 def multiple_of_p_point(pv, m):
     return TorusPoint(tuple(ratfunc_int_pow(c, m) for c in pv.P.coords))
+
+
+def slow_exponent_set(pv, bound):
+    """exponent_set by the p - 1-coordinate walk: each (t+a)^m packed
+    and stepped for every m, every linear row summed over the coordinates,
+    and e_1..e_ell' recovered from the first ell' coordinates."""
+    p = pv.p.p
+    bits = ((p - 1) ** 3).bit_length()
+    shift = bits + p.bit_length()
+    recip = -(-(1 << shift) // p)
+    width = slot_bytes(((1 << bits) - 1) * recip)
+    w = 8 * width
+    mask = ((1 << (w - shift)) - 1) * (
+        ((1 << (w * (bound + 1))) - 1) // ((1 << w) - 1))
+
+    def mod_p(x):
+        return x - p * ((x * recip >> shift) & mask)
+
+    def rows(k):
+        return [(c, a) for a, c in enumerate(pv.A_inv[k]) if c]
+
+    one_row = rows(pv.ell_prime)
+    zero_rows = [rows(k) for k in range(pv.ell_prime + 1, p - 1)]
+    sres = (PolySystem([poly.items() for poly in pv.sres], pv.p,
+                       pv.ell_prime) if pv.sres else None)
+    xs = [1] * (p - 1)  # xs[a - 1] = (t+a)^m
+    hits = []
+    for m in range(bound + 1):
+        if (mod_p(sum(c * xs[a] for c, a in one_row)) == 1
+                and not any(mod_p(sum(c * xs[a] for c, a in row))
+                            for row in zero_rows)
+                and (sres is None or sres.vanishes_at([
+                    FpPoly(unpack_slots(mod_p(pv.e_const[k] + sum(
+                        c * x for c, x in zip(pv.e_lin[k], xs))), width,
+                        m + 1), pv.p)
+                    for k in range(pv.ell_prime)]))):
+            hits.append(m)
+        if m < bound:
+            xs = [mod_p((x << w) + a * x) for a, x in enumerate(xs, 1)]
+    return hits
 
 
 class TestVandermonde:
@@ -308,6 +350,35 @@ class TestExponentSet:
         direct = [m for m in range(80)
                   if variety_contains(pv.X, multiple_of_p_point(pv, m))]
         assert exponent_set(pv, 79) == direct
+
+    def test_multiplicity_matches_generic_variety_evaluation(self):
+        pv = build_pset_variety(P7, [1, 2])
+        direct = [m for m in range(60)
+                  if variety_contains(pv.X, multiple_of_p_point(pv, m))]
+        assert exponent_set(pv, 59) == direct == [3, 9, 15, 21, 51]
+
+    # the (p, c) of test_more_multiplicity_patterns and
+    # test_matches_pset_enumerate
+    @pytest.mark.parametrize("p,c", [
+        pytest.param(p, c, id=f"{p.p}-{','.join(map(str, c))}")
+        for p, c in ((P5, [2]), (P7, [3]), (P11, [1, 1, 2]), (P13, [1, 2]),
+                     (P5, [1, 1]), (P7, [1, 2]), (P3, [1]))])
+    def test_matches_coordinate_walk(self, p, c):
+        pv = build_pset_variety(p, c)
+        q = p.p
+        bounds = {0, 1, q - 2, q - 1}
+        for k in range(1, 5):
+            bounds |= {q ** k - 1, q ** k + 1} if q ** k < 1500 else set()
+        rng = random.Random(q * 100 + sum(c))
+        bounds |= {rng.randrange(1501) for _ in range(2)}
+        for bound in sorted(bounds):
+            assert exponent_set(pv, bound) == slow_exponent_set(pv, bound), \
+                bound
+
+    def test_bound_over_degree_cap(self):
+        pv = build_pset_variety(P5, [1, 1])
+        with pytest.raises(ResourceLimitError):
+            exponent_set(pv, 10 ** 6)
 
 
 class TestEncodeLrs:

@@ -51,6 +51,33 @@ class TestPolyOps:
         assert g == poly([4, 1])
         assert g.is_monic()
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 10007])
+    def test_gcd_matches_divmod_euclid(self, p):
+        # the remainder-only Euclid against Euclid by divmod, on pairs with
+        # a planted common factor, zero and constant inputs included
+        def divmod_gcd(a, b):
+            while not b.is_zero():
+                a, b = b, a.divmod(b)[1]
+            return a.monic() if not a.is_zero() else a
+
+        pm = PrimeModulus(p)
+        rnd = random.Random(p)
+
+        def rand(deg):
+            return FpPoly([rnd.randrange(p) for _ in range(deg + 1)], pm)
+
+        fixed = [FpPoly.zero(pm), FpPoly.one(pm), FpPoly.const(p - 1, pm)]
+        pairs = [(a, b) for a in fixed for b in fixed + [rand(3)]]
+        for _ in range(300):
+            common = rand(rnd.randint(0, 4))
+            pairs.append((rand(rnd.randint(0, 8)) * common,
+                          rand(rnd.randint(0, 8)) * common))
+        for a, b in pairs:
+            for x, y in ((a, b), (b, a)):
+                g = x.gcd(y)
+                assert g == divmod_gcd(x, y)
+                assert g.is_zero() or g.is_monic()
+
     def test_mul_mod3(self):
         # (t+1)(t+2) = t^2 + 2 over F_3
         assert poly([1, 1], P3) * poly([2, 1], P3) == poly([2, 0, 1], P3)

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -9,6 +10,7 @@ import pdml.lrs as lrs_mod
 from pdml.lrs import (
     CharRoots,
     _faddeev_leverrier,
+    _synthetic_div,
     Lrs,
     char_poly_of_matrix,
     companion_matrix,
@@ -149,6 +151,60 @@ class TestCharRoots:
                 for _ in range(mult):
                     rebuilt = _mul_z(rebuilt, [-r, 1])
             assert tuple(rebuilt) == s.char_poly()
+
+    def test_matches_divisor_scan(self):
+        # monic products of known roots (with multiplicity) and a cofactor
+        rnd = random.Random(4040)
+        for _ in range(400):
+            # at most five roots below 21 in size keep the scan short
+            want = {}
+            for _ in range(rnd.randint(0, 5)):
+                r = rnd.randint(-20, 20)
+                want[r] = want.get(r, 0) + 1
+            poly = [1]
+            for r, mult in want.items():
+                for _ in range(mult):
+                    poly = _mul_z(poly, [-r, 1])
+            cofactor = [rnd.randint(-9, 9) for _ in range(rnd.randint(0, 3))]
+            poly = _mul_z(poly, cofactor + [1])
+            if len(poly) < 2:
+                continue
+            got = lrs_char_roots(Lrs(tuple(poly[:-1]), (0,) * (len(poly) - 1)))
+            assert got == divisor_scan_roots(poly)
+            mults = dict(got.integer_roots)
+            assert all(mults.get(r, 0) >= m for r, m in want.items())
+
+    def test_huge_constant_term(self):
+        # u_n = 5^(40 n): a divisor scan would take about 10^14 divisions
+        start = time.monotonic()
+        for e in (20, 24, 40):
+            roots = lrs_char_roots(Lrs((-5 ** e,), (1,)))
+            assert roots.integer_roots == ((5 ** e, 1),)
+        roots = lrs_char_roots(Lrs((5 ** 80, -2 * 5 ** 40), (1, 1)))
+        assert roots == CharRoots(((5 ** 40, 2),), (1,))
+        assert time.monotonic() - start < 1
+
+
+def divisor_scan_roots(poly):
+    """lrs_char_roots by trial division: every divisor of the constant term
+    (after the roots at 0), each tried by synthetic division."""
+    poly, roots = list(poly), []
+    mult0 = 0
+    while len(poly) > 1 and poly[0] == 0:
+        poly, mult0 = poly[1:], mult0 + 1
+    if mult0:
+        roots.append((0, mult0))
+    if len(poly) > 1:
+        n = abs(poly[0])
+        divisors = [d for i in range(1, math.isqrt(n) + 1) if n % i == 0
+                    for d in (i, n // i)]
+        for r in sorted({s * d for d in divisors for s in (1, -1)}):
+            mult = 0
+            while len(poly) > 1 and (quo := _synthetic_div(poly, r)):
+                poly, mult = quo, mult + 1
+            if mult:
+                roots.append((r, mult))
+    return CharRoots(tuple(sorted(roots)), tuple(poly))
 
 
 def _mul_z(a, b):

@@ -444,6 +444,24 @@ class TestAutomatonMemo:
         assert pset_enumerate(S, P5, 30) == [1, 5, 25]
         assert pset_enumerate(S, P3, 30) == [1, 3, 9, 27]
 
+    def test_int_target_matches_fraction_path(self):
+        rnd = random.Random(17)
+        for _ in range(200):
+            S = PSet(tuple((Fraction(rnd.choice([-5, -2, -1, 1, 3, 7]),
+                                     rnd.choice([1, 2, 3, 4])),
+                            rnd.randint(0, 3))
+                           for _ in range(rnd.randint(1, 3))))
+            auto = psets_mod._DigitAutomaton(S, rnd.choice([2, 3, 5, 7]))
+            M = rnd.randint(-10 ** 12, 10 ** 12)
+            scaled = Fraction(M) * auto.D
+            assert scaled.denominator == 1
+            assert auto.target(M) == int(scaled) - auto.const
+            assert auto.target(Fraction(M)) == auto.target(M)
+            assert type(auto.target(M)) is int
+        auto = psets_mod._DigitAutomaton(pset_of((Fraction(1, 3), 1)), 5)
+        assert auto.target(Fraction(1, 3)) == 1
+        assert auto.target(Fraction(1, 2)) is None
+
     def test_memo_is_not_part_of_equality(self):
         S, T = pset_of((1, 1), (2, 0)), pset_of((1, 1), (2, 0))
         pset_enumerate(S, P3, 100)

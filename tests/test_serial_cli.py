@@ -149,6 +149,18 @@ class TestCli:
         assert "1*p^(1*n1)" in report
         assert "[verified_bound]\n400" in report
 
+    def test_classify_huge_constant_term(self, tmp_path):
+        # u_n = 5^(40 n): its characteristic root 5^40 comes without a
+        # divisor scan of the constant term
+        inst = tmp_path / "inst.txt"
+        inst.write_text("p = 5\nlrs = 1;-9094947017729282379150390625;1\n"
+                        "terms = 1,1\nn_max = 50\n")
+        start = time.monotonic()
+        code, report = run_cli(tmp_path, "classify-pexp", str(inst))
+        assert time.monotonic() - start < 1
+        assert code == 0
+        assert "[aps]\n1,0\n" in report
+
     def test_gen_instance_replay(self, tmp_path):
         src = tmp_path / "pexp.txt"
         src.write_text("p = 5\nlrs = 2;1,-2;0,1\nterms = 1,1 ; 1,1\n"
