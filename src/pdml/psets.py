@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from math import lcm, prod
 
@@ -37,6 +38,14 @@ _EXCLUDE_SPLIT_CAP = 64
 # pieces) 2.5 s and 98 MB, one run each on a 2-core Xeon.
 _AP_ORBIT_CAP = 10**4
 _AP_WALK_CAP = 2**18
+
+# The digit automaton reads a target in blocks of _BLOCK chunks, and each
+# chunk is the most base-p digits whose power of p stays below _WORD, one
+# CPython int digit. A block costs one big-int divmod, a chunk one divmod
+# of the block by a single-digit divisor (the fastest CPython has), and a
+# digit one divmod of small ints.
+_WORD = 2**30
+_BLOCK = 32
 
 # Singleton-union fallback in pset_intersect_bounded is only offered for
 # element sets that are plausibly complete: all below bound // p and few.
@@ -109,6 +118,18 @@ def _cleared(S: PSet) -> tuple[int, list[tuple[int, int]]]:
     return D, [(int(c * D), k) for c, k in S.terms]
 
 
+@lru_cache(maxsize=64)
+def _digit_chunks(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """p^j for j below the chunk length K, and chunk^i for i <= _BLOCK,
+    where the chunk p^K is the largest power of p below _WORD (at least p
+    itself); chunk^_BLOCK is the block."""
+    powers = [1]
+    while powers[-1] * p * p < _WORD:
+        powers.append(powers[-1] * p)
+    chunk = powers[-1] * p
+    return tuple(powers), tuple(chunk ** i for i in range(_BLOCK + 1))
+
+
 class _DigitAutomaton:
     """The base-p digit automaton of one p-set, built lazily.
 
@@ -132,6 +153,10 @@ class _DigitAutomaton:
         self.terms = [(e, k) for e, k in cleared if k >= 1]
         self.lam = lcm(*(k for _, k in self.terms))
         self.start = (1 << len(self.terms)) - 1
+        # every carry stays within cap: |carry| <= C gives |carry'| <= C
+        # for C >= sum|e_j| / (p - 1) + 2
+        self.cap = sum(abs(e) for e, _ in self.terms) // (p - 1) + 3
+        self.powers, self.chunk_powers = _digit_chunks(p)
         self._allowed: dict[int, int] = {}  # level class -> placeable terms
         # placeable unplaced terms -> {sigma mod p: [(placed, sigma), ...]}
         self._table: dict[int, dict[int, list]] = {}
@@ -182,21 +207,46 @@ class _DigitAutomaton:
 
         Above the top digit a least witness never repeats a (level class,
         state) pair, or cutting out the repeat would lower it.
+
+        Digits are read in blocks and chunks (see _BLOCK): floor(T / p^l)
+        is (high chunk^c + rest) p^j + low with 0 <= rest < chunk^c and
+        0 <= low < p^j. Such a value x q + r with 0 <= r < q has |x q + r|
+        >= |x|, and is neither 0 nor -1 unless x is, so the quotient is
+        formed only while high and then mid = high chunk^c + rest lie
+        within self.cap, which bounds every carry; elsewhere it can match
+        no carry and is not needed.
         """
+        p, cap, lam, steps = self.p, self.cap, self.lam, self._steps
+        powers, chunk_powers = self.powers, self.chunk_powers
+        chunk, block = chunk_powers[1], chunk_powers[_BLOCK]
         states = frozenset({(self.start, 0)})
         seen, pairs, start, horizon, level = set(), set(), None, None, 0
+        high, rest, c, low, j, mid, quot = T, 0, 0, 0, 0, None, T
         while states and (horizon is None or level < horizon):
-            if horizon is None and T in (0, -1):
-                key = (level % self.lam, states)
+            if horizon is None and quot in (0, -1):
+                key = (level % lam, states)
                 if key in seen:
                     horizon = start + len(pairs)
                     continue
                 start = level if start is None else start
                 seen.add(key)
                 pairs.update((key[0], s) for s in states)
-            T, digit = divmod(T, self.p)
-            nxt, done, edges = self.step(level % self.lam, states, digit)
-            yield edges, (T if T in done else None)
+            if not j:
+                if not c:
+                    high, rest = divmod(high, block)
+                    c = _BLOCK
+                rest, low = divmod(rest, chunk)
+                c, j = c - 1, len(powers)
+                mid = (high * chunk_powers[c] + rest if -cap <= high <= cap
+                       else None)
+                if mid is not None and abs(mid) > cap:
+                    mid = None
+            low, digit = divmod(low, p)
+            j -= 1
+            quot = None if mid is None else mid * powers[j] + low
+            key = (level % lam, states, digit)
+            nxt, done, edges = steps.get(key) or self.step(*key)
+            yield edges, (quot if quot in done else None)
             states, level = nxt, level + 1
 
     def witness(self, T: int) -> tuple[int, ...] | None:
@@ -272,7 +322,11 @@ def pset_contains(M: int | Fraction, S: PSet, p: PrimeModulus) -> bool:
     """Is M in S? Decides on S's digit automaton, building no witness."""
     auto = _automaton(S, p)
     T = auto.target(M)
-    return T is not None and any(h is not None for _, h in auto.walk(T))
+    if T is not None:
+        for _, high in auto.walk(T):
+            if high is not None:
+                return True
+    return False
 
 
 def pset_membership(M: int | Fraction, S: PSet, p: PrimeModulus

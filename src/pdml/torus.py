@@ -9,7 +9,9 @@ so points like (t+1)^(10^8) stay cheap. Points and varieties keep their
 factorizations, built on first use.
 Membership is a row ratio test for two terms, an exact digit-structured
 evaluation for linear equations in equal Frobenius powers, and otherwise
-dense expansion under the degree cap from one power table per equation.
+dense expansion under the degree cap from one power table per equation,
+summed as packed integers. A preperiodic orbit is walked only to its first
+detected repeat.
 Everything user-facing remains plain RatFunc coordinates; dense iteration
 (selfmap_iterate, variety_contains) stays as the independent oracle.
 """
@@ -19,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from math import prod
 
 from .errors import DomainError, InternalError, UsageError
-from .exact import (FpPoly, PrimeModulus, RatFunc, _guard_size, poly_factor,
-                    ratfunc_int_pow, slot_bytes, unpack_slots)
+from .exact import (FpPoly, PrimeModulus, RatFunc, _guard_size, pack_slots,
+                    poly_factor, ratfunc_int_pow, slot_bytes, unpack_slots)
 from .lrs import (Lrs, _poly_mul_z, _synthetic_div, char_poly_of_matrix,
                   lrs_char_roots, lrs_prefix, lrs_root_p_dependence, mat_mul,
                   mat_power_bound, matrix_blocks)
@@ -381,7 +384,8 @@ def _equation_zero(terms: list[Row], basis: list[tuple[int, ...]],
     One term never vanishes; two terms reduce to a row ratio test whose
     degrees are exact, so unequal degrees decide without expansion. Linear
     combinations of equal Frobenius powers of distinct linear bases go
-    through the digit-structured route; what remains is expanded.
+    through the digit-structured route; what remains is expanded by
+    _expanded_zero, as one packed integer sum reduced mod p once.
     """
     if len(terms) <= 2:
         return not terms or (len(terms) == 2 and _two_term_zero(*terms, p.p))
@@ -394,24 +398,46 @@ def _expanded_zero(terms: list[Row], basis: list[tuple[int, ...]],
                    p: PrimeModulus, width: int) -> bool:
     """Dense zero test under the degree cap, the only route that decodes
     rows. Stripping the common monomial leaves zeroness alone and makes each
-    term a polynomial; each distinct power of a key is computed once."""
+    term a polynomial. The cap is checked on every term before any product;
+    each distinct power of a key is computed once, reduced mod p, and
+    packed once (exact.pack_slots). Each term is then the unreduced big-int
+    product of its packed powers times its unit, the terms are summed over
+    Z, and the sum is unpacked once and tested slot by slot mod p.
+
+    Slot bound: a coefficient of a product of k polynomials of lengths
+    L_1 <= ... <= L_k is a sum of at most L_1 ... L_(k-1) products of k
+    coefficients below p, so a term with unit u has coefficients at most
+    u (p-1)^k L_1 ... L_(k-1). The slots are as wide as the sum of these
+    bounds over the terms, so no slot of any partial sum carries.
+    """
     n, half = len(basis), 1 << (8 * width - 1)
     bias = half * ((1 << (8 * width * n)) - 1) // ((1 << (8 * width)) - 1)
     rows = [[e - half for e in unpack_slots(q + bias, width, n)]
             for _, q in terms]
     common = [min(col) for col in zip(*rows)]
+    pv = p.p
     table: dict[tuple[int, int], FpPoly] = {}
-    total = FpPoly.zero(p)
+    products = []
+    bound = 0
     for (unit, _), row in zip(terms, rows):
         exps = [(i, e - c) for i, e, c in zip(range(n), row, common) if e > c]
         _guard_size(sum((len(basis[i]) - 1) * e for i, e in exps) + 1)
-        term = FpPoly.one(p)
         for i, e in exps:
             if (i, e) not in table:
                 table[i, e] = FpPoly(basis[i], p, _canonical=True) ** e
-            term = term * table[i, e]
-        total = total + term.scale(unit)
-    return total.is_zero()
+        lens = sorted(len(table[key].coeffs) for key in exps)
+        bound += unit * (pv - 1) ** len(lens) * prod(lens[:-1])
+        products.append((unit, exps))
+    slot = slot_bytes(bound)
+    packed = {key: pack_slots(f.coeffs, slot) for key, f in table.items()}
+    total = 0
+    for unit, exps in products:
+        term = unit
+        for key in exps:
+            term *= packed[key]
+        total += term
+    return not total or not any(v % pv for v in unpack_slots(
+        total, slot, -(-total.bit_length() // (8 * slot))))
 
 
 def _two_term_zero(a: Row, b: Row, p: int) -> bool:
@@ -460,7 +486,15 @@ def return_set(phi: TorusSelfMap, alpha: TorusPoint, v: Variety,
     """{n <= n_max : Phi^n(alpha) in V} by sequential iteration.
 
     alpha, y and the equation coefficients become rows over one basis; a
-    step cur -> y * [A]cur is an integer row recurrence."""
+    step cur -> y * [A]cur is an integer row recurrence. One orbit row is
+    kept, replaced at every n that is a power of two (R. P. Brent, BIT 20
+    (1980)), and each new row is compared with it. Rows are one-to-one, so
+    the first n whose row equals the one kept from m has Phi^n(alpha) =
+    Phi^m(alpha): the orbit repeats with period n - m from m on, and the
+    hits beyond n are read off those of m..n-1 without testing. A
+    preperiodic orbit (finite-order map, torsion start point) stops within
+    about twice its preperiod plus period; any other orbit pays one row
+    comparison per step."""
     if n_max < 0:
         raise DomainError("n_max must be non-negative")
     if v.n_vars != alpha.dim or phi.dim != alpha.dim:
@@ -479,10 +513,20 @@ def return_set(phi: TorusSelfMap, alpha: TorusPoint, v: Variety,
                  for eq in f_eqs]
     orbit = _orbit(phi, _rows(f_alpha, basis, width),
                    _rows(f_y, basis, width), p.p, n_max)
-    return [n for n, cur in enumerate(orbit)
-            if all(_equation_zero([_combine(coeff, ev, cur, p.p)
-                                   for ev, coeff in eq], basis, p, width)
-                   for eq in equations)]
+    inside: list[bool] = []
+    saved, m = None, 0
+    for n, cur in enumerate(orbit):
+        if cur == saved:
+            inside += [inside[m + (k - m) % (n - m)]
+                       for k in range(n, n_max + 1)]
+            break
+        if not n & (n - 1):
+            saved, m = cur, n
+        inside.append(all(_equation_zero([_combine(coeff, ev, cur, p.p)
+                                          for ev, coeff in eq],
+                                         basis, p, width)
+                          for eq in equations))
+    return [n for n, hit in enumerate(inside) if hit]
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,14 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pdml.torus as torus_mod
 from pdml.cli import main
 from pdml.constructions import dml_instance
 from pdml.errors import ResourceLimitError
 from pdml.exact import (_DEGREE_CAP, FpPoly, PrimeModulus, RatFunc,
-                        ratfunc_int_pow)
+                        ratfunc_int_pow, slot_bytes)
 from pdml.lrs import Lrs, lrs_prefix, mat_pow
 from pdml.psets import PSet, pset_enumerate, pset_membership
 from pdml.torus import (
@@ -696,6 +697,238 @@ class TestPackedRows:
         with pytest.raises(ResourceLimitError):
             torus_mod._expanded_zero(terms, basis, p, 4)
         assert powers == []
+
+
+class TestPreperiodicCutoff:
+    """return_set stops a repeating orbit at its first detected repeat;
+    list_return_set, which tests every n, is the full-walk oracle."""
+
+    @staticmethod
+    def _count_tests(monkeypatch):
+        calls = []
+        test = torus_mod._equation_zero
+
+        def counted(*args):
+            calls.append(1)
+            return test(*args)
+
+        monkeypatch.setattr(torus_mod, "_equation_zero", counted)
+        return calls
+
+    @staticmethod
+    def _varieties(p):
+        one = RatFunc.one(p)
+        x1 = ((1, 0), one)
+        return [
+            # x1 = t + 1, x1 = x2, x1 + x2 + 1 = 0 (expanded route), and
+            # x1 x2 = t + 1 with x1^2 = x2 (two equations)
+            Variety(2, ((x1, ((0, 0), -lin(1, p))),)),
+            Variety(2, ((x1, ((0, 1), -one)),)),
+            Variety(2, ((x1, ((0, 1), one), ((0, 0), one)),)),
+            Variety(2, ((((1, 1), one), ((0, 0), -lin(1, p))),
+                        (((2, 0), one), ((0, 1), -one)))),
+        ]
+
+    @pytest.mark.parametrize("order, matrix", [
+        (2, ((0, 1), (1, 0))), (3, ((0, -1), (1, -1))),
+        (4, ((0, -1), (1, 0))), (6, ((1, -1), (1, 0)))])
+    def test_finite_order_maps(self, monkeypatch, order, matrix):
+        assert mat_pow([list(r) for r in matrix], order) == [[1, 0], [0, 1]]
+        rnd = random.Random(order)
+        for p in (P5, P7):
+            t = RatFunc(FpPoly([0, 1], p))
+            starts = [TorusPoint((lin(1, p), lin(2, p) * lin(2, p) / lin(3, p))),
+                      TorusPoint((lin(1, p), lin(1, p).inv())),
+                      TorusPoint((RatFunc.const(2, p), t))]
+            # I + A + ... + A^(order-1) = 0 for orders 3, 4 and 6, so any
+            # translation keeps the period; the swap needs y2 = 1 / y1
+            ys = [TorusPoint.identity(2, p),
+                  TorusPoint((lin(2, p), lin(2, p).inv()))]
+            if order > 2:
+                ys.append(TorusPoint((lin(rnd.randrange(p.p), p),
+                                      RatFunc.const(3, p) * t)))
+            for y in ys:
+                phi = TorusSelfMap(matrix, y)
+                for alpha in starts:
+                    for v in self._varieties(p):
+                        calls = self._count_tests(monkeypatch)
+                        hits = return_set(phi, alpha, v, 60)
+                        assert len(calls) <= 2 * 20
+                        monkeypatch.undo()
+                        assert hits == list_return_set(phi, alpha, v, 60)
+                        assert hits == sorted(
+                            n for n in range(61)
+                            if n % order in {h for h in hits if h < order})
+
+    def test_inverse_with_any_translation(self):
+        # x -> y / x: Phi^2(x) = y / (y / x) = x, so the period is 2
+        for p in (P5, P7):
+            for y in (lin(3, p) * lin(3, p), RatFunc.const(2, p) / lin(1, p)):
+                phi = TorusSelfMap(((-1,),), TorusPoint((y,)))
+                alpha = TorusPoint((lin(1, p),))
+                for target in (lin(1, p), y / lin(1, p), lin(2, p)):
+                    v = Variety(1, ((((1,), RatFunc.one(p)),
+                                     ((0,), -target)),))
+                    hits = return_set(phi, alpha, v, 41)
+                    assert hits == list_return_set(phi, alpha, v, 41)
+                    first = dense_hits(phi, alpha, v, 1)
+                    assert hits == [n for n in range(42) if n % 2 in first]
+
+    def test_nilpotent_orbit_is_constant_after_its_tail(self, monkeypatch):
+        # A^2 = 0: Phi^n(alpha) = y [A]y for every n >= 2
+        p = P5
+        phi = TorusSelfMap(((0, 1), (0, 0)),
+                           TorusPoint((lin(1, p), lin(2, p))))
+        alpha = TorusPoint((lin(3, p), lin(4, p)))
+        tail = selfmap_iterate(phi, alpha, 2)
+        one = RatFunc.one(p)
+        for v in self._varieties(p) + [Variety(2, (
+                (((1, 0), one), ((0, 0), -tail.coords[0])),))]:
+            calls = self._count_tests(monkeypatch)
+            hits = return_set(phi, alpha, v, 50)
+            assert len(calls) <= 2 * 4
+            monkeypatch.undo()
+            assert hits == list_return_set(phi, alpha, v, 50)
+            assert hits == dense_hits(phi, alpha, v, 6) + [
+                n for n in hits if n > 6]
+        assert return_set(phi, alpha, v, 50) == list(range(2, 51))
+
+    def test_unit_period_longer_than_row_period(self):
+        # A = I, y = 2 at p = 5: the exponent rows repeat every step but
+        # 2 has order 4 mod 5, so Phi^n(alpha) = 2^n alpha has period 4
+        p = P5
+        phi = TorusSelfMap(((1,),), TorusPoint((RatFunc.const(2, p),)))
+        alpha = TorusPoint((lin(1, p),))
+        v = Variety(1, ((((1,), RatFunc.one(p)),
+                         ((0,), -RatFunc.const(3, p) * lin(1, p))),))
+        want = [n for n in range(30) if n % 4 == 3]
+        assert return_set(phi, alpha, v, 29) == want
+        assert list_return_set(phi, alpha, v, 29) == want
+
+    def test_short_ranges(self):
+        # n_max = 0, and n_max below the period of the order-6 map
+        p = P7
+        phi = TorusSelfMap.endomorphism(((1, -1), (1, 0)), p)
+        alpha = TorusPoint((lin(1, p), lin(2, p)))
+        for v in self._varieties(p):
+            for n_max in range(8):
+                assert return_set(phi, alpha, v, n_max) == \
+                    list_return_set(phi, alpha, v, n_max)
+        v = Variety(2, ((((1, 0), RatFunc.one(p)), ((0, 0), -lin(1, p))),))
+        assert return_set(phi, alpha, v, 0) == [0]
+        assert return_set(phi, alpha, v, 5) == [0]
+        assert return_set(phi, alpha, v, 6) == [0, 6]
+
+    def test_dml_orbits_never_repeat(self, monkeypatch):
+        # lin5 and lin7: u_n = n + s, whose orbit rows keep growing
+        for p, c in ((P5, [1, 1]), (P7, [1, 2])):
+            for s in (0, 3):
+                phi, alpha, v = dml_instance(Lrs((1, -2), (s, s + 1)), p, c)
+                calls = self._count_tests(monkeypatch)
+                hits = return_set(phi, alpha, v, 30)
+                assert len(calls) >= 31
+                monkeypatch.undo()
+                assert hits == list_return_set(phi, alpha, v, 30)
+                assert hits == sorted(
+                    n for n in range(31) if pset_membership(
+                        n + s, PSet(tuple((Fraction(ci), 1) for ci in c)),
+                        p) is not None)
+
+
+def _irreducibles(p):
+    """Monic irreducibles of degree 1 and 2 over F_p (at most eight)."""
+    out = [(a, 1) for a in range(min(p, 5))]
+    out += [(c, b, 1) for b in range(min(p, 4)) for c in range(1, min(p, 4))
+            if all((r * r + b * r + c) % p for r in range(p))]
+    return out[:8]
+
+
+def _packed_terms(spec, width):
+    """(unit, exponent list) pairs as _expanded_zero's rows."""
+    return [(u, pack(row, width)) for u, row in spec]
+
+
+def _dense_zero(spec, basis, p):
+    """The FpPoly expansion after stripping the common monomial."""
+    common = [min(col) for col in zip(*(row for _, row in spec))]
+    total = FpPoly.zero(p)
+    for unit, row in spec:
+        term = FpPoly.const(unit, p)
+        for key, e, c in zip(basis, row, common):
+            term = term * FpPoly(key, p) ** (e - c)
+        total = total + term
+    return total.is_zero()
+
+
+def _expanded(spec, basis, p):
+    width = slot_bytes(2 * max(abs(e) for _, row in spec for e in row) + 1)
+    return torus_mod._expanded_zero(_packed_terms(spec, width), basis, p,
+                                    width)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_packed_expansion_matches_fppoly(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 10007]))
+    pool = _irreducibles(p) if p < 100 else [
+        (a, 1) for a in (1, 2, 5000, 10005, 10006)]
+    basis = sorted(data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                      max_size=4, unique=True)))
+    top = 12 if p < 100 else 6
+    row = st.lists(st.integers(-3, top), min_size=len(basis),
+                   max_size=len(basis))
+    spec = data.draw(st.lists(st.tuples(st.integers(1, p - 1), row),
+                              min_size=1, max_size=6))
+    # cancelling copies: f g - g f is one row with units u and p - u
+    for u, r in data.draw(st.lists(st.sampled_from(spec), max_size=3)):
+        spec.append((p - u, r))
+    assert _expanded(spec, [tuple(k) for k in basis], PrimeModulus(p)) \
+        == _dense_zero(spec, basis, PrimeModulus(p))
+
+
+class TestPackedExpansion:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_frobenius_binomials_cancel(self, p):
+        # (t+a)^(p^k) - t^(p^k) - a^(p^k) = 0; any other constant is not
+        mod = PrimeModulus(p)
+        for a in range(1, p):
+            basis = [(0, 1), (a, 1)]
+            for k in range(4):
+                q = p ** k
+                for c in range(1, p):
+                    spec = [(1, [0, q]), (p - 1, [q, 0]), (c, [0, 0])]
+                    want = c == -a % p
+                    assert _expanded(spec, basis, mod) == want
+                    assert _dense_zero(spec, basis, mod) == want
+
+    def test_three_factor_terms_at_a_large_prime(self):
+        # coefficients reach (p-1)^3 L1 L2 before the sum is reduced
+        p = 10007
+        mod = PrimeModulus(p)
+        basis = [(1, 1), (5000, 1), (10006, 1)]
+        rnd = random.Random(10007)
+        zeros = 0
+        for _ in range(40):
+            spec = [(rnd.randint(p - 50, p - 1),
+                     [rnd.randint(1, 9) for _ in basis])
+                    for _ in range(rnd.randint(3, 6))]
+            spec += [(p - u, r) for u, r in spec[:rnd.randint(0, 6)]]
+            want = _dense_zero(spec, basis, mod)
+            assert _expanded(spec, basis, mod) == want
+            zeros += want
+        assert 0 < zeros < 40
+
+    def test_degree_cap_error_unchanged(self):
+        p = P5
+        basis = [(1, 1), (2, 1)]
+        spec = [(1, [0, 0]), (1, [_DEGREE_CAP, 0]), (2, [0, 1])]
+        with pytest.raises(ResourceLimitError, match="exceeds cap"):
+            _expanded(spec, basis, p)
+        # the cap counts coefficients after the common monomial is gone
+        spec = [(1, [_DEGREE_CAP, 1]), (1, [_DEGREE_CAP, 0]),
+                (3, [_DEGREE_CAP, 2])]
+        assert _expanded(spec, basis, p) == _dense_zero(
+            [(u, [0, e]) for u, (_, e) in spec], basis, p)
 
 
 class TestStructuredExhaustive:

@@ -497,6 +497,73 @@ def test_automaton_agrees_with_brute_force(p, terms, exps, offset, bound):
         v for v in want if 0 <= v <= bound)
 
 
+class PerDigitAutomaton(psets_mod._DigitAutomaton):
+    """The walk reading one digit per divmod of the whole target: the
+    oracle for the walk that reads blocks and chunks of digits."""
+
+    def walk(self, T):
+        states = frozenset({(self.start, 0)})
+        seen, pairs, start, horizon, level = set(), set(), None, None, 0
+        while states and (horizon is None or level < horizon):
+            if horizon is None and T in (0, -1):
+                key = (level % self.lam, states)
+                if key in seen:
+                    horizon = start + len(pairs)
+                    continue
+                start = level if start is None else start
+                seen.add(key)
+                pairs.update((key[0], s) for s in states)
+            T, digit = divmod(T, self.p)
+            nxt, done, edges = self.step(level % self.lam, states, digit)
+            yield edges, (T if T in done else None)
+            states, level = nxt, level + 1
+
+
+class TestChunkedWalk:
+    """Targets of up to several blocks of digits (psets._BLOCK chunks of
+    one CPython digit each), near members and anywhere, of both signs."""
+
+    @pytest.mark.parametrize("p", [2, 5, 7])
+    def test_same_walk_and_witnesses_as_per_digit(self, p):
+        rnd = random.Random(9000 + p)
+        decisions = set()
+        for _ in range(60):
+            # large coefficients make the carry bound large too
+            big = rnd.random() < 0.3
+            terms = [(Fraction(rnd.choice([-1, 1]) * (
+                rnd.randint(1, 10**30) if big else rnd.randint(1, 6)),
+                rnd.choice([1, 1, 2, 3])), rnd.randint(0, 3))
+                for _ in range(rnd.randint(1, 3))]
+            S = PSet(tuple(terms))
+            fast = psets_mod._DigitAutomaton(S, p)
+            slow = PerDigitAutomaton(S, p)
+            for _ in range(6):
+                exps = [rnd.randint(0, rnd.choice([5, 400, 1500]))
+                        for _ in terms]
+                M = math.floor(reassemble(S, p, exps))
+                M += rnd.choice([0, 0, 1, -1, rnd.randint(-10**6, 10**6)])
+                if rnd.random() < 0.25:
+                    M = rnd.choice([-1, 1]) * rnd.getrandbits(
+                        rnd.randint(1, 4000))
+                T = fast.target(M)
+                assert list(fast.walk(T)) == list(slow.walk(T)), (S, M)
+                w = fast.witness(T)
+                assert w == slow.witness(T), (S, M)
+                decisions.add((w is not None, T < 0))
+        assert {True, False} <= {member for member, _ in decisions}
+
+    def test_chunk_and_block_sizes(self):
+        for p in (2, 5, 7, 10007, 2**31 - 1):
+            powers, chunk_powers = psets_mod._digit_chunks(p)
+            chunk = chunk_powers[1]
+            assert powers == tuple(p ** j for j in range(len(powers)))
+            assert chunk == p ** len(powers)
+            assert chunk < psets_mod._WORD or len(powers) == 1
+            assert chunk * p >= psets_mod._WORD
+            assert chunk_powers == tuple(
+                chunk ** i for i in range(psets_mod._BLOCK + 1))
+
+
 # ---------------------------------------------------------------------------
 # Fit refutation: every shape, enumerated, is the slow path
 # ---------------------------------------------------------------------------
