@@ -8,7 +8,8 @@ flag value is parsed like the instance field it overrides. An error is one
 stderr line; its class in `pdml.errors` gives the prefix and the exit code:
 2 parse, 3 validation, 4 resource cap, 5 internal invariant failure.
 Each handler imports the library layers it runs, so a process loads only
-those of its command.
+those of its command; the pexp handlers parse their file first, so a
+malformed one fails before pexp loads.
 """
 
 from __future__ import annotations
@@ -90,9 +91,9 @@ def cmd_return_set(args, started: float) -> str:
 
 
 def cmd_solve_pexp(args, started: float) -> str:
+    p, u, terms, n_max, _ = _pexp(args)
     from .pexp import PexpInstance, pexp_solve
 
-    p, u, terms, n_max, _ = _pexp(args)
     sols = pexp_solve(PexpInstance(u, p, terms), n_max)
     solved = _csv(n for n, _ in sols)
     return _report(started, serial.pexp_instance_to_text(p, u, terms, n_max),
@@ -101,9 +102,9 @@ def cmd_solve_pexp(args, started: float) -> str:
 
 
 def cmd_classify_pexp(args, started: float) -> str:
+    p, u, terms, n_max, _ = _pexp(args)
     from .pexp import PexpInstance, pexp_classify
 
-    p, u, terms, n_max, _ = _pexp(args)
     desc = pexp_classify(PexpInstance(u, p, terms), n_max)
     return _report(started, serial.pexp_instance_to_text(p, u, terms, n_max),
                    serial.desc_to_text(desc))

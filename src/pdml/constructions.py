@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .errors import (ConstructionError, DomainError, InternalError,
                      ResourceLimitError)
-from .exact import (FpPoly, PrimeModulus, RatFunc, _guard_size, pack_slots,
-                    ratfunc_int_pow, slot_bytes, unpack_slots)
+from .exact import (FpPoly, PrimeModulus, RatFunc, Record, _guard_size,
+                    pack_slots, ratfunc_int_pow, slot_bytes, unpack_slots)
 from .lrs import Lrs, companion_matrix, mat_pow
 from .torus import Equation, TorusPoint, TorusSelfMap, Variety
 
@@ -202,20 +201,19 @@ def _partitions_at_most(total: int, max_parts: int,
     return sorted(set(out))
 
 
-@dataclass(frozen=True)
-class PsetVariety:
-    """The torus variety whose multiple-of-P membership set is a p-set."""
+class PsetVariety(Record):
+    """The torus variety whose multiple-of-P membership set is a p-set;
+    e_k = e_const[k] + sum_a e_lin[k][a] * x_(a+1) for k = 1..ell'."""
 
-    p: PrimeModulus
-    coefficients: tuple[int, ...]
-    X: Variety
-    P: TorusPoint
-    A_inv: tuple[tuple[int, ...], ...]
-    ell_prime: int
-    # e_k = e_const[k] + sum_a e_lin[k][a] * x_(a+1) for k = 1..ell'
-    e_lin: tuple[tuple[int, ...], ...]
-    e_const: tuple[int, ...]
-    sres: tuple[SymPoly, ...]
+    __slots__ = ("p", "coefficients", "X", "P", "A_inv", "ell_prime", "e_lin",
+                 "e_const", "sres")
+
+    def __init__(self, p: PrimeModulus, coefficients: tuple[int, ...],
+                 X: Variety, P: TorusPoint, A_inv: tuple[tuple[int, ...], ...],
+                 ell_prime: int, e_lin: tuple[tuple[int, ...], ...],
+                 e_const: tuple[int, ...], sres: tuple[SymPoly, ...]):
+        self._init(p, coefficients, X, P, A_inv, ell_prime, e_lin, e_const,
+                   sres)
 
 
 def build_pset_variety(p: PrimeModulus, c: list[int]) -> PsetVariety:
@@ -543,16 +541,17 @@ def exponent_set(pv: PsetVariety, bound: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LrsEncoding:
+class LrsEncoding(Record):
     """Companion realization with pi(Phi^n(Q)) = P^(u_n)."""
 
-    N: int
-    phi_matrix: tuple[tuple[int, ...], ...]
-    pi_exponents: tuple[int, ...]
-    Q: TorusPoint
-    base_point: RatFunc
-    initial_exponents: tuple[int, ...]
+    __slots__ = ("N", "phi_matrix", "pi_exponents", "Q", "base_point",
+                 "initial_exponents")
+
+    def __init__(self, N: int, phi_matrix: tuple[tuple[int, ...], ...],
+                 pi_exponents: tuple[int, ...], Q: TorusPoint,
+                 base_point: RatFunc, initial_exponents: tuple[int, ...]):
+        self._init(N, phi_matrix, pi_exponents, Q, base_point,
+                   initial_exponents)
 
 
 def encode_lrs(u: Lrs, P: RatFunc, p: PrimeModulus) -> LrsEncoding:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
+from operator import attrgetter
 
 from .errors import DomainError, ResourceLimitError, UsageError
 
@@ -60,15 +60,58 @@ class UnsupportedPrimeSize(DomainError):
         super().__init__(f"primality test limited to n < {_MR_LIMIT}, got {n}")
 
 
-@dataclass(frozen=True)
-class PrimeModulus:
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the value classes: a subclass lists its fields in __slots__
+    and sets them in its __init__ with _init. Equality (between instances
+    of one class), hashing and repr read the slots not starting with "_";
+    those that do hold caches. Assigning or deleting an attribute raises
+    AttributeError."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = fields = tuple(s for s in cls.__slots__ if s[0] != "_")
+        get = attrgetter(*fields)
+        # obj -> the tuple of its field values, one field included
+        cls._values = staticmethod(
+            get if len(fields) > 1 else lambda obj: (get(obj),))
+
+    def _init(self, *values):
+        """Set every slot, in __slots__ order."""
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PrimeModulus(Record):
     """A prime p, validated once at construction so hot loops need not."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise DomainError(f"{self.p} is not prime")
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise DomainError(f"{p} is not prime")
+        self._init(p)
 
     def __repr__(self):
         return f"PrimeModulus({self.p})"

@@ -10,36 +10,33 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
 from .errors import DomainError, InternalError, UnsupportedError
-from .exact import FpPoly, PrimeModulus, _guard_size, is_prime
+from .exact import FpPoly, PrimeModulus, Record, _guard_size, is_prime
 
 # Threshold below which lrs_eval iterates the recurrence (lrs_prefix) instead
 # of powering the companion matrix.
 _ITER_LIMIT = 1024
 
 
-@dataclass(frozen=True)
-class Lrs:
+class Lrs(Record):
     """Integer linear recurrence sequence of fixed order.
 
     rec_coeffs = (c_0, ..., c_{d-1}) encodes
     u_{n+d} + c_{d-1} u_{n+d-1} + ... + c_0 u_n = 0.
     """
 
-    rec_coeffs: tuple[int, ...]
-    initial: tuple[int, ...]
+    __slots__ = ("rec_coeffs", "initial")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rec_coeffs", tuple(self.rec_coeffs))
-        object.__setattr__(self, "initial", tuple(self.initial))
-        if len(self.rec_coeffs) < 1:
+    def __init__(self, rec_coeffs: tuple[int, ...], initial: tuple[int, ...]):
+        rec_coeffs, initial = tuple(rec_coeffs), tuple(initial)
+        if len(rec_coeffs) < 1:
             raise DomainError("order must be at least 1")
-        if len(self.initial) != len(self.rec_coeffs):
+        if len(initial) != len(rec_coeffs):
             raise DomainError("need exactly d initial terms for order d")
+        self._init(rec_coeffs, initial)
 
     @property
     def order(self) -> int:
@@ -239,16 +236,18 @@ def lrs_zero_progression_certify(s: Lrs, a: int, b: int) -> bool:
     return all(v == 0 for v in lrs_prefix(sub, sub.order - 1))
 
 
-@dataclass(frozen=True)
-class CharRoots:
+class CharRoots(Record):
     """Integer roots with multiplicity plus the unresolved integer factor.
 
     prod (x - r)^mult  *  unresolved_factor == char poly of the sequence,
     with unresolved_factor monic, lowest degree first.
     """
 
-    integer_roots: tuple[tuple[int, int], ...]
-    unresolved_factor: tuple[int, ...]
+    __slots__ = ("integer_roots", "unresolved_factor")
+
+    def __init__(self, integer_roots: tuple[tuple[int, int], ...],
+                 unresolved_factor: tuple[int, ...]):
+        self._init(integer_roots, unresolved_factor)
 
     def root_set(self) -> set[int]:
         return {r for r, _ in self.integer_roots}
@@ -484,20 +483,23 @@ def lrs_nondegenerate_split(s: Lrs) -> list[tuple[int, int, Lrs]]:
             for l in range(mod)]
 
 
-@dataclass(frozen=True)
-class RootPVerdict:
-    """Multiplicative dependence of a single integer root on the prime p."""
+class RootPVerdict(Record):
+    """Multiplicative dependence of a single integer root on the prime p;
+    |root| == p^s when dependent."""
 
-    root: int
-    dependent: bool
-    s: int | None = None    # |root| == p^s when dependent
-    sign: int | None = None
+    __slots__ = ("root", "dependent", "s", "sign")
+
+    def __init__(self, root: int, dependent: bool, s: int | None = None,
+                 sign: int | None = None):
+        self._init(root, dependent, s, sign)
 
 
-@dataclass(frozen=True)
-class RootPReport:
-    verdicts: tuple[RootPVerdict, ...]
-    unresolved_unknown: bool
+class RootPReport(Record):
+    __slots__ = ("verdicts", "unresolved_unknown")
+
+    def __init__(self, verdicts: tuple[RootPVerdict, ...],
+                 unresolved_unknown: bool):
+        self._init(verdicts, unresolved_unknown)
 
     def all_independent(self) -> bool:
         return not self.unresolved_unknown and not any(

@@ -11,12 +11,11 @@ is mandatory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DomainError, InternalError, UnsupportedError,
                      ValidationError)
-from .exact import PrimeModulus
+from .exact import PrimeModulus, Record
 from .lrs import (
     Lrs,
     lrs_char_roots,
@@ -40,20 +39,18 @@ _PSET_FIT_MIN = 4
 _EXCEPTIONAL_CAP = 64
 
 
-@dataclass(frozen=True)
-class PexpInstance:
+class PexpInstance(Record):
     """u_n = sum c_i p^(k_i n_i); empty terms mean the void equation, which
     every n satisfies."""
 
-    u: Lrs
-    p: PrimeModulus
-    terms: tuple[tuple[int, int], ...]
+    __slots__ = ("u", "p", "terms")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "terms", tuple((int(c), int(k)) for c, k in self.terms))
-        if any(k < 0 for _, k in self.terms):
+    def __init__(self, u: Lrs, p: PrimeModulus,
+                 terms: tuple[tuple[int, int], ...]):
+        terms = tuple((int(c), int(k)) for c, k in terms)
+        if any(k < 0 for _, k in terms):
             raise DomainError("exponent multipliers must be non-negative")
+        self._init(u, p, terms)
 
     def nontrivial_terms(self) -> int:
         return sum(1 for c, k in self.terms if k >= 1 and c != 0)
@@ -274,8 +271,7 @@ def _affine_pset(ps: PSet, scale: int, shift: int) -> PSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FArithSeq:
+class FArithSeq(Record):
     """n in an ambient progression with U_n = sum_i U^(i)_(n_i) solvable.
 
     Nontrivial parts must have all integer characteristic roots equal to
@@ -283,23 +279,22 @@ class FArithSeq:
     trivial and act as fixed summands.
     """
 
-    p: PrimeModulus
-    ap: ArithProg
-    U: Lrs
-    parts: tuple[Lrs, ...]
+    __slots__ = ("p", "ap", "U", "parts")
 
-    def __post_init__(self):
-        for part in self.parts:
+    def __init__(self, p: PrimeModulus, ap: ArithProg, U: Lrs,
+                 parts: tuple[Lrs, ...]):
+        for part in parts:
             if _is_constant(part):
                 continue
             roots = lrs_char_roots(part)
             if not roots.fully_resolved():
                 raise ValidationError(
                     "part has unresolved non-integer characteristic roots")
-            for v in lrs_root_p_dependence(roots, self.p).verdicts:
+            for v in lrs_root_p_dependence(roots, p).verdicts:
                 if not v.dependent or v.sign < 0:
                     raise ValidationError(
-                        f"part root {v.root} is not a power of p = {self.p.p}")
+                        f"part root {v.root} is not a power of p = {p.p}")
+        self._init(p, ap, U, parts)
 
 
 def _is_constant(s: Lrs) -> bool:
@@ -307,10 +302,11 @@ def _is_constant(s: Lrs) -> bool:
     return all(v == vals[0] for v in vals)
 
 
-@dataclass(frozen=True)
-class FarithResult:
-    solutions: tuple[int, ...]
-    capped: bool
+class FarithResult(Record):
+    __slots__ = ("solutions", "capped")
+
+    def __init__(self, solutions: tuple[int, ...], capped: bool):
+        self._init(solutions, capped)
 
 
 def _convert_part(part: Lrs, p: PrimeModulus

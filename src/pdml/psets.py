@@ -16,14 +16,13 @@ stated range.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 from math import lcm, prod
 
 from .errors import (DomainError, InternalError, ResourceLimitError,
                      UnsupportedError)
-from .exact import PrimeModulus
+from .exact import PrimeModulus, Record
 
 # Split depth for excluding single points from a p-set before giving up.
 _EXCLUDE_SPLIT_CAP = 64
@@ -58,16 +57,15 @@ _FIT_LEVEL_MAX = 6
 _REFUTE_EXPONENTS = (0, 1, 2)
 
 
-@dataclass(frozen=True)
-class ArithProg:
+class ArithProg(Record):
     """{a k + b : k in N_0}; a = 0 denotes the singleton {b}."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0:
+    def __init__(self, a: int, b: int):
+        if a < 0 or b < 0:
             raise DomainError("modulus and offset must be non-negative")
+        self._init(a, b)
 
     def __contains__(self, n: int) -> bool:
         if self.a == 0:
@@ -80,22 +78,19 @@ class ArithProg:
         return list(range(self.b, bound + 1, self.a))
 
 
-@dataclass(frozen=True)
-class PSet:
+class PSet(Record):
     """terms = ((c_1, k_1), ..., (c_m, k_m)) with rational c_j, k_j >= 0."""
 
-    terms: tuple[tuple[Fraction, int], ...]
-    # digit automata by prime, built on first use (see _automaton)
-    _automata: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
+    # _automata: digit automata by prime, built on first use (see _automaton)
+    __slots__ = ("terms", "_automata")
 
-    def __post_init__(self):
-        norm = tuple((Fraction(c), int(k)) for c, k in self.terms)
+    def __init__(self, terms: tuple[tuple[Fraction, int], ...]):
+        norm = tuple((Fraction(c), int(k)) for c, k in terms)
         if len(norm) < 1:
             raise DomainError("a p-set needs at least one term")
         if any(k < 0 for _, k in norm):
             raise DomainError("exponent multipliers must be non-negative")
-        object.__setattr__(self, "terms", norm)
+        self._init(norm, {})
 
     @property
     def m(self) -> int:
@@ -447,8 +442,7 @@ def _exclude_point(Q: PSet, x: int, p: PrimeModulus, depth: int) -> list[PSet]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ReturnSetDesc:
+class ReturnSetDesc(Record):
     """Finite union of progressions, p-sets, and explicit exceptional points.
 
     verified_bound is a verification stamp: the membership predicate has been
@@ -456,18 +450,19 @@ class ReturnSetDesc:
     Everything else is immutable.
     """
 
-    p: PrimeModulus
-    aps: tuple[ArithProg, ...] = ()
-    psets: tuple[PSet, ...] = ()
-    exceptional: tuple[int, ...] = ()
-    verified_bound: int = 0
-    notes: tuple[str, ...] = ()
+    __slots__ = ("p", "aps", "psets", "exceptional", "verified_bound",
+                 "notes")
+    # mutable for the stamp, hence unhashable
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
-    def __post_init__(self):
-        self.aps = tuple(self.aps)
-        self.psets = tuple(self.psets)
-        self.exceptional = tuple(sorted(self.exceptional))
-        self.notes = tuple(self.notes)
+    def __init__(self, p: PrimeModulus, aps: tuple[ArithProg, ...] = (),
+                 psets: tuple[PSet, ...] = (),
+                 exceptional: tuple[int, ...] = (), verified_bound: int = 0,
+                 notes: tuple[str, ...] = ()):
+        self._init(p, tuple(aps), tuple(psets), tuple(sorted(exceptional)),
+                   verified_bound, tuple(notes))
 
     def members(self, bound: int) -> set[int]:
         out = set(n for n in self.exceptional if 0 <= n <= bound)

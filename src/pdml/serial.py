@@ -10,16 +10,10 @@ or `[section]` text; round trips are bit-exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .errors import DomainError, ParseError, ValidationError
 from .exact import FpPoly, PrimeModulus, RatFunc
 from .psets import ArithProg, PSet, ReturnSetDesc
-
-if TYPE_CHECKING:
-    # imported where they are built, so a command loads only its layers
-    from .lrs import Lrs
-    from .torus import TorusPoint, TorusSelfMap, Variety
 
 
 def parse_int(text: str, what: str) -> int:

@@ -18,14 +18,14 @@ Everything user-facing remains plain RatFunc coordinates; dense iteration
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import prod
 
 from .errors import DomainError, InternalError, UsageError
-from .exact import (FpPoly, PrimeModulus, RatFunc, _guard_size, pack_slots,
-                    poly_factor, ratfunc_int_pow, slot_bytes, unpack_slots)
+from .exact import (FpPoly, PrimeModulus, RatFunc, Record, _guard_size,
+                    pack_slots, poly_factor, ratfunc_int_pow, slot_bytes,
+                    unpack_slots)
 from .lrs import (Lrs, _poly_mul_z, _synthetic_div, char_poly_of_matrix,
                   lrs_char_roots, lrs_prefix, lrs_root_p_dependence, mat_mul,
                   mat_power_bound, matrix_blocks)
@@ -41,21 +41,19 @@ def _as_matrix(rows) -> Matrix:
     return m
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(Record):
     """Point of G_m^N: every coordinate a nonzero element of F_p(t)."""
 
-    coords: tuple[RatFunc, ...]
-    # factorizations, built on first use by factor_point
-    _factors: list = field(default_factory=list, init=False, repr=False,
-                           compare=False)
+    # _factors: factorizations, built on first use by factor_point
+    __slots__ = ("coords", "_factors")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
-        if not self.coords:
+    def __init__(self, coords: tuple[RatFunc, ...]):
+        coords = tuple(coords)
+        if not coords:
             raise DomainError("need at least one coordinate")
-        if any(c.is_zero() for c in self.coords):
+        if any(c.is_zero() for c in coords):
             raise DomainError("torus points have nonzero coordinates")
+        self._init(coords, [])
 
     @property
     def dim(self) -> int:
@@ -79,17 +77,16 @@ class TorusPoint:
                                 zip(self.coords, other.coords)))
 
 
-@dataclass(frozen=True)
-class TorusSelfMap:
+class TorusSelfMap(Record):
     """x -> translation * [matrix]x with the matrix acting multiplicatively."""
 
-    matrix: Matrix
-    translation: TorusPoint
+    __slots__ = ("matrix", "translation")
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _as_matrix(self.matrix))
-        if len(self.matrix) != self.translation.dim:
+    def __init__(self, matrix: Matrix, translation: TorusPoint):
+        matrix = _as_matrix(matrix)
+        if len(matrix) != translation.dim:
             raise DomainError("matrix size and translation dimension differ")
+        self._init(matrix, translation)
 
     @property
     def dim(self) -> int:
@@ -107,25 +104,21 @@ class TorusSelfMap:
 Equation = tuple[tuple[tuple[int, ...], RatFunc], ...]
 
 
-@dataclass(frozen=True)
-class Variety:
+class Variety(Record):
     """Zero set of Laurent polynomials; an empty list is the whole torus."""
 
-    n_vars: int
-    equations: tuple[Equation, ...]
-    # factored equations, built on first use by _factor_equations
-    _factored: list = field(default_factory=list, init=False, repr=False,
-                            compare=False)
+    # _factored: factored equations, built on first use by _factor_equations
+    __slots__ = ("n_vars", "equations", "_factored")
 
-    def __post_init__(self):
+    def __init__(self, n_vars: int, equations: tuple[Equation, ...]):
         eqs = []
-        for eq in self.equations:
+        for eq in equations:
             terms = tuple((tuple(int(e) for e in ev), c) for ev, c in eq)
             for ev, _ in terms:
-                if len(ev) != self.n_vars:
+                if len(ev) != n_vars:
                     raise DomainError("exponent vector has wrong length")
             eqs.append(terms)
-        object.__setattr__(self, "equations", tuple(eqs))
+        self._init(n_vars, tuple(eqs), [])
 
 
 def endo_apply(matrix, x: TorusPoint) -> TorusPoint:
@@ -599,8 +592,7 @@ def _solve_exact(columns: list[list[Fraction]], target: list[Fraction]
     return sol
 
 
-@dataclass(frozen=True)
-class ReductionData:
+class ReductionData(Record):
     """Phi^n(alpha) = prod_i [u_i(n)]Q_i * prod_i [v_i(n)](A^i alpha).
 
     v-sequences express A^n in the basis A^0..A^(l-1) (delta initial
@@ -610,10 +602,11 @@ class ReductionData:
     polynomial. Q_i = prod_{j<i} [A^j]y.
     """
 
-    minpoly: tuple[int, ...]
-    u_seqs: tuple[Lrs, ...]
-    v_seqs: tuple[Lrs, ...]
-    q_points: tuple[TorusPoint, ...]
+    __slots__ = ("minpoly", "u_seqs", "v_seqs", "q_points")
+
+    def __init__(self, minpoly: tuple[int, ...], u_seqs: tuple[Lrs, ...],
+                 v_seqs: tuple[Lrs, ...], q_points: tuple[TorusPoint, ...]):
+        self._init(minpoly, u_seqs, v_seqs, q_points)
 
 
 def reduction_decompose(phi: TorusSelfMap, alpha: TorusPoint
@@ -707,13 +700,13 @@ DEFAULT_R_MAX = 12
 DEFAULT_S_MAX = 24
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
-    obstructed: bool
-    r: int | None = None
-    s: int | None = None
-    r_max: int | None = None
-    s_max: int | None = None
+class ObstructionVerdict(Record):
+    __slots__ = ("obstructed", "r", "s", "r_max", "s_max")
+
+    def __init__(self, obstructed: bool, r: int | None = None,
+                 s: int | None = None, r_max: int | None = None,
+                 s_max: int | None = None):
+        self._init(obstructed, r, s, r_max, s_max)
 
     def __str__(self):
         if self.obstructed:

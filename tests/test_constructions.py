@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import subprocess
 import sys
@@ -11,6 +10,7 @@ from pdml.exact import (FpPoly, PrimeModulus, RatFunc, ratfunc_int_pow,
                         slot_bytes, unpack_slots)
 from pdml.constructions import (
     PolySystem,
+    PsetVariety,
     _self_check,
     _self_check_points,
     build_pset_variety,
@@ -183,7 +183,9 @@ def mutated(pv, index):
     eqs = list(pv.X.equations)
     (ev, coeff), *rest = eqs[index]
     eqs[index] = ((ev, coeff + RatFunc.one(pv.p)), *rest)
-    return dataclasses.replace(pv, X=Variety(pv.X.n_vars, tuple(eqs)))
+    return PsetVariety(pv.p, pv.coefficients, Variety(pv.X.n_vars, tuple(eqs)),
+                       pv.P, pv.A_inv, pv.ell_prime, pv.e_lin, pv.e_const,
+                       pv.sres)
 
 
 def as_point(coords):
@@ -299,18 +301,18 @@ class TestPackedEvaluator:
     def test_checks_survive_optimize(self):
         # no check of the evaluator or the self-check is an assert
         code = (
-            "from pdml.constructions import (PolySystem, _self_check, "
-            "build_pset_variety)\n"
+            "from pdml.constructions import (PolySystem, PsetVariety, "
+            "_self_check, build_pset_variety)\n"
             "from pdml.errors import InternalError\n"
             "from pdml.exact import FpPoly, PrimeModulus, RatFunc\n"
             "from pdml.torus import Variety\n"
-            "import dataclasses\n"
             "p = PrimeModulus(7)\n"
             "pv = build_pset_variety(p, [1, 2])\n"
             "eqs = list(pv.X.equations)\n"
             "(ev, c), *rest = eqs[-1]\n"
             "eqs[-1] = ((ev, c + RatFunc.one(p)), *rest)\n"
-            "bad = dataclasses.replace(pv, X=Variety(6, tuple(eqs)))\n"
+            "bad = PsetVariety(p, pv.coefficients, Variety(6, tuple(eqs)), "
+            "pv.P, pv.A_inv, pv.ell_prime, pv.e_lin, pv.e_const, pv.sres)\n"
             "system = PolySystem(pv.X.equations, p, 6)\n"
             "x = RatFunc(FpPoly([1], p), FpPoly([0, 1], p))\n"
             "for call in (lambda: _self_check(bad),\n"

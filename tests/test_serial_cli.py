@@ -427,6 +427,20 @@ class TestErrorExits:
         assert e.value.code == 0
         assert capsys.readouterr().out.startswith("usage: pdml")
 
+    @pytest.mark.parametrize("command", ["solve-pexp", "classify-pexp"])
+    def test_malformed_pexp_fails_before_pexp_loads(self, tmp_path, command):
+        # the file is parsed before the handler imports the pexp layer
+        inst = tmp_path / "bad.txt"
+        inst.write_text(MALFORMED[0][1])
+        code = ("import sys\n"
+                "from pdml.cli import main\n"
+                f"rc = main([{command!r}, {str(inst)!r}])\n"
+                "print(rc, 'pdml.pexp' in sys.modules)\n")
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True)
+        assert result.stdout.split() == ["2", "False"]
+        assert len(result.stderr.strip().splitlines()) == 1
+
     def test_verification_survives_optimize(self, tmp_path):
         # the description is verified outside assert, so -O keeps the bound
         inst = tmp_path / "void.txt"

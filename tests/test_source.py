@@ -5,6 +5,17 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
+
+import pytest
+
+from pdml.constructions import build_pset_variety, encode_lrs
+from pdml.exact import FpPoly, PrimeModulus, RatFunc
+from pdml.lrs import CharRoots, Lrs, RootPReport, RootPVerdict
+from pdml.pexp import FArithSeq, FarithResult, PexpInstance
+from pdml.psets import ArithProg, PSet, ReturnSetDesc
+from pdml.torus import (ObstructionVerdict, ReductionData, TorusPoint,
+                        TorusSelfMap, Variety)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pdml"
 
@@ -48,3 +59,100 @@ def test_import_loads_only_what_a_module_uses():
     assert _loaded_after("pdml.cli") == [
         "pdml", "pdml.cli", "pdml.errors", "pdml.exact", "pdml.psets",
         "pdml.serial"]
+
+
+def test_import_budget():
+    """No pdml module loads dataclasses, inspect or typing (nor ast and
+    tokenize, which inspect imports): a CLI process compiles and runs only
+    what it uses. -S keeps site's own imports out of the count."""
+    names = sorted(f"pdml.{path.stem}" for path in SRC.glob("*.py")
+                   if path.stem != "__init__")
+    code = (f"import sys, {', '.join(names)}\n"
+            "print(*sorted(m for m in ('dataclasses', 'inspect', 'typing', "
+            "'ast', 'tokenize') if m in sys.modules))")
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
+    assert result.stdout.split() == []
+
+
+P5 = PrimeModulus(5)
+X = RatFunc(FpPoly([1, 1], P5))
+LRS = Lrs((1, -2), (0, 1))
+
+# name: (factory building a fresh instance, a field, cache slot or None,
+# the same instance with every keyword given, or None)
+VALUE_CLASSES = {
+    "PrimeModulus": (lambda: PrimeModulus(5), "p", None, None),
+    "ArithProg": (lambda: ArithProg(2, 1), "a", None, None),
+    "PSet": (lambda: PSet(((1, 1), (Fraction(1, 2), 0))), "terms",
+             "_automata", None),
+    "ReturnSetDesc": (
+        lambda: ReturnSetDesc(P5, exceptional=(3, 1)), "verified_bound", None,
+        lambda: ReturnSetDesc(p=P5, aps=(), psets=(), exceptional=(1, 3),
+                              verified_bound=0, notes=())),
+    "Lrs": (lambda: Lrs((1, -2), (0, 1)), "initial", None, None),
+    "CharRoots": (lambda: CharRoots(((2, 1),), (1,)), "integer_roots", None,
+                  None),
+    "RootPVerdict": (
+        lambda: RootPVerdict(3, False), "root", None,
+        lambda: RootPVerdict(root=3, dependent=False, s=None, sign=None)),
+    "RootPReport": (lambda: RootPReport((1, 2), False), "verdicts", None,
+                    None),
+    "PexpInstance": (lambda: PexpInstance(LRS, P5, ((1, 1),)), "terms", None,
+                     None),
+    "FArithSeq": (lambda: FArithSeq(P5, ArithProg(1, 0), LRS, ()), "ap",
+                  None, None),
+    "FarithResult": (lambda: FarithResult((1, 2), False), "solutions", None,
+                     None),
+    "TorusPoint": (lambda: TorusPoint((X, X)), "coords", "_factors", None),
+    "TorusSelfMap": (lambda: TorusSelfMap(((1, 1), (0, 1)), TorusPoint((X, X))),
+                     "matrix", None, None),
+    "Variety": (lambda: Variety(2, ((((1, 0), X), ((0, 1), X)),)),
+                "equations", "_factored", None),
+    "ReductionData": (lambda: ReductionData((1, -1), (LRS,), (LRS,), ()),
+                      "minpoly", None, None),
+    "ObstructionVerdict": (
+        lambda: ObstructionVerdict(False, r_max=3, s_max=4), "r", None,
+        lambda: ObstructionVerdict(obstructed=False, r=None, s=None, r_max=3,
+                                   s_max=4)),
+    "PsetVariety": (lambda: build_pset_variety(P5, [1, 1]), "X", None, None),
+    "LrsEncoding": (lambda: encode_lrs(LRS, X, P5), "Q", None, None),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_CLASSES)
+def test_value_class_contract(name):
+    """Fields are read-only (ReturnSetDesc, which carries a verification
+    stamp, is mutable and unhashable); equality holds within one class
+    only, hashing agrees with it, and caches stay out of both and of
+    repr."""
+    factory, field, cache, keywords = VALUE_CLASSES[name]
+    a, b = factory(), factory()
+    assert type(a).__name__ == name
+    assert a == b and repr(a) == repr(b)
+    assert repr(a).startswith(f"{name}(")
+    # FarithResult and RootPReport both hold ((1, 2), False)
+    others = [f() for n, (f, *_) in VALUE_CLASSES.items() if n != name]
+    assert all(a != other for other in others)
+    if keywords is not None:
+        assert keywords() == a
+    if name == "ReturnSetDesc":
+        with pytest.raises(TypeError):
+            hash(a)
+        setattr(a, field, 7)
+        assert getattr(a, field) == 7 and a != b
+        return
+    assert hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    if cache is not None:
+        held = getattr(a, cache)
+        if isinstance(held, dict):
+            held[0] = None
+        else:
+            held.append(None)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert cache not in repr(a)
