@@ -8,8 +8,9 @@ flag value is parsed like the instance field it overrides. An error is one
 stderr line; its class in `pdml.errors` gives the prefix and the exit code:
 2 parse, 3 validation, 4 resource cap, 5 internal invariant failure.
 Each handler imports the library layers it runs, so a process loads only
-those of its command; the pexp handlers parse their file first, so a
-malformed one fails before pexp loads.
+those of its command; the pexp-file handlers (solve-pexp, classify-pexp,
+gen-instance) parse their file first, so a malformed one fails before
+those layers load.
 """
 
 from __future__ import annotations
@@ -153,11 +154,11 @@ def cmd_verify_reduction(args, started: float) -> str:
 
 
 def cmd_gen_instance(args, started: float) -> str:
-    from .constructions import dml_instance
-
     p, u, _, n_max, c = _pexp(args)
     if c is None:
         raise ValidationError("gen-instance needs the c field")
+    from .constructions import dml_instance
+
     phi, alpha, variety = dml_instance(u, p, list(c))
     return serial.torus_instance_to_text(p, phi, alpha, variety, n_max)
 

@@ -9,7 +9,8 @@ coefficients of (u, u') in the elementary-symmetric coordinates; the
 coordinates themselves are linear in the torus variables, so the extra
 equations stay explicit polynomials. Every construction self-checks against
 its parametrization before it is released, by exact packed-int evaluation
-(PolySystem).
+(PolySystem). exponent_set tests the same equations on the base-p digit box
+of each m, where by Lucas's theorem its coordinates live.
 """
 
 from __future__ import annotations
@@ -373,27 +374,35 @@ class PolySystem:
             eqs.append(tuple(prefixed))
         self.equations = tuple(eqs)
 
+    def width(self, span: int) -> int:
+        """Slot bytes for coordinates of at most span nonzero slots: a
+        product coefficient of d of them sums at most span^(d-1) products
+        of d values below p, and c < p, so no equation's sum reaches it."""
+        return slot_bytes(self.terms * (self.p.p - 1) ** (self.degree + 1)
+                          * span ** max(self.degree - 1, 0))
+
     def vanishes_at(self, xs) -> bool:
         """Does every equation vanish at the polynomial point xs?"""
         if len(xs) != self.n_vars:
             raise InternalError("packed evaluation at a point of the wrong "
                                 "dimension")
         polys = [_poly_value(x, self.p) for x in xs]
-        pv = self.p.p
-        span = max((len(f.coeffs) for f in polys), default=1)
         _guard_size(max((sum(e * (len(polys[a].coeffs) - 1) for a, e in f)
                          for f in self.monomials), default=0) + 1)
-        # A coefficient of a product of d coordinates is a sum of at most
-        # span^(d-1) products of d coefficients below p; with c < p and the
-        # terms of one equation summed, no slot reaches this bound.
-        width = slot_bytes(self.terms * (pv - 1) ** (self.degree + 1)
-                           * span ** max(self.degree - 1, 0))
+        width = self.width(max((len(f.coeffs) for f in polys), default=1))
+        return self.vanishes_packed(
+            {a: pack_slots(polys[a].coeffs, width) for a in self.top}, width)
+
+    def vanishes_packed(self, xs, width: int, fold=None) -> bool:
+        """vanishes_at for coordinates packed at a width from self.width,
+        xs[a] for variable a. Slot s stands for t^s, or t^fold[s]: slots
+        sharing a power of t are added before the zero test mod p."""
+        pv = self.p.p
         powers = {}
         for a, top in self.top.items():
-            x = pack_slots(polys[a].coeffs, width)
-            row = [1, x]
+            row = [1, xs[a]]
             for _ in range(top - 1):
-                row.append(row[-1] * x)
+                row.append(row[-1] * xs[a])
             powers[a] = row
         bits = 8 * width
         for eq in self.equations:
@@ -404,8 +413,16 @@ class PolySystem:
                 for a, e in rest:
                     stack.append(stack[-1] * powers[a][e])
                 total += c * stack[-1]
-            if total and any(v % pv for v in unpack_slots(
-                    total, width, -(-total.bit_length() // bits))):
+            values = unpack_slots(total, width,
+                                  -(-total.bit_length() // bits))
+            if fold is not None:
+                if len(values) > len(fold):
+                    raise InternalError("packed sum outgrew its digit box")
+                folded: dict[int, int] = {}
+                for e, v in zip(fold, values):
+                    folded[e] = folded.get(e, 0) + v
+                values = folded.values()
+            if any(v % pv for v in values):
                 return False
         return True
 
@@ -487,9 +504,15 @@ def exponent_set(pv: PsetVariety, bound: int) -> list[int]:
     (p-1). Slot 0 holds C(m,0) = 1, so row sum(c) is 1 only if m = sum(c)
     mod (p-1), and only those m are walked: b is one packed int, times
     (t+1)^(p-1) per step with every slot reduced mod p by one multiply-
-    shift-mask quotient, and the linear rows are one mask. Its rare
-    survivors get the subresultant equations by PolySystem at e_1..e_ell',
-    each a sum over slot classes of b. Nothing here uses the structured
+    shift-mask quotient, and the linear rows are one mask. Survivors get
+    the subresultant equations (degree D) at e_1..e_ell', sums over slot
+    classes of b. By Lucas's theorem C(m, i) != 0 mod p only where no
+    base-p digit of i exceeds that of m, and then the digit sums satisfy
+    s(m - i) = s(m) - s(i); were s(m) > ell' (so >= ell' + p - 1), an
+    i != 0 with s(i) = s(m) - ell' would sit in row ell'. So s(m) = ell',
+    the e_k live on at most 2^ell' slots, and _survivor_point packs them
+    in a digit box of at most (D+1)^ell' slots, each slot below
+    terms (p-1)^(D+1) 2^(ell'(D-1)). Nothing here uses the structured
     membership tests of torus, so this stays their independent oracle.
     """
     if bound < 0:
@@ -497,9 +520,9 @@ def exponent_set(pv: PsetVariety, bound: int) -> list[int]:
     _guard_size(bound + 1)
     p, ell, n = pv.p.p, pv.ell_prime, pv.p.p - 1
     # Slots hold values below 2^bits: reduced coefficients, a step's sum of
-    # p products (at most p(p-1)^2) and g * b in a class (below p^2). For
-    # those, floor(v * recip / 2^shift) = floor(v / p), and v * recip fits
-    # in one slot, so the quotients of all slots come out in one product.
+    # p products (at most p(p-1)^2). For those, floor(v * recip / 2^shift)
+    # = floor(v / p), and v * recip fits in one slot, so the quotients of
+    # all slots come out in one product.
     bits = (p * n * n).bit_length()
     shift = bits + p.bit_length()
     recip = -(-(1 << shift) // p)
@@ -512,14 +535,11 @@ def exponent_set(pv: PsetVariety, bound: int) -> list[int]:
     def mod_p(x: int) -> int:
         return x - p * ((x * recip >> shift) & mask)
 
-    def classes(residues) -> int:  # the slots i with i mod (p-1) in residues
-        return sum(slot << (w * j) for j in residues) * period & slots
-
     # slot i is in row (ell - i) mod (p-1): row ell is 1, those above vanish
-    sieve = classes([0, *range(ell + 1, n)])
+    sieve = sum(slot << (w * j) for j in [0, *range(ell + 1, n)]) * period
+    sieve &= slots
     if pv.sres:
         sres = PolySystem([poly.items() for poly in pv.sres], pv.p, ell)
-        cls = [classes([j]) for j in range(n)]
         # e_k = e_const[k] + sum_j g[k][j] * (b on residue j)
         g = [[sum(c * pow(a, (ell - j) % n, p) for a, c in enumerate(row, 1))
               % p for j in range(n)] for row in pv.e_lin]
@@ -527,13 +547,46 @@ def exponent_set(pv: PsetVariety, bound: int) -> list[int]:
     b = pack_slots([math.comb(ell, i) % p for i in range(ell + 1)], width)
     hits = []
     for m in range(ell, bound + 1, n):
-        if b & sieve == 1 and (not pv.sres or sres.vanishes_at([FpPoly(
-                unpack_slots(mod_p(e0 + sum(gj * (b & cj) for gj, cj in zip(
-                    gk, cls) if gj)), width, m + 1), pv.p)
-                for e0, gk in zip(pv.e_const, g)])):
+        if b & sieve == 1 and (not pv.sres or sres.vanishes_packed(
+                *_survivor_point(sres, g, pv.e_const, b, m, w))):
             hits.append(m)
         b = mod_p(b * step) & slots
     return hits
+
+
+def _survivor_point(sres: PolySystem, g, e_const, b: int, m: int, w: int,
+                    box: bool | None = None):
+    """e_1..e_ell' of the survivor m, as the arguments (xs, width, fold) of
+    sres.vanishes_packed. e_k at t^i is g[k][i mod (p-1)] times slot i of
+    b = (t+1)^m (w bits a slot), plus e_const[k] at i = 0, read only at the
+    Lucas positions i, whose digits k_l are at most the digits d_l of m; a
+    nonzero slot of b elsewhere raises InternalError. i goes to slot i, or
+    in the digit box (by default if smaller than D m + 1) to sum k_l R_l,
+    R_l = prod over j < l of D d_j + 1, where no product of D coordinates
+    carries between digits; fold maps box slots to powers of t."""
+    p, n, D = sres.p.p, len(g[0]), sres.degree
+    digits, rest = [], m
+    while rest:
+        rest, d = divmod(rest, p)
+        digits.append(d)
+    if box is None:
+        box = math.prod(D * d + 1 for d in digits) < D * m + 1
+    pos, fold, power, radix = [(0, 0)], [0], 1, 1
+    for d in digits:
+        pos = [(i + k * power, s + k * radix)
+               for k in range(d + 1) for i, s in pos]
+        if box:
+            fold = [e + k * power for k in range(D * d + 1) for e in fold]
+        power, radix = power * p, radix * (D * d + 1)
+    slot = (1 << w) - 1
+    if b & ~sum(slot << (w * i) for i, _ in pos):
+        raise InternalError("binomial row nonzero off its Lucas positions")
+    width = sres.width(len(pos))
+    bits = 8 * width
+    xs = [sum((gk[i % n] * (b >> (w * i) & slot) + (e0 if i == 0 else 0))
+              % p << (bits * (s if box else i)) for i, s in pos)
+          for e0, gk in zip(e_const, g)]
+    return xs, width, fold if box else None
 
 
 # ---------------------------------------------------------------------------

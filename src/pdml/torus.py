@@ -19,7 +19,6 @@ Everything user-facing remains plain RatFunc coordinates; dense iteration
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from math import prod
 
 from .errors import DomainError, InternalError, UsageError
@@ -627,15 +626,20 @@ def reduction_decompose(phi: TorusSelfMap, alpha: TorusPoint
         s = _shift_mod(s, minpoly)
         s[0] += 1
     u_seqs = tuple(Lrs(urec[:-1], tuple(u_init[i])) for i in range(l))
-    q_points = []
-    acc = phi.translation
-    apow = m = [list(r) for r in phi.matrix]
-    for i in range(1, l + 1):
-        q_points.append(acc)
-        if i < l:
-            acc = acc * endo_apply(apow, phi.translation)
-            apow = mat_mul(apow, m)
+    # q_1 = y and q_(i+1) = q_i * A^i(y), so A^l is never needed
+    q_points = [phi.translation]
+    for apow in _matrix_powers(phi.matrix, l)[1:]:
+        q_points.append(q_points[-1] * endo_apply(apow, phi.translation))
     return ReductionData(minpoly, u_seqs, v_seqs, tuple(q_points))
+
+
+def _matrix_powers(m, count: int) -> list:
+    """[I, m, ..., m^(count-1)], by count - 2 products."""
+    n = len(m)
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)], m][:count]
+    while len(powers) < count:
+        powers.append(mat_mul(powers[-1], m))
+    return powers
 
 
 def _shift_mod(s: list[int], minpoly: tuple[int, ...]) -> list[int]:
@@ -664,8 +668,7 @@ def verify_reduction(rd: ReductionData, phi: TorusSelfMap,
     f_y = factor_point(phi.translation)
     f_q = [factor_point(rd.q_points[i]) for i in range(l)]
     basis = _basis(f_alpha, f_y, *f_q)
-    apows = list(accumulate([phi.matrix] * (l - 1), mat_mul, initial=[
-        [int(i == j) for j in range(alpha.dim)] for i in range(alpha.dim)]))
+    apows = _matrix_powers(phi.matrix, l)
     h_alpha = _height(*f_alpha)
     # the largest |exponent| of any coordinate of each right-side factor
     h_factors = [_height(*fq) for fq in f_q] + [

@@ -1,3 +1,4 @@
+import math
 import random
 import subprocess
 import sys
@@ -6,13 +7,14 @@ import pytest
 
 from pdml.errors import (ConstructionError, DomainError, InternalError,
                          ResourceLimitError)
-from pdml.exact import (FpPoly, PrimeModulus, RatFunc, ratfunc_int_pow,
-                        slot_bytes, unpack_slots)
+from pdml.exact import (FpPoly, PrimeModulus, RatFunc, pack_slots,
+                        ratfunc_int_pow, slot_bytes, unpack_slots)
 from pdml.constructions import (
     PolySystem,
     PsetVariety,
     _self_check,
     _self_check_points,
+    _survivor_point,
     build_pset_variety,
     dml_instance,
     encode_lrs,
@@ -71,6 +73,32 @@ def slow_exponent_set(pv, bound):
         if m < bound:
             xs = [mod_p((x << w) + a * x) for a, x in enumerate(xs, 1)]
     return hits
+
+
+def row_survivors(pv, bound):
+    """(m, b, e) for each m in [0, bound] that passes the linear rows:
+    b = (t+1)^m packed at 4 bytes per slot, and e_1..e_ell' as FpPolys
+    recovered from the coordinates (t+a)^m."""
+    p, n, ell = pv.p.p, pv.p.p - 1, pv.ell_prime
+    for m in range(ell, bound + 1, n):
+        binomials = (FpPoly([1, 1], pv.p) ** m).coeffs
+        # row k holds the i with m - i = k mod (p-1): row ell is exactly
+        # C(m, 0) = 1 and the rows above it vanish
+        if all(i == 0 or (m - i) % n < ell
+               for i, c in enumerate(binomials) if c):
+            xs = [FpPoly([a, 1], pv.p) ** m for a in range(1, p)]
+            e = [FpPoly.const(pv.e_const[k], pv.p) + sum(
+                (x.scale(c) for c, x in zip(pv.e_lin[k], xs)),
+                FpPoly.zero(pv.p)) for k in range(ell)]
+            yield m, pack_slots(binomials, 4), e
+
+
+def e_weights(pv):
+    """g[k][j]: the weight of b's residue class j in e_k, as exponent_set
+    computes it."""
+    p, n, ell = pv.p.p, pv.p.p - 1, pv.ell_prime
+    return [[sum(c * pow(a, (ell - j) % n, p) for a, c in enumerate(row, 1))
+             % p for j in range(n)] for row in pv.e_lin]
 
 
 class TestVandermonde:
@@ -298,11 +326,20 @@ class TestPackedEvaluator:
         const = [FpPoly.const(a, P5) for a in (2, 4)]
         assert system.vanishes_at(const)  # 28 - 24 - 4 = 0
 
+    def test_fold_adds_slots_that_share_a_power_of_t(self):
+        # x_0 with slots 1 and p - 1 both standing for t^0 sums to p = 0
+        system = PolySystem(((((1,), 1),),), P7, 1)
+        x = pack_slots([1, 6], 1)
+        assert system.vanishes_packed([x], 1, [0, 0])
+        assert not system.vanishes_packed([x], 1, [0, 1])
+        assert not system.vanishes_packed([x], 1)
+
     def test_checks_survive_optimize(self):
         # no check of the evaluator or the self-check is an assert
         code = (
+            "from math import comb\n"
             "from pdml.constructions import (PolySystem, PsetVariety, "
-            "_self_check, build_pset_variety)\n"
+            "_self_check, _survivor_point, build_pset_variety)\n"
             "from pdml.errors import InternalError\n"
             "from pdml.exact import FpPoly, PrimeModulus, RatFunc\n"
             "from pdml.torus import Variety\n"
@@ -315,8 +352,14 @@ class TestPackedEvaluator:
             "pv.P, pv.A_inv, pv.ell_prime, pv.e_lin, pv.e_const, pv.sres)\n"
             "system = PolySystem(pv.X.equations, p, 6)\n"
             "x = RatFunc(FpPoly([1], p), FpPoly([0, 1], p))\n"
+            "sres = PolySystem([q.items() for q in pv.sres], p, 3)\n"
+            "g = [[sum(c * pow(a, (3 - j) % 6, 7) for a, c in "
+            "enumerate(row, 1)) % 7 for j in range(6)] for row in pv.e_lin]\n"
+            "b = sum(comb(9, i) % 7 << 32 * i for i in range(10))\n"
             "for call in (lambda: _self_check(bad),\n"
-            "             lambda: system.vanishes_at([x] * 6)):\n"
+            "             lambda: system.vanishes_at([x] * 6),\n"
+            "             lambda: _survivor_point(sres, g, pv.e_const,\n"
+            "                                     b + (1 << 96), 9, 32)):\n"
             "    try:\n"
             "        call()\n"
             "    except InternalError:\n"
@@ -364,7 +407,8 @@ class TestExponentSet:
     @pytest.mark.parametrize("p,c", [
         pytest.param(p, c, id=f"{p.p}-{','.join(map(str, c))}")
         for p, c in ((P5, [2]), (P7, [3]), (P11, [1, 1, 2]), (P13, [1, 2]),
-                     (P5, [1, 1]), (P7, [1, 2]), (P3, [1]))])
+                     (P5, [1, 1]), (P7, [1, 2]), (P3, [1]), (P7, [1, 1, 2]),
+                     (P13, [1, 1, 2]))])
     def test_matches_coordinate_walk(self, p, c):
         pv = build_pset_variety(p, c)
         q = p.p
@@ -376,6 +420,53 @@ class TestExponentSet:
         for bound in sorted(bounds):
             assert exponent_set(pv, bound) == slow_exponent_set(pv, bound), \
                 bound
+
+    @pytest.mark.parametrize("p,c", [
+        pytest.param(p, c, id=f"{p.p}-{','.join(map(str, c))}")
+        for p, c in ((P7, [1, 2]), (P7, [1, 1, 2]), (P5, [2]))])
+    def test_box_and_dense_layouts_agree(self, p, c):
+        # both layouts on every survivor, against dense vanishes_at on the
+        # e_k recovered from the coordinates
+        pv = build_pset_variety(p, c)
+        sres = PolySystem([poly.items() for poly in pv.sres], p,
+                          pv.ell_prime)
+        g = e_weights(pv)
+        count = hits = 0
+        for m, b, e in row_survivors(pv, 1500):
+            want = sres.vanishes_at(e)
+            for box in (False, True):
+                assert sres.vanishes_packed(*_survivor_point(
+                    sres, g, pv.e_const, b, m, 32, box)) == want, (m, box)
+            count += 1
+            hits += want
+        assert count >= 4 and 0 < hits < count
+
+    def test_box_fold_gives_each_slot_its_power_of_t(self):
+        # slot sum k_l R_l of the box stands for t^(sum k_l p^l)
+        pv = build_pset_variety(P7, [1, 2])
+        sres = PolySystem([poly.items() for poly in pv.sres], P7, 3)
+        g = e_weights(pv)
+        for m, b, _ in row_survivors(pv, 342):  # m < 7^3
+            *_, fold = _survivor_point(sres, g, pv.e_const, b, m, 32, True)
+            digits = [m // 7 ** l % 7 for l in range(3) if 7 ** l <= m]
+            radices = [sres.degree * d + 1 for d in digits]
+            assert len(fold) == math.prod(radices)
+            for s, e in enumerate(fold):
+                ks = [s // math.prod(radices[:l]) % r
+                      for l, r in enumerate(radices)]
+                assert e == sum(k * 7 ** l for l, k in enumerate(ks))
+
+    @pytest.mark.parametrize("box", [False, True])
+    def test_slot_off_the_lucas_positions_raises(self, box):
+        # m = 9 has base-7 digits (2, 1); 3 = (3, 0) is not below them
+        pv = build_pset_variety(P7, [1, 2])
+        sres = PolySystem([poly.items() for poly in pv.sres], P7, 3)
+        (m, b, _), = (s for s in row_survivors(pv, 9) if s[0] == 9)
+        g = e_weights(pv)
+        _survivor_point(sres, g, pv.e_const, b, m, 32, box)
+        with pytest.raises(InternalError):
+            _survivor_point(sres, g, pv.e_const, b + (1 << 32 * 3), m, 32,
+                            box)
 
     def test_bound_over_degree_cap(self):
         pv = build_pset_variety(P5, [1, 1])

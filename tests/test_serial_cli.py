@@ -427,18 +427,21 @@ class TestErrorExits:
         assert e.value.code == 0
         assert capsys.readouterr().out.startswith("usage: pdml")
 
-    @pytest.mark.parametrize("command", ["solve-pexp", "classify-pexp"])
+    @pytest.mark.parametrize("command", ["solve-pexp", "classify-pexp",
+                                         "gen-instance"])
     def test_malformed_pexp_fails_before_pexp_loads(self, tmp_path, command):
-        # the file is parsed before the handler imports the pexp layer
+        # the file is parsed before the handler imports the layers it runs
+        layers = {"gen-instance": ["pdml.constructions", "pdml.torus"]}.get(
+            command, ["pdml.pexp"])
         inst = tmp_path / "bad.txt"
         inst.write_text(MALFORMED[0][1])
         code = ("import sys\n"
                 "from pdml.cli import main\n"
                 f"rc = main([{command!r}, {str(inst)!r}])\n"
-                "print(rc, 'pdml.pexp' in sys.modules)\n")
+                f"print(rc, *(m in sys.modules for m in {layers!r}))\n")
         result = subprocess.run([sys.executable, "-c", code],
                                 capture_output=True, text=True)
-        assert result.stdout.split() == ["2", "False"]
+        assert result.stdout.split() == ["2"] + ["False"] * len(layers)
         assert len(result.stderr.strip().splitlines()) == 1
 
     def test_verification_survives_optimize(self, tmp_path):

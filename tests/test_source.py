@@ -40,6 +40,20 @@ def test_library_has_no_global():
     assert found == []
 
 
+def test_exponent_set_stays_an_independent_oracle():
+    """exponent_set checks the structured membership tests of torus, so
+    constructions names none of them."""
+    tree = ast.parse((SRC / "constructions.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert names, "constructions.py names nothing"
+    assert names.isdisjoint({"_structured_zero_test", "_try_structured",
+                             "_equation_zero", "_expanded_zero"})
+
+
 def _loaded_after(module: str) -> list[str]:
     """The pdml modules that importing module loads, in a fresh process."""
     code = (f"import sys, {module}\n"
