@@ -554,39 +554,34 @@ def exponent_set(pv: PsetVariety, bound: int) -> list[int]:
     return hits
 
 
-def _survivor_point(sres: PolySystem, g, e_const, b: int, m: int, w: int,
-                    box: bool | None = None):
+def _survivor_point(sres: PolySystem, g, e_const, b: int, m: int, w: int):
     """e_1..e_ell' of the survivor m, as the arguments (xs, width, fold) of
     sres.vanishes_packed. e_k at t^i is g[k][i mod (p-1)] times slot i of
     b = (t+1)^m (w bits a slot), plus e_const[k] at i = 0, read only at the
     Lucas positions i, whose digits k_l are at most the digits d_l of m; a
-    nonzero slot of b elsewhere raises InternalError. i goes to slot i, or
-    in the digit box (by default if smaller than D m + 1) to sum k_l R_l,
-    R_l = prod over j < l of D d_j + 1, where no product of D coordinates
-    carries between digits; fold maps box slots to powers of t."""
+    nonzero slot of b elsewhere raises InternalError. i goes to the digit
+    box slot sum k_l R_l, R_l = prod over j < l of D d_j + 1, where no
+    product of D coordinates carries between digits; fold maps box slots
+    to powers of t."""
     p, n, D = sres.p.p, len(g[0]), sres.degree
-    digits, rest = [], m
+    pos, fold, power, radix = [(0, 0)], [0], 1, 1
+    rest = m
     while rest:
         rest, d = divmod(rest, p)
-        digits.append(d)
-    if box is None:
-        box = math.prod(D * d + 1 for d in digits) < D * m + 1
-    pos, fold, power, radix = [(0, 0)], [0], 1, 1
-    for d in digits:
         pos = [(i + k * power, s + k * radix)
                for k in range(d + 1) for i, s in pos]
-        if box:
-            fold = [e + k * power for k in range(D * d + 1) for e in fold]
+        fold = [e + k * power for k in range(D * d + 1) for e in fold]
         power, radix = power * p, radix * (D * d + 1)
+    _guard_size(radix)
     slot = (1 << w) - 1
     if b & ~sum(slot << (w * i) for i, _ in pos):
         raise InternalError("binomial row nonzero off its Lucas positions")
     width = sres.width(len(pos))
     bits = 8 * width
-    xs = [sum((gk[i % n] * (b >> (w * i) & slot) + (e0 if i == 0 else 0))
-              % p << (bits * (s if box else i)) for i, s in pos)
-          for e0, gk in zip(e_const, g)]
-    return xs, width, fold if box else None
+    vals = [(i % n, s * bits, b >> (w * i) & slot) for i, s in pos]
+    xs = [sum((gk[j] * v + (e0 if not s else 0)) % p << s
+              for j, s, v in vals) for e0, gk in zip(e_const, g)]
+    return xs, width, fold
 
 
 # ---------------------------------------------------------------------------

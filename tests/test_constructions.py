@@ -424,9 +424,9 @@ class TestExponentSet:
     @pytest.mark.parametrize("p,c", [
         pytest.param(p, c, id=f"{p.p}-{','.join(map(str, c))}")
         for p, c in ((P7, [1, 2]), (P7, [1, 1, 2]), (P5, [2]))])
-    def test_box_and_dense_layouts_agree(self, p, c):
-        # both layouts on every survivor, against dense vanishes_at on the
-        # e_k recovered from the coordinates
+    def test_box_agrees_with_dense_vanishes_at(self, p, c):
+        # the box on every survivor, against dense vanishes_at on the e_k
+        # recovered from the coordinates
         pv = build_pset_variety(p, c)
         sres = PolySystem([poly.items() for poly in pv.sres], p,
                           pv.ell_prime)
@@ -434,9 +434,8 @@ class TestExponentSet:
         count = hits = 0
         for m, b, e in row_survivors(pv, 1500):
             want = sres.vanishes_at(e)
-            for box in (False, True):
-                assert sres.vanishes_packed(*_survivor_point(
-                    sres, g, pv.e_const, b, m, 32, box)) == want, (m, box)
+            assert sres.vanishes_packed(*_survivor_point(
+                sres, g, pv.e_const, b, m, 32)) == want, m
             count += 1
             hits += want
         assert count >= 4 and 0 < hits < count
@@ -447,7 +446,7 @@ class TestExponentSet:
         sres = PolySystem([poly.items() for poly in pv.sres], P7, 3)
         g = e_weights(pv)
         for m, b, _ in row_survivors(pv, 342):  # m < 7^3
-            *_, fold = _survivor_point(sres, g, pv.e_const, b, m, 32, True)
+            *_, fold = _survivor_point(sres, g, pv.e_const, b, m, 32)
             digits = [m // 7 ** l % 7 for l in range(3) if 7 ** l <= m]
             radices = [sres.degree * d + 1 for d in digits]
             assert len(fold) == math.prod(radices)
@@ -456,22 +455,34 @@ class TestExponentSet:
                       for l, r in enumerate(radices)]
                 assert e == sum(k * 7 ** l for l, k in enumerate(ks))
 
-    @pytest.mark.parametrize("box", [False, True])
-    def test_slot_off_the_lucas_positions_raises(self, box):
+    def test_slot_off_the_lucas_positions_raises(self):
         # m = 9 has base-7 digits (2, 1); 3 = (3, 0) is not below them
         pv = build_pset_variety(P7, [1, 2])
         sres = PolySystem([poly.items() for poly in pv.sres], P7, 3)
         (m, b, _), = (s for s in row_survivors(pv, 9) if s[0] == 9)
         g = e_weights(pv)
-        _survivor_point(sres, g, pv.e_const, b, m, 32, box)
+        _survivor_point(sres, g, pv.e_const, b, m, 32)
         with pytest.raises(InternalError):
-            _survivor_point(sres, g, pv.e_const, b + (1 << 32 * 3), m, 32,
-                            box)
+            _survivor_point(sres, g, pv.e_const, b + (1 << 32 * 3), m, 32)
 
     def test_bound_over_degree_cap(self):
         pv = build_pset_variety(P5, [1, 1])
         with pytest.raises(ResourceLimitError):
             exponent_set(pv, 10 ** 6)
+
+    def test_cap_guards_the_box_not_the_dense_product(self, monkeypatch):
+        import pdml.exact
+
+        # D = 4: the dense products of survivors m > 249 would have more
+        # than 1000 coefficients, but their digit boxes hold at most 5^3
+        pv = build_pset_variety(P7, [1, 2])
+        want = exponent_set(pv, 800)
+        monkeypatch.setattr(pdml.exact, "_DEGREE_CAP", 1000)
+        assert exponent_set(pv, 800) == want
+        # m = 9, digits (2, 1), has a box of 9 * 5 slots
+        monkeypatch.setattr(pdml.exact, "_DEGREE_CAP", 40)
+        with pytest.raises(ResourceLimitError):
+            exponent_set(pv, 39)
 
 
 class TestEncodeLrs:
