@@ -4,6 +4,9 @@ Values are immutable after construction and safe to share between threads.
 Polynomials store their coefficients lowest degree first as plain ints in
 [0, p); the zero polynomial is the empty coefficient list, so ``degree ==
 len(coeffs) - 1`` and the Frobenius re-indexing x -> x^p is a stride copy.
+Product, division, gcd and powers mod f are kernels on such coefficient
+lists: FpPoly wraps them, and factoring runs on them directly, so it makes
+no FpPoly until it returns its factors.
 """
 
 from __future__ import annotations
@@ -203,16 +206,9 @@ class FpPoly:
         return self._add(other, -1)
 
     def _add(self, other: "FpPoly", sign: int) -> "FpPoly":
-        """self + sign * other in one pass, each coefficient reduced once."""
         self._check(other)
-        p = self.modulus.p
-        a, b = self.coeffs, other.coeffs
-        out = [(x + sign * y) % p for x, y in zip(a, b)]
-        out.extend(a[len(b):])
-        out.extend(b[len(a):] if sign > 0 else [-y % p for y in b[len(a):]])
-        while out and not out[-1]:
-            out.pop()
-        return FpPoly(out, self.modulus, _canonical=True)
+        return FpPoly(_add(self.coeffs, other.coeffs, self.modulus.p, sign),
+                      self.modulus, _canonical=True)
 
     def __neg__(self) -> "FpPoly":
         p = self.modulus.p
@@ -228,25 +224,8 @@ class FpPoly:
 
     def __mul__(self, other: "FpPoly") -> "FpPoly":
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return FpPoly.zero(self.modulus)
-        p = self.modulus.p
-        n = len(a) + len(b) - 1
-        _guard_size(n)
-        if len(a) * len(b) >= _KRONECKER_MIN:
-            # every product coefficient is a sum of at most min(len) terms
-            # below p^2, so it fits its slot without carrying into the next
-            width = slot_bytes(min(len(a), len(b)) * (p - 1) ** 2)
-            x = pack_slots(a, width)
-            prod = x * x if other is self else x * pack_slots(b, width)
-            return FpPoly(unpack_slots(prod, width, n), self.modulus)
-        out = [0] * n
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return FpPoly([c % p for c in out], self.modulus)
+        return FpPoly(_mul(self.coeffs, other.coeffs, self.modulus.p),
+                      self.modulus, _canonical=True)
 
     def shift(self, k: int) -> "FpPoly":
         """Multiply by t^k."""
@@ -260,54 +239,26 @@ class FpPoly:
         self._check(other)
         if other.is_zero():
             raise DomainError("division by zero polynomial")
-        p = self.modulus.p
-        rem = list(self.coeffs)
-        d = other.degree
-        lead_inv = pow(other.coeffs[-1], p - 2, p)
-        q = [0] * max(0, len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i] % p
-            if c:
-                factor = c * lead_inv % p
-                q[i - d] = factor
-                for j, oc in enumerate(other.coeffs):
-                    rem[i - d + j] = (rem[i - d + j] - factor * oc) % p
-        return FpPoly(q, self.modulus), FpPoly(rem[:d], self.modulus)
+        q, r = _divmod(self.coeffs, other.coeffs, self.modulus.p)
+        return (FpPoly(q, self.modulus, _canonical=True),
+                FpPoly(r, self.modulus, _canonical=True))
 
     def __mod__(self, other: "FpPoly") -> "FpPoly":
         return self.divmod(other)[1]
 
     def gcd(self, other: "FpPoly") -> "FpPoly":
-        """Monic gcd by Euclid on coefficient lists, computing remainders
-        only (each divisor made monic first); gcd(0, 0) = 0."""
+        """Monic gcd; gcd(0, 0) = 0."""
         self._check(other)
-        p = self.modulus.p
-        a, b = list(self.coeffs), list(other.coeffs)
-        while b:
-            inv = pow(b[-1], p - 2, p)
-            b = [x * inv % p for x in b]
-            d = len(b) - 1
-            while len(a) > d:  # cancel the top of a with t^k * b
-                top = a.pop()
-                if top:
-                    k = len(a) - d
-                    a[k:] = [(x - top * y) % p for x, y in zip(a[k:], b)]
-            while a and not a[-1]:
-                a.pop()
-            a, b = b, a
-        return FpPoly(a, self.modulus, _canonical=True).monic()
+        return FpPoly(_gcd(self.coeffs, other.coeffs, self.modulus.p),
+                      self.modulus, _canonical=True)
 
     def monic(self) -> "FpPoly":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        return self.scale(pow(lead, self.modulus.p - 2, self.modulus.p))
+        return FpPoly(_monic(self.coeffs, self.modulus.p), self.modulus,
+                      _canonical=True)
 
     def derivative(self) -> "FpPoly":
-        return FpPoly([i * c for i, c in enumerate(self.coeffs)][1:],
-                      self.modulus)
+        return FpPoly(_derivative(self.coeffs, self.modulus.p), self.modulus,
+                      _canonical=True)
 
     def __pow__(self, e: int) -> "FpPoly":
         """self^e by base-p splitting: e = sum d_i p^i gives
@@ -324,7 +275,8 @@ class FpPoly:
             e, d = divmod(e, p)
             if d:
                 if d not in digit_pows:
-                    digit_pows[d] = _binary_pow(self, d)
+                    digit_pows[d] = FpPoly(_powmod(self.coeffs, d, p),
+                                           self.modulus, _canonical=True)
                 result = result * digit_pows[d].frobenius(i)
             i += 1
         return result
@@ -382,6 +334,103 @@ def unpack_slots(x: int, width: int, n: int) -> list[int]:
         return array(code, data).tolist()
     return [int.from_bytes(data[i:i + width], "little")
             for i in range(0, len(data), width)]
+
+
+# ---------------------------------------------------------------------------
+# Kernels on canonical coefficient lists or tuples (lowest degree first,
+# entries in [0, p), no trailing zero), which they never modify; FpPoly and
+# the factoring below share them
+# ---------------------------------------------------------------------------
+
+
+def _add(a, b, p: int, sign: int = 1) -> list[int]:
+    """a + sign * b, each coefficient reduced once."""
+    out = [(x + sign * y) % p for x, y in zip(a, b)]
+    out.extend(a[len(b):])
+    out.extend(b[len(a):] if sign > 0 else [-y % p for y in b[len(a):]])
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _mul(a, b, p: int) -> list[int]:
+    """a * b: schoolbook for few coefficient products, else one packed
+    big-int product (Kronecker substitution)."""
+    if not a or not b:
+        return []
+    n = len(a) + len(b) - 1
+    _guard_size(n)
+    if len(a) * len(b) >= _KRONECKER_MIN:
+        # every product coefficient is a sum of at most min(len) terms
+        # below p^2, so it fits its slot without carrying into the next
+        width = slot_bytes(min(len(a), len(b)) * (p - 1) ** 2)
+        x = pack_slots(a, width)
+        out = unpack_slots(x * x if b is a else x * pack_slots(b, width),
+                           width, n)
+    else:
+        out = [0] * n
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b):
+                    out[i + j] += ca * cb
+    return [c % p for c in out]  # a field: the top coefficient stays nonzero
+
+
+def _divmod(a, b, p: int) -> tuple[list[int], list[int]]:
+    """(q, r) with a = q * b + r and deg r < deg b, for nonzero b: each step
+    cancels the top of the remainder with a multiple of t^k * b."""
+    d = len(b) - 1
+    inv = pow(b[-1], p - 2, p)
+    if not d:
+        return [x * inv % p for x in a], []
+    r = list(a)
+    q = [0] * max(0, len(r) - d)
+    for k in range(len(q) - 1, -1, -1):
+        top = r[k + d]
+        if top:
+            q[k] = c = top * inv % p
+            r[k:k + d] = [(x - c * y) % p for x, y in zip(r[k:k + d], b)]
+    del r[d:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _gcd(a, b, p: int) -> list[int]:
+    """Monic gcd by Euclid, computing remainders only; gcd(0, 0) = 0."""
+    while len(b) > 1:
+        a, b = b, _divmod(a, b, p)[1]
+    return [1] if b else _monic(a, p)  # a nonzero constant is a unit
+
+
+def _monic(a, p: int) -> list[int]:
+    if not a or a[-1] == 1:
+        return a
+    inv = pow(a[-1], p - 2, p)
+    return [x * inv % p for x in a]
+
+
+def _derivative(a, p: int) -> list[int]:
+    out = [i * c % p for i, c in enumerate(a)][1:]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _powmod(a, e: int, p: int, f=None) -> list[int]:
+    """a^e by binary powering, reduced mod f after every product when f is
+    given."""
+    def mul(x, y):
+        return _mul(x, y, p) if f is None else _divmod(_mul(x, y, p), f, p)[1]
+
+    result = [1]
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        e >>= 1
+        if e:
+            a = mul(a, a)
+    return result
 
 
 def _guard_size(n_coeffs: int):
@@ -522,19 +571,6 @@ def ratfunc_int_pow(x: RatFunc, m: int) -> RatFunc:
     return RatFunc(x.num ** m, x.den ** m, _canonical=True)
 
 
-def _binary_pow(x, e: int):
-    """x^e by binary powering, for an FpPoly or a RatFunc x."""
-    result = type(x).one(x.modulus)
-    base = x
-    while e:
-        if e & 1:
-            result = result * base
-        e >>= 1
-        if e:
-            base = base * base
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Factoring in F_p[t]
 # ---------------------------------------------------------------------------
@@ -552,23 +588,30 @@ def poly_factor(poly: FpPoly) -> tuple[int, list[tuple[FpPoly, int]]]:
     then distinct-degree splitting, then equal-degree splitting (D. Cantor
     and H. Zassenhaus, Math. Comp. 36 (1981)); the time is polynomial in
     the degree and in log p. A unit gives (unit, []). Factors are sorted by
-    degree, then by coefficients.
+    degree, then by coefficients. The whole chain runs on coefficient lists
+    through the kernels above; FpPoly objects are made only for the result,
+    and a random generator only when an equal-degree split is needed.
     """
     if poly.is_zero():
         raise DomainError("factorisation of zero")
     if poly.degree == 0:
         return poly.leading(), []
-    rng = random.Random(_FACTOR_SEED)
-    mult: dict[FpPoly, int] = {}
-    for sqf, m in _squarefree(poly.monic()):
-        for g, d in _distinct_degree(sqf):
-            for f in _equal_degree(g, d, rng):
+    p = poly.modulus.p
+    rng = None
+    mult: dict[tuple[int, ...], int] = {}
+    for sqf, m in _squarefree(_monic(poly.coeffs, p), p):
+        for g, d in _distinct_degree(sqf, p):
+            if len(g) - 1 > d and rng is None:
+                rng = random.Random(_FACTOR_SEED)
+            for f in _equal_degree(g, d, p, rng):
+                f = tuple(f)
                 mult[f] = mult.get(f, 0) + m
-    return poly.leading(), sorted(
-        mult.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return poly.leading(), [
+        (FpPoly(f, poly.modulus, _canonical=True), m)
+        for f, m in sorted(mult.items(), key=lambda fm: (len(fm[0]), fm[0]))]
 
 
-def _squarefree(f: FpPoly) -> list[tuple[FpPoly, int]]:
+def _squarefree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     """Monic f as [(squarefree monic factor, multiplicity)], by Yun's
     algorithm in characteristic p (J. von zur Gathen and J. Gerhard,
     Modern Computer Algebra, ch. 14).
@@ -584,82 +627,69 @@ def _squarefree(f: FpPoly) -> list[tuple[FpPoly, int]]:
     multiplicities per irreducible.
     """
     out = []
-    df = f.derivative()
-    a = f.gcd(df)
-    b = f.divmod(a)[0]
-    c = df.divmod(a)[0]
+    df = _derivative(f, p)
+    a = _gcd(f, df, p)
+    b = _divmod(f, a, p)[0]
+    c = _divmod(df, a, p)[0]
     i = 1
-    while b.degree > 0:
-        d = c - b.derivative()
-        g = b.gcd(d)
-        if g.degree > 0:
+    while len(b) > 1:
+        c = _add(c, _derivative(b, p), p, -1)
+        g = _gcd(b, c, p)
+        if len(g) > 1:
             out.append((g, i))
-            a = a.divmod(g ** (i - 1))[0]
-            b = b.divmod(g)[0]
-        c = d.divmod(g)[0]
+            if i > 1:
+                a = _divmod(a, _powmod(g, i - 1, p), p)[0]
+            b = _divmod(b, g, p)[0]
+            c = _divmod(c, g, p)[0]
         i += 1
-    if a.degree > 0:
-        p = f.modulus.p
-        root = FpPoly(a.coeffs[::p], f.modulus, _canonical=True)
-        out.extend((g, m * p) for g, m in _squarefree(root))
+    if len(a) > 1:
+        out.extend((g, m * p) for g, m in _squarefree(a[::p], p))
     return out
 
 
-def _distinct_degree(f: FpPoly) -> list[tuple[FpPoly, int]]:
+def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     """Squarefree monic f as [(product of its factors of degree d, d)]:
     gcd(f, t^(p^d) - t) collects the irreducible factors of degree d."""
     out = []
-    t = FpPoly.x(f.modulus)
-    h = t
+    t = h = [0, 1]
     d = 0
-    while f.degree >= 2 * (d + 1):
+    while len(f) > 2 * (d + 1):
         d += 1
-        h = _powmod(h, f.modulus.p, f)
-        g = f.gcd(h - t)
-        if g.degree > 0:
+        h = _powmod(h, p, p, f)
+        g = _gcd(f, _add(h, t, p, -1), p)
+        if len(g) > 1:
             out.append((g, d))
-            f = f.divmod(g)[0]
-            h = h % f
-    if f.degree > 0:
-        out.append((f, f.degree))
+            f = _divmod(f, g, p)[0]
+            h = _divmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
     return out
 
 
-def _equal_degree(g: FpPoly, d: int, rng: random.Random) -> list[FpPoly]:
+def _equal_degree(g: list[int], d: int, p: int,
+                  rng: random.Random | None) -> list[list[int]]:
     """The degree-d monic irreducible factors of squarefree monic g.
 
     For a random a, gcd(g, a^((p^d-1)/2) - 1) (for p = 2, gcd(g, trace of
     a) with trace a + a^2 + ... + a^(2^(d-1))) is a proper factor with
     probability about 1/2.
     """
-    if g.degree == d:
+    if len(g) - 1 == d:
         return [g]
-    p = g.modulus.p
     while True:
-        a = FpPoly([rng.randrange(p) for _ in range(g.degree)], g.modulus)
-        if a.degree < 1:
+        a = [rng.randrange(p) for _ in range(len(g) - 1)]
+        while a and not a[-1]:
+            a.pop()
+        if len(a) < 2:
             continue
         if p == 2:
             b = sq = a
             for _ in range(d - 1):
-                sq = sq * sq % g
-                b = b + sq
+                sq = _divmod(_mul(sq, sq, p), g, p)[1]
+                b = _add(b, sq, p)
         else:
-            b = _powmod(a, (p ** d - 1) // 2, g) - FpPoly.one(g.modulus)
-        u = g.gcd(b)
-        if 0 < u.degree < g.degree:
-            return (_equal_degree(u, d, rng)
-                    + _equal_degree(g.divmod(u)[0], d, rng))
-
-
-def _powmod(a: FpPoly, e: int, f: FpPoly) -> FpPoly:
-    """a^e mod f by binary powering."""
-    result = FpPoly.one(f.modulus)
-    a = a % f
-    while e:
-        if e & 1:
-            result = result * a % f
-        e >>= 1
-        if e:
-            a = a * a % f
-    return result
+            b = _add(_powmod(a, (p ** d - 1) // 2, p, g), [1], p, -1)
+        u = _gcd(g, b, p)
+        if 1 < len(u) < len(g):
+            return (_equal_degree(u, d, p, rng)
+                    + _equal_degree(_divmod(g, u, p)[0], d, p, rng))

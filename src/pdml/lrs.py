@@ -138,10 +138,20 @@ def matrix_blocks(a) -> list[list[int]]:
     return list(blocks.values())
 
 
+def distinct_blocks(a) -> list[list[int]]:
+    """The index sets of matrix_blocks, keeping only the first of the
+    blocks that hold equal submatrices."""
+    first: dict[tuple, list[int]] = {}
+    for idx in matrix_blocks(a):
+        first.setdefault(tuple(tuple(a[i][j] for j in idx) for i in idx), idx)
+    return list(first.values())
+
+
 def mat_power_bound(a, n: int) -> int:
     """A bound on the largest absolute row sum ||A^k|| for every k <= n.
 
-    A^k is block diagonal over matrix_blocks, and ||B^k|| is at most
+    A^k is block diagonal over matrix_blocks, each distinct block bounded
+    once (distinct_blocks), and ||B^k|| is at most
     max(1, ||B||)^n and at most the product of max(1, ||B^(2^j)||) over
     j < bit_length(n); for unipotent blocks, whose powers grow
     polynomially, the second has O(log^2 n) bits where the first has O(n)."""
@@ -149,7 +159,7 @@ def mat_power_bound(a, n: int) -> int:
         return max(1, max(sum(map(abs, row)) for row in m))
 
     bound = 1
-    for idx in matrix_blocks(a):
+    for idx in distinct_blocks(a):
         block = square = [[a[i][j] for j in idx] for i in idx]
         product = 1
         for j in range(n.bit_length()):

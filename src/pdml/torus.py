@@ -26,8 +26,8 @@ from .exact import (FpPoly, PrimeModulus, RatFunc, Record, _guard_size,
                     pack_slots, poly_factor, ratfunc_int_pow, slot_bytes,
                     unpack_slots)
 from .lrs import (Lrs, _poly_mul_z, _synthetic_div, char_poly_of_matrix,
-                  lrs_char_roots, lrs_prefix, lrs_root_p_dependence, mat_mul,
-                  mat_power_bound, matrix_blocks)
+                  distinct_blocks, lrs_char_roots, lrs_prefix,
+                  lrs_root_p_dependence, mat_mul, mat_power_bound)
 from .psets import ReturnSetDesc
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -125,6 +125,8 @@ def endo_apply(matrix, x: TorusPoint) -> TorusPoint:
     m = _as_matrix(matrix)
     if len(m[0]) != x.dim:
         raise UsageError("dimension mismatch")
+    if x.is_identity():  # 1^a = 1
+        return x
     coords = []
     for row in m:
         acc = RatFunc.one(x.modulus)
@@ -531,23 +533,18 @@ def minimal_polynomial(a) -> tuple[int, ...]:
 
     It is the lcm of the minimal polynomials of the blocks of matrix_blocks,
     which repeated blocks do not change, so A is first cut down to one copy
-    of each distinct block. Finds the least degree l with A^l in the span of
-    lower powers by exact rational elimination; the result has integer
-    coefficients because A is integral over Z.
+    of each distinct block (distinct_blocks). Finds the least degree l with
+    A^l in the span of lower powers by exact rational elimination; the
+    result has integer coefficients because A is integral over Z.
     """
     full = _as_matrix(a)
-    distinct: dict[Matrix, list[int]] = {}
-    for idx in matrix_blocks(full):
-        distinct.setdefault(
-            tuple(tuple(full[i][j] for j in idx) for i in idx), idx)
-    keep = [i for idx in distinct.values() for i in idx]
+    keep = [i for idx in distinct_blocks(full) for i in idx]
     m = [[full[i][j] for j in keep] for i in keep]
     n = len(m)
-    power = [[int(i == j) for j in range(n)] for i in range(n)]
-    vecs = [[Fraction(x) for row in power for x in row]]
+    vecs = [[Fraction(int(i == j)) for i in range(n) for j in range(n)]]
     for l in range(1, n + 1):
         # A^l only when no lower degree gave a dependency
-        power = mat_mul(power, m)
+        power = mat_mul(power, m) if l > 1 else m
         vecs.append([Fraction(x) for row in power for x in row])
         sol = _solve_exact(vecs[:l], vecs[l])
         if sol is not None:

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from pdml.errors import DomainError, ResourceLimitError, UsageError
 from pdml.exact import (
@@ -14,7 +14,8 @@ from pdml.exact import (
     poly_factor,
     ratfunc_int_pow,
 )
-from pdml.exact import _binary_pow, _squarefree
+import pdml.exact as exact_mod
+from pdml.exact import _distinct_degree, _divmod, _squarefree
 
 P5 = PrimeModulus(5)
 P3 = PrimeModulus(3)
@@ -27,6 +28,20 @@ def poly(coeffs, p=P5):
 
 def rf(num, den=None, p=P5):
     return RatFunc(poly(num, p), poly(den, p) if den is not None else None)
+
+
+def _binary_pow(x, e: int):
+    """x^e by binary powering, for an FpPoly or a RatFunc x: the reference
+    for the base-p digit powers."""
+    result = type(x).one(x.modulus)
+    base = x
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
 
 
 class TestPrimeModulus:
@@ -53,8 +68,10 @@ class TestPolyOps:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 10007])
     def test_gcd_matches_divmod_euclid(self, p):
-        # the remainder-only Euclid against Euclid by divmod, on pairs with
-        # a planted common factor, zero and constant inputs included
+        # the gcd kernel against Euclid by FpPoly.divmod, on pairs with a
+        # planted common factor, zero and constant inputs included; both
+        # run on the one division kernel, so the gcd must also divide both
+        # inputs and be divided by the planted factor
         def divmod_gcd(a, b):
             while not b.is_zero():
                 a, b = b, a.divmod(b)[1]
@@ -67,16 +84,23 @@ class TestPolyOps:
             return FpPoly([rnd.randrange(p) for _ in range(deg + 1)], pm)
 
         fixed = [FpPoly.zero(pm), FpPoly.one(pm), FpPoly.const(p - 1, pm)]
-        pairs = [(a, b) for a in fixed for b in fixed + [rand(3)]]
+        pairs = [(a, b, FpPoly.one(pm))
+                 for a in fixed for b in fixed + [rand(3)]]
         for _ in range(300):
             common = rand(rnd.randint(0, 4))
             pairs.append((rand(rnd.randint(0, 8)) * common,
-                          rand(rnd.randint(0, 8)) * common))
-        for a, b in pairs:
+                          rand(rnd.randint(0, 8)) * common, common))
+        for a, b, common in pairs:
             for x, y in ((a, b), (b, a)):
                 g = x.gcd(y)
                 assert g == divmod_gcd(x, y)
-                assert g.is_zero() or g.is_monic()
+                if g.is_zero():
+                    assert x.is_zero() and y.is_zero()
+                    continue
+                # a common divisor that the planted factor divides
+                assert g.is_monic()
+                assert (x % g).is_zero() and (y % g).is_zero()
+                assert common.is_zero() or (g % common).is_zero()
 
     def test_mul_mod3(self):
         # (t+1)(t+2) = t^2 + 2 over F_3
@@ -97,6 +121,23 @@ class TestPolyOps:
             q, r = f.divmod(g)
             assert q * g + r == f
             assert r.degree < g.degree
+
+    @given(st.sampled_from([2, 3, 5, 10007]),
+           st.lists(st.integers(0, 10**6), max_size=12),
+           st.lists(st.integers(0, 10**6), min_size=1, max_size=8))
+    def test_division_kernel(self, p, a, b):
+        # a = q b + r with deg r < deg b, q and r canonical, the product
+        # q b by schoolbook
+        pm = PrimeModulus(p)
+        a, b = FpPoly(a, pm).coeffs, FpPoly(b, pm).coeffs
+        assume(b)
+        q, r = _divmod(a, b, p)
+        assert len(r) < len(b)
+        for x in (q, r):
+            assert all(0 <= c < p for c in x) and (not x or x[-1])
+        qb = schoolbook(q, b, p)
+        assert FpPoly([x + y for x, y in itertools.zip_longest(
+            qb, r, fillvalue=0)], pm).coeffs == a
 
     def test_divide_by_zero(self):
         with pytest.raises(DomainError):
@@ -365,11 +406,15 @@ class TestFactor:
             [(poly([1, 1, 1], P2), 2)]
 
     def test_unit_and_constants(self, monkeypatch):
-        # a unit is answered before any gcd is taken
-        monkeypatch.setattr(FpPoly, "gcd", None)
+        # a unit is answered before any gcd is taken: with the gcd kernel
+        # gone units still factor, and a linear polynomial, which reaches
+        # the kernel, fails
+        monkeypatch.setattr(exact_mod, "_gcd", None)
         for p in (P2, P5, PrimeModulus(10**9 + 7)):
             for c in (1, p.p - 1):
                 assert poly_factor(FpPoly.const(c, p)) == (c, [])
+        with pytest.raises(TypeError):
+            poly_factor(poly([1, 2]))
         monkeypatch.undo()
         assert poly_factor(poly([3])) == (3, [])
         assert poly_factor(poly([1, 2])) == (2, [(poly([3, 1]), 1)])
@@ -383,6 +428,63 @@ class TestFactor:
         f = lin ** 2 * quad * FpPoly([5, 1], p)
         assert poly_factor(f) == (1, [(lin, 2), (FpPoly([5, 1], p), 1),
                                       (quad, 1)])
+
+
+def squarefree(f: FpPoly) -> list[tuple[FpPoly, int]]:
+    """exact._squarefree on the coefficients of monic f, as FpPolys."""
+    return [(FpPoly(g, f.modulus), m)
+            for g, m in _squarefree(f.coeffs, f.modulus.p)]
+
+
+def ref_squarefree(f: FpPoly) -> list[tuple[FpPoly, int]]:
+    """Yun's squarefree split on FpPoly methods, as exact._squarefree ran
+    before it moved to coefficient lists: the reference for its factors
+    and their order."""
+    out = []
+    df = f.derivative()
+    a = f.gcd(df)
+    b = f.divmod(a)[0]
+    c = df.divmod(a)[0]
+    i = 1
+    while b.degree > 0:
+        d = c - b.derivative()
+        g = b.gcd(d)
+        if g.degree > 0:
+            out.append((g, i))
+            a = a.divmod(g ** (i - 1))[0]
+            b = b.divmod(g)[0]
+        c = d.divmod(g)[0]
+        i += 1
+    if a.degree > 0:
+        p = f.modulus.p
+        root = FpPoly(a.coeffs[::p], f.modulus)
+        out.extend((g, m * p) for g, m in ref_squarefree(root))
+    return out
+
+
+def ref_distinct_degree(f: FpPoly) -> list[tuple[FpPoly, int]]:
+    """Distinct-degree splitting on FpPoly methods, as
+    exact._distinct_degree ran before it moved to coefficient lists."""
+    out = []
+    t = FpPoly.x(f.modulus)
+    h = t
+    d = 0
+    while f.degree >= 2 * (d + 1):
+        d += 1
+        e, base, h = f.modulus.p, h % f, FpPoly.one(f.modulus)
+        while e:  # h^p mod f by binary powering
+            if e & 1:
+                h = h * base % f
+            e >>= 1
+            base = base * base % f
+        g = f.gcd(h - t)
+        if g.degree > 0:
+            out.append((g, d))
+            f = f.divmod(g)[0]
+            h = h % f
+    if f.degree > 0:
+        out.append((f, f.degree))
+    return out
 
 
 def squarefree_by_multiplicity(f: FpPoly) -> list[tuple[FpPoly, int]]:
@@ -456,7 +558,12 @@ class TestSquarefree:
             f = FpPoly.one(p)
             for g, m in zip(fs, ms):
                 f = f * g ** m
-            split = _squarefree(f)
+            split = squarefree(f)
+            assert split == ref_squarefree(f)
+            for s, _ in split:
+                assert [(FpPoly(g, p), d) for g, d in
+                        _distinct_degree(s.coeffs, q)] == \
+                    ref_distinct_degree(s)
             assert all(s.is_monic() and s.degree > 0 for s, _ in split)
             assert level_multiplicities(split, fs) == ms
             assert level_multiplicities(
@@ -477,10 +584,10 @@ class TestSquarefree:
         f = quartic ** 112 * lin ** 3
         assert f.degree == 451
         calls = []
-        gcd = FpPoly.gcd
-        monkeypatch.setattr(FpPoly, "gcd",
-                            lambda a, b: calls.append(1) or gcd(a, b))
-        split = _squarefree(f)
+        gcd = exact_mod._gcd
+        monkeypatch.setattr(exact_mod, "_gcd",
+                            lambda a, b, p: calls.append(1) or gcd(a, b, p))
+        split = squarefree(f)
         monkeypatch.undo()
         assert len(calls) == 12
         assert level_multiplicities(split, [quartic, lin]) == [112, 3]

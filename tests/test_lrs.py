@@ -25,6 +25,7 @@ from pdml.lrs import (
     lrs_split_modulus,
     lrs_subsequence,
     lrs_zero_progression_certify,
+    mat_mul,
     mat_pow,
     mat_power_bound,
 )
@@ -32,6 +33,17 @@ from pdml.lrs import (
 P5 = PrimeModulus(5)
 
 THREE_POW_MINUS_TWO = Lrs((3, -4), (-1, 1))  # roots 3 and 1
+
+
+def block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(row)] = row
+        at += len(b)
+    return out
 
 
 def random_lrs(rnd, max_order=4, coeff_bound=3, init_bound=5):
@@ -416,6 +428,48 @@ class TestMatrixHelpers:
         # a unipotent block: O(log^2 n) bits, where ||A||^n has 1.6 n
         assert mat_power_bound([[0, 1], [-1, 2]], 2 ** 20) < 2 ** 250
         assert mat_power_bound([[0, 1], [-1, 2]], 2 ** 20 - 1) < 2 ** 250
+
+    def test_power_bound_squares_each_distinct_block_once(self,
+                                                          monkeypatch):
+        # oracle: the bound with every block of matrix_blocks squared, as
+        # before repeated blocks were skipped
+        def every_block_bound(a, n):
+            def norm(m):
+                return max(1, max(sum(map(abs, row)) for row in m))
+
+            bound = 1
+            for idx in lrs_mod.matrix_blocks(a):
+                block = square = [[a[i][j] for j in idx] for i in idx]
+                product = 1
+                for j in range(n.bit_length()):
+                    square = mat_mul(square, square) if j else square
+                    product *= norm(square)
+                bound = max(bound, min(product, norm(block) ** n))
+            return bound
+
+        rnd = random.Random(97)
+        blocks = ([[0, 1], [1, 0]], [[0, 1], [1, 1]], [[1, 1], [0, 1]],
+                  [[0, 1], [-1, 2]], [[2]], [[-1]], [[0, 1, 0], [0, 0, 1],
+                                                     [2, -1, 1]])
+        for _ in range(40):
+            chosen = [rnd.choice(blocks) for _ in range(rnd.randint(2, 6))]
+            chosen += [rnd.choice(chosen)] * rnd.randint(1, 3)
+            a = block_diagonal(chosen)
+            perm = rnd.sample(range(len(a)), len(a))
+            for m in (a, [[a[i][j] for j in perm] for i in perm]):
+                for n in (0, 1, 2, 5, 12):
+                    bound = mat_power_bound(m, n)
+                    assert bound == every_block_bound(m, n)
+                    for k in range(n + 1):
+                        assert bound >= max(sum(map(abs, row))
+                                            for row in mat_pow(m, k))
+        # ten equal blocks at n = 16: the four squarings run once
+        calls = []
+        monkeypatch.setattr(lrs_mod, "mat_mul",
+                            lambda x, y: calls.append(1) or mat_mul(x, y))
+        assert mat_power_bound(block_diagonal([[[0, 1], [1, 0]]] * 10),
+                               16) == 1
+        assert len(calls) == 4
 
     def test_char_poly_block_split_matches_whole_matrix(self):
         # oracle: Faddeev-LeVerrier on the whole matrix, unsplit

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import pdml.torus as torus_mod
-from pdml.errors import DomainError, ResourceLimitError
+from pdml.errors import DomainError, ResourceLimitError, UsageError
 from pdml.exact import FpPoly, PrimeModulus, RatFunc, frobenius_power, ratfunc_int_pow
 from pdml.lrs import (_synthetic_div, char_poly_of_matrix, lrs_prefix,
                       mat_mul, mat_pow)
@@ -68,6 +68,41 @@ class TestEndoApply:
     def test_negative_entries_use_inverses(self):
         out = endo_apply([[-1]], TorusPoint((t_plus(1),)))
         assert out.coords[0] == t_plus(1).inv()
+
+    def test_identity_point_is_returned_unchanged(self, monkeypatch):
+        one = TorusPoint.identity(3, P5)
+        monkeypatch.setattr(torus_mod, "ratfunc_int_pow", None)
+        assert endo_apply([[2, -1, 0], [0, 7, 1], [1, 1, 1]], one) is one
+        with pytest.raises(UsageError):
+            endo_apply([[1, 0], [0, 1]], one)
+
+    def test_reduction_data_matches_full_products(self, monkeypatch):
+        # reduction_decompose with endo_apply raising every coordinate to
+        # its power, identity points included, as the reference
+        def full_endo_apply(matrix, x):
+            coords = []
+            for row in matrix:
+                acc = RatFunc.one(x.modulus)
+                for e, xj in zip(row, x.coords):
+                    if e:
+                        acc = acc * ratfunc_int_pow(xj, e)
+                coords.append(acc)
+            return TorusPoint(tuple(coords))
+
+        rnd = random.Random(41)
+        pool = coord_pool(P5)
+        for _ in range(40):
+            n = rnd.randint(1, 3)
+            matrix = [[rnd.randint(-2, 3) for _ in range(n)]
+                      for _ in range(n)]
+            alpha = TorusPoint(tuple(rnd.choice(pool) for _ in range(n)))
+            for y in (TorusPoint.identity(n, P5),
+                      TorusPoint(tuple(rnd.choice(pool) for _ in range(n)))):
+                phi = TorusSelfMap(matrix, y)
+                rd = reduction_decompose(phi, alpha)
+                with monkeypatch.context() as m:
+                    m.setattr(torus_mod, "endo_apply", full_endo_apply)
+                    assert reduction_decompose(phi, alpha) == rd
 
 
 class TestIterate:
@@ -400,7 +435,7 @@ class TestLazyPowers:
         monkeypatch.setattr(torus_mod, "mat_mul", counting_mul)
         a = _block_diagonal([[[0, 1], [1, 0]]] * 10)
         assert minimal_polynomial(a) == (-1, 0, 1)
-        assert len(calls) == 2
+        assert len(calls) == 1  # A^2; the loop starts at A, not I * A
 
     def test_obstruction_matches_fresh_powers(self):
         for a in _matrix_cases():
