@@ -622,11 +622,6 @@ def encoding_exponent(enc: LrsEncoding, n: int) -> int:
                for i, pe in enumerate(enc.pi_exponents))
 
 
-def encoding_projection(enc: LrsEncoding, n: int) -> RatFunc:
-    """pi(Phi^n(Q)) as an explicit rational function (degree-capped)."""
-    return ratfunc_int_pow(enc.base_point, encoding_exponent(enc, n))
-
-
 def dml_instance(u: Lrs, p: PrimeModulus, c: list[int]
                  ) -> tuple[TorusSelfMap, TorusPoint, Variety]:
     """Torus instance whose return set is {n : u_n = sum c_i p^(n_i)}.

@@ -227,13 +227,6 @@ class FpPoly:
         return FpPoly(_mul(self.coeffs, other.coeffs, self.modulus.p),
                       self.modulus, _canonical=True)
 
-    def shift(self, k: int) -> "FpPoly":
-        """Multiply by t^k."""
-        if self.is_zero() or k == 0:
-            return self
-        _guard_size(len(self.coeffs) + k)
-        return FpPoly((0,) * k + self.coeffs, self.modulus, _canonical=True)
-
     def divmod(self, other: "FpPoly") -> tuple["FpPoly", "FpPoly"]:
         """Euclidean division: self = q*other + r with deg r < deg other."""
         self._check(other)
@@ -491,10 +484,6 @@ class RatFunc:
     def const(c: int, modulus: PrimeModulus) -> "RatFunc":
         return RatFunc(FpPoly.const(c, modulus))
 
-    @staticmethod
-    def t(modulus: PrimeModulus) -> "RatFunc":
-        return RatFunc(FpPoly.x(modulus))
-
     # -- queries ---------------------------------------------------------------
 
     @property
@@ -545,19 +534,6 @@ class RatFunc:
         if self.is_zero():
             raise DomainError("inversion of zero")
         return RatFunc(self.den, self.num)
-
-
-def frobenius_power(x: RatFunc, k: int) -> RatFunc:
-    """x^(p^k) via coefficient re-indexing; cost is one stride copy per step.
-
-    gcd and monicity survive the Frobenius, so the result is already
-    canonical.
-    """
-    if k < 0:
-        raise DomainError("negative Frobenius step")
-    if k == 0:
-        return x
-    return RatFunc(x.num.frobenius(k), x.den.frobenius(k), _canonical=True)
 
 
 def ratfunc_int_pow(x: RatFunc, m: int) -> RatFunc:

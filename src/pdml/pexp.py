@@ -10,16 +10,13 @@ is mandatory.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .errors import (DomainError, InternalError, UnsupportedError,
-                     ValidationError)
+from .errors import DomainError, InternalError, UnsupportedError
 from .exact import PrimeModulus, Record
 from .lrs import (
     Lrs,
     lrs_char_roots,
-    lrs_eval,
     lrs_prefix,
     lrs_root_p_dependence,
     lrs_split_modulus,
@@ -37,6 +34,9 @@ _PSET_FIT_MIN = 4
 
 # Largest exceptional set a structured description may carry.
 _EXCEPTIONAL_CAP = 64
+
+# Most nontrivial exponent terms of a fitted p-set: the two-exponent shape.
+_MAX_NONTRIVIAL = 2
 
 
 class PexpInstance(Record):
@@ -126,7 +126,6 @@ def fit_solution_desc(
     p: PrimeModulus,
     n_max: int,
     allow_psets: bool,
-    max_nontrivial: int = 2,
     notes: tuple[str, ...] = (),
 ) -> ReturnSetDesc:
     """Fit-and-verify a ReturnSetDesc for a solution set on [0, n_max].
@@ -148,7 +147,7 @@ def fit_solution_desc(
     candidates: list[tuple[tuple[int, int], ReturnSetDesc]] = []
     if residual and len(residual) >= _PSET_FIT_MIN and allow_psets:
         for cand in fit_pset_shapes(residual, p, n_max, oracle):
-            if cand.nontrivial_terms() > max_nontrivial:
+            if cand.nontrivial_terms() > _MAX_NONTRIVIAL:
                 continue
             cand_members = set(pset_enumerate(cand, p, n_max))
             if not cand_members <= solutions:
@@ -264,164 +263,3 @@ def _affine_pset(ps: PSet, scale: int, shift: int) -> PSet:
     if const != 0 or not rest:
         rest.append((const, 0))
     return PSet(tuple(rest))
-
-
-# ---------------------------------------------------------------------------
-# F-arithmetic sequences
-# ---------------------------------------------------------------------------
-
-
-class FArithSeq(Record):
-    """n in an ambient progression with U_n = sum_i U^(i)_(n_i) solvable.
-
-    Nontrivial parts must have all integer characteristic roots equal to
-    powers p^b with b >= 1 (checked at construction); constant parts are
-    trivial and act as fixed summands.
-    """
-
-    __slots__ = ("p", "ap", "U", "parts")
-
-    def __init__(self, p: PrimeModulus, ap: ArithProg, U: Lrs,
-                 parts: tuple[Lrs, ...]):
-        for part in parts:
-            if _is_constant(part):
-                continue
-            roots = lrs_char_roots(part)
-            if not roots.fully_resolved():
-                raise ValidationError(
-                    "part has unresolved non-integer characteristic roots")
-            for v in lrs_root_p_dependence(roots, p).verdicts:
-                if not v.dependent or v.sign < 0:
-                    raise ValidationError(
-                        f"part root {v.root} is not a power of p = {p.p}")
-        self._init(p, ap, U, parts)
-
-
-def _is_constant(s: Lrs) -> bool:
-    vals = lrs_prefix(s, s.order)
-    return all(v == vals[0] for v in vals)
-
-
-class FarithResult(Record):
-    __slots__ = ("solutions", "capped")
-
-    def __init__(self, solutions: tuple[int, ...], capped: bool):
-        self._init(solutions, capped)
-
-
-def _convert_part(part: Lrs, p: PrimeModulus
-                  ) -> tuple[Fraction, int, Fraction] | None:
-    """Express a part as gamma * p^(b k) + delta if its characteristic
-    polynomial splits into distinct factors from {x - 1, x - p^b}."""
-    if _is_constant(part):
-        return Fraction(0), 0, Fraction(lrs_eval(part, 0))
-    roots = lrs_char_roots(part)
-    if not roots.fully_resolved():
-        return None
-    rs = dict(roots.integer_roots)
-    if any(mult != 1 for mult in rs.values()):
-        return None
-    nontriv = [v for v in lrs_root_p_dependence(roots, p).verdicts
-               if v.root != 1]
-    if len(nontriv) != 1 or not nontriv[0].dependent or nontriv[0].sign < 0:
-        return None
-    pb, b = nontriv[0].root, nontriv[0].s
-    u0 = Fraction(lrs_eval(part, 0))
-    if 1 in rs:
-        u1 = Fraction(lrs_eval(part, 1))
-        gamma = (u1 - u0) / (pb - 1)
-        delta = u0 - gamma
-    else:
-        gamma, delta = u0, Fraction(0)
-    return gamma, b, delta
-
-
-def farith_solve(seq: FArithSeq, n_max: int) -> FarithResult:
-    """All n = ak + b <= n_max with U_n expressible as a sum over the parts.
-
-    Convertible parts become p-set terms; the rest are searched over a
-    bounded exponent range with divergence pruning, and the result is
-    flagged capped whenever that range cannot be certified complete.
-    """
-    ns = seq.ap.members(n_max)
-    if not seq.parts:
-        # void equation: the sequence is the ambient progression itself
-        return FarithResult(tuple(ns), False)
-    converted: list[tuple[Fraction, int]] = []
-    delta = Fraction(0)
-    searched: list[Lrs] = []
-    for part in seq.parts:
-        conv = _convert_part(part, seq.p)
-        if conv is None:
-            searched.append(part)
-        else:
-            gamma, b, d = conv
-            delta += d
-            if gamma != 0:
-                converted.append((gamma, b))
-    S = PSet(tuple(converted)) if converted else None
-    if not ns:
-        return FarithResult((), False)
-    prefix = lrs_prefix(seq.U, ns[-1])
-    u_vals = {n: prefix[n] for n in ns}
-    cap = _nested_cap(max(abs(v) for v in u_vals.values()), seq.p.p)
-    tables, capped = _part_tables(searched, cap, u_vals.values())
-
-    def solvable(target: Fraction) -> bool:
-        return _search_parts(target, tables, 0, S, seq.p)
-
-    sols = [n for n in ns if solvable(Fraction(u_vals[n]) - delta)]
-    return FarithResult(tuple(sols), capped)
-
-
-def _nested_cap(u_abs_max: int, p: int) -> int:
-    return 4 * math.ceil(math.log(1 + u_abs_max, p)) + 16
-
-
-def _part_tables(parts: list[Lrs], cap: int, targets
-                 ) -> tuple[list[list[int]], bool]:
-    """Explored values per unconvertible part plus a completeness flag."""
-    horizon = max((abs(int(t)) for t in targets), default=0)
-    tables = []
-    capped = False
-    for part in parts:
-        vals = lrs_prefix(part, cap)
-        tables.append(vals)
-    for i, vals in enumerate(tables):
-        other = sum(max(abs(v) for v in t) for j, t in enumerate(tables)
-                    if j != i)
-        tail = vals[-3:]
-        monotone = all(abs(tail[k]) < abs(tail[k + 1])
-                       for k in range(len(tail) - 1))
-        if not (monotone and abs(vals[-1]) > horizon + other):
-            capped = True
-    return tables, capped
-
-
-def _search_parts(target: Fraction, tables: list[list[int]], idx: int,
-                  S: PSet | None, p: PrimeModulus) -> bool:
-    if idx == len(tables):
-        if S is None:
-            return target == 0
-        return pset_contains(target, S, p)
-    lo = sum(min(t) for t in tables[idx:])
-    hi = sum(max(t) for t in tables[idx:])
-    if S is None and not (lo <= target <= hi):
-        return False
-    for v in tables[idx]:
-        if _search_parts(target - v, tables, idx + 1, S, p):
-            return True
-    return False
-
-
-def general_farith_intersect(seqs: list[FArithSeq], n_max: int
-                             ) -> FarithResult:
-    """Intersection of finitely many F-arithmetic sequences."""
-    if not seqs:
-        raise DomainError("need at least one sequence")
-    results = [farith_solve(s, n_max) for s in seqs]
-    common = set(results[0].solutions)
-    for r in results[1:]:
-        common &= set(r.solutions)
-    return FarithResult(tuple(sorted(common)),
-                        any(r.capped for r in results))

@@ -719,9 +719,9 @@ def frobenius_obstruction(a, p: PrimeModulus, r_max: int = DEFAULT_R_MAX,
     """Does some iterate act as a Frobenius power on a proper subgroup?
 
     Scans det(A^r - p^s I) = 0 for r <= r_max, s <= s_max in lexicographic
-    order; afterwards any integer eigenvalue of absolute value p^b forces
-    obstructed(2, 2b) even beyond the scan window. A clear verdict is
-    explicitly bounded.
+    order, each s only while p^s is within Cauchy's root bound; afterwards
+    any integer eigenvalue of absolute value p^b forces obstructed(2, 2b)
+    even beyond the scan window. A clear verdict is explicitly bounded.
     """
     if r_max < 1 or s_max < 1:
         raise DomainError("bounds must be at least 1")
@@ -731,9 +731,16 @@ def frobenius_obstruction(a, p: PrimeModulus, r_max: int = DEFAULT_R_MAX,
         if r > 1:
             ar = mat_mul(ar, m)
         cp = list(char_poly_of_matrix(ar))
+        # a root of the monic cp is below 1 + max |c_i| (Cauchy), so the
+        # scan stops at the first p^s above that
+        bound = 1 + max(map(abs, cp[:-1]))
+        ps = 1
         for s in range(0, s_max + 1):
-            if _synthetic_div(cp, p.p ** s) is not None:
+            if ps > bound:
+                break
+            if _synthetic_div(cp, ps) is not None:
                 return ObstructionVerdict(True, r, s)
+            ps *= p.p
     minpoly = minimal_polynomial(m)
     roots = lrs_char_roots(Lrs(minpoly[:-1], (0,) * (len(minpoly) - 1)))
     for v in lrs_root_p_dependence(roots, p).verdicts:
@@ -748,24 +755,20 @@ def frobenius_obstruction(a, p: PrimeModulus, r_max: int = DEFAULT_R_MAX,
 
 
 def full_pipeline(phi: TorusSelfMap, alpha: TorusPoint, v: Variety,
-                  n_max: int, declared_dim: int | None = None,
-                  r_max: int = DEFAULT_R_MAX,
-                  s_max: int = DEFAULT_S_MAX) -> ReturnSetDesc:
+                  n_max: int) -> ReturnSetDesc:
     """return_set followed by classify_hits."""
-    return classify_hits(phi, return_set(phi, alpha, v, n_max), n_max,
-                         declared_dim, r_max, s_max)
+    return classify_hits(phi, return_set(phi, alpha, v, n_max), n_max)
 
 
 def classify_hits(phi: TorusSelfMap, hits: list[int], n_max: int,
-                  declared_dim: int | None = None,
                   r_max: int = DEFAULT_R_MAX,
                   s_max: int = DEFAULT_S_MAX) -> ReturnSetDesc:
     """Fit-and-verify classification of the return set hits on [0, n_max].
 
     Pure endomorphisms that are clear of the Frobenius obstruction get the
-    progressions-only shape; a declared variety dimension <= 2 (or the
-    default) fits p-sets with at most two nontrivial exponent terms. The
-    description always verifies against the raw hits on [0, n_max].
+    progressions-only shape; every other map also fits p-sets with at most
+    two nontrivial exponent terms. The description always verifies against
+    the raw hits on [0, n_max].
     """
     from .pexp import fit_solution_desc
 
@@ -780,9 +783,5 @@ def classify_hits(phi: TorusSelfMap, hits: list[int], n_max: int,
                          "progressions-only shape")
         else:
             notes.append(str(verdict))
-    if declared_dim is not None and declared_dim > 2 and allow_psets:
-        allow_psets = False
-        notes.append("declared dimension above 2: "
-                     "progressions and exceptional points only")
     return fit_solution_desc(set(hits), p, n_max, allow_psets=allow_psets,
-                             max_nontrivial=2, notes=tuple(notes))
+                             notes=tuple(notes))

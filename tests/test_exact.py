@@ -9,7 +9,6 @@ from pdml.exact import (
     FpPoly,
     PrimeModulus,
     RatFunc,
-    frobenius_power,
     is_prime,
     poly_factor,
     ratfunc_int_pow,
@@ -242,18 +241,18 @@ class TestNormalize:
 class TestFrobenius:
     def test_t_plus_one_squared_step(self):
         # (t+1)^(5^2) = t^25 + 1
-        x = frobenius_power(rf([1, 1]), 2)
+        x = ratfunc_int_pow(rf([1, 1]), 5 ** 2)
         expected = [1] + [0] * 24 + [1]
         assert list(x.num.coeffs) == expected
         assert x.den.is_one()
 
     def test_identity_step(self):
         x = rf([2, 0, 1], [1, 1])
-        assert frobenius_power(x, 0) == x
+        assert ratfunc_int_pow(x, 5 ** 0) == x
 
     def test_cube_over_f3(self):
         # (2t+1)^3 = 2t^3 + 1 over F_3
-        assert frobenius_power(rf([1, 2], p=P3), 1) == rf([1, 0, 0, 2], p=P3)
+        assert ratfunc_int_pow(rf([1, 2], p=P3), 3) == rf([1, 0, 0, 2], p=P3)
 
     def test_matches_binary_powering(self):
         rnd = random.Random(17)
@@ -267,7 +266,7 @@ class TestFrobenius:
             k = rnd.randint(0, 4)
             if p.p ** k * 4 > 3000:
                 k = 2
-            assert frobenius_power(x, k) == _binary_pow(x, p.p ** k)
+            assert ratfunc_int_pow(x, p.p ** k) == _binary_pow(x, p.p ** k)
 
 
 class TestPolyPow:
@@ -302,7 +301,7 @@ class TestIntPow:
         x = rf([1, 1])
         via_digits = ratfunc_int_pow(x, 26)
         assert via_digits == _binary_pow(x, 26)
-        assert via_digits == x * frobenius_power(x, 2)
+        assert via_digits == x * ratfunc_int_pow(x, 5 ** 2)
 
     def test_pow_zero(self):
         assert ratfunc_int_pow(rf([3, 2, 1]), 0) == RatFunc.one(P5)

@@ -2,18 +2,12 @@ import itertools
 import random
 import time
 
-import pytest
-
 import pdml.psets as psets_mod
-from pdml.errors import ValidationError
 from pdml.exact import PrimeModulus
 from pdml.lrs import Lrs, constant, fibonacci, lrs_prefix
 from pdml.pexp import (
-    FArithSeq,
     PexpInstance,
-    farith_solve,
     fit_solution_desc,
-    general_farith_intersect,
     pexp_classify,
     pexp_solution_set,
     pexp_solve,
@@ -248,82 +242,3 @@ class TestFitSolutionDesc:
             verified_bound=179,
             notes=("piece 1k+0: two-exponent shape fitted",))
         assert len(built) <= 10
-
-
-class TestFArith:
-    def test_fibonacci_against_powers_of_five(self):
-        seq = FArithSeq(P5, ArithProg(1, 0), fibonacci(), (Lrs((-5,), (1,)),))
-        res = farith_solve(seq, 30)
-        assert res.solutions == (1, 2, 5)
-        assert not res.capped
-
-    def test_void_parts(self):
-        seq = FArithSeq(P5, ArithProg(2, 1), fibonacci(), ())
-        res = farith_solve(seq, 20)
-        assert res.solutions == tuple(range(1, 21, 2))
-
-    def test_singleton_progression(self):
-        part = Lrs((-5,), (1,))
-        hit = farith_solve(FArithSeq(P5, ArithProg(0, 5), fibonacci(), (part,)), 30)
-        miss = farith_solve(FArithSeq(P5, ArithProg(0, 7), fibonacci(), (part,)), 30)
-        assert hit.solutions == (5,)
-        assert miss.solutions == ()
-
-    def test_constant_part_shift(self):
-        # F_n = 5^k + 1: F_3 = 2, F_7 = 13 no, ... solutions where F_n - 1 is a power
-        seq = FArithSeq(P5, ArithProg(1, 0), fibonacci(),
-                        (Lrs((-5,), (1,)), constant(1)))
-        res = farith_solve(seq, 20)
-        want = tuple(n for n, f in enumerate(lrs_prefix(fibonacci(), 20))
-                     if f - 1 in {1, 5, 25, 125, 625, 3125})
-        assert res.solutions == want
-
-    def test_part_validation(self):
-        with pytest.raises(ValidationError):
-            FArithSeq(P5, ArithProg(1, 0), fibonacci(), (Lrs((-3,), (1,)),))
-        with pytest.raises(ValidationError):
-            FArithSeq(P5, ArithProg(1, 0), fibonacci(), (fibonacci(),))
-
-    def test_two_part_sum(self):
-        # u_n = n against 5^a + 5^b
-        part = Lrs((-5,), (1,))
-        seq = FArithSeq(P5, ArithProg(1, 0), LINEAR, (part, part))
-        res = farith_solve(seq, 60)
-        assert res.solutions == (2, 6, 10, 26, 30, 50)
-
-    def test_intersection(self):
-        a = FArithSeq(P5, ArithProg(2, 0), fibonacci(), ())
-        b = FArithSeq(P5, ArithProg(3, 0), fibonacci(), ())
-        res = general_farith_intersect([a, b], 30)
-        assert res.solutions == (0, 6, 12, 18, 24, 30)
-
-    def test_intersection_single(self):
-        seq = FArithSeq(P5, ArithProg(1, 0), fibonacci(), (Lrs((-5,), (1,)),))
-        assert general_farith_intersect([seq], 30).solutions == \
-            farith_solve(seq, 30).solutions
-
-    def test_intersection_identical_pair(self):
-        seq = FArithSeq(P5, ArithProg(1, 0), fibonacci(), (Lrs((-5,), (1,)),))
-        assert general_farith_intersect([seq, seq], 30).solutions == \
-            farith_solve(seq, 30).solutions
-
-    def test_unconvertible_part_search(self):
-        # part with double root p: (x-5)^2: values (a + b k) 5^k, unconvertible
-        part = Lrs((25, -10), (1, 10))  # u_k = (1 + k) 5^k
-        seq = FArithSeq(P5, ArithProg(1, 0), fibonacci(), (part,))
-        res = farith_solve(seq, 25)
-        vals = {(1 + k) * 5**k for k in range(40)}
-        want = tuple(n for n, f in enumerate(lrs_prefix(fibonacci(), 25))
-                     if f in vals)
-        assert res.solutions == want
-
-    def test_two_unconvertible_parts_flag_capped(self):
-        # cancellation between two searched parts cannot be certified
-        # complete within the exponent cap, so the result is flagged
-        part = Lrs((25, -10), (1, 10))
-        neg = Lrs((25, -10), (-1, -10))
-        seq = FArithSeq(P5, ArithProg(1, 0), fibonacci(), (part, neg))
-        res = farith_solve(seq, 10)
-        assert res.capped
-        # within the searched region: F_n = 0 is solvable (v - v), F_0 = 0
-        assert 0 in res.solutions

@@ -10,9 +10,9 @@ from fractions import Fraction
 import pytest
 
 from pdml.constructions import build_pset_variety, encode_lrs
-from pdml.exact import FpPoly, PrimeModulus, RatFunc
+from pdml.exact import FpPoly, PrimeModulus, RatFunc, Record
 from pdml.lrs import CharRoots, Lrs, RootPReport, RootPVerdict
-from pdml.pexp import FArithSeq, FarithResult, PexpInstance
+from pdml.pexp import PexpInstance
 from pdml.psets import ArithProg, PSet, ReturnSetDesc
 from pdml.torus import (ObstructionVerdict, ReductionData, TorusPoint,
                         TorusSelfMap, Variety)
@@ -90,6 +90,16 @@ def test_import_budget():
     assert result.stdout.split() == []
 
 
+class RootPReportTwin(Record):
+    """RootPReport's fields in another class: instances of two classes
+    with equal field values are still unequal."""
+
+    __slots__ = ("verdicts", "unresolved_unknown")
+
+    def __init__(self, verdicts, unresolved_unknown):
+        self._init(verdicts, unresolved_unknown)
+
+
 P5 = PrimeModulus(5)
 X = RatFunc(FpPoly([1, 1], P5))
 LRS = Lrs((1, -2), (0, 1))
@@ -113,11 +123,9 @@ VALUE_CLASSES = {
         lambda: RootPVerdict(root=3, dependent=False, s=None, sign=None)),
     "RootPReport": (lambda: RootPReport((1, 2), False), "verdicts", None,
                     None),
+    "RootPReportTwin": (lambda: RootPReportTwin((1, 2), False), "verdicts",
+                        None, None),
     "PexpInstance": (lambda: PexpInstance(LRS, P5, ((1, 1),)), "terms", None,
-                     None),
-    "FArithSeq": (lambda: FArithSeq(P5, ArithProg(1, 0), LRS, ()), "ap",
-                  None, None),
-    "FarithResult": (lambda: FarithResult((1, 2), False), "solutions", None,
                      None),
     "TorusPoint": (lambda: TorusPoint((X, X)), "coords", "_factors", None),
     "TorusSelfMap": (lambda: TorusSelfMap(((1, 1), (0, 1)), TorusPoint((X, X))),
@@ -146,7 +154,6 @@ def test_value_class_contract(name):
     assert type(a).__name__ == name
     assert a == b and repr(a) == repr(b)
     assert repr(a).startswith(f"{name}(")
-    # FarithResult and RootPReport both hold ((1, 2), False)
     others = [f() for n, (f, *_) in VALUE_CLASSES.items() if n != name]
     assert all(a != other for other in others)
     if keywords is not None:

@@ -1,12 +1,14 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 import pdml.torus as torus_mod
 from pdml.errors import DomainError, ResourceLimitError, UsageError
-from pdml.exact import FpPoly, PrimeModulus, RatFunc, frobenius_power, ratfunc_int_pow
-from pdml.lrs import (_synthetic_div, char_poly_of_matrix, lrs_prefix,
+from pdml.exact import FpPoly, PrimeModulus, RatFunc, ratfunc_int_pow
+from pdml.lrs import (Lrs, _synthetic_div, char_poly_of_matrix,
+                      lrs_char_roots, lrs_prefix, lrs_root_p_dependence,
                       mat_mul, mat_pow)
 from pdml.torus import (
     Factored,
@@ -58,7 +60,7 @@ class TestEndoApply:
     def test_p_times_identity_is_frobenius(self):
         x = TorusPoint((t_plus(1),))
         out = endo_apply([[5]], x)
-        assert out.coords[0] == frobenius_power(t_plus(1), 1)
+        assert out.coords[0] == ratfunc_int_pow(t_plus(1), 5)
 
     def test_shear(self):
         out = endo_apply([[1, 1], [0, 1]], TorusPoint((t(), t_plus(1))))
@@ -114,7 +116,7 @@ class TestIterate:
     def test_frobenius_orbit(self):
         phi = TorusSelfMap.endomorphism([[5]], P5)
         out = selfmap_iterate(phi, TorusPoint((t_plus(1),)), 2)
-        assert out.coords[0] == frobenius_power(t_plus(1), 2)
+        assert out.coords[0] == ratfunc_int_pow(t_plus(1), 5 ** 2)
 
     def test_affine_orbit(self):
         # Phi(x) = t*x^2 from 1: t^(2^n - 1)
@@ -470,6 +472,38 @@ class TestObstruction:
         v = frobenius_obstruction([[0, 5], [1, 0]], P5)
         assert v.obstructed and (v.r, v.s) == (2, 1)
 
+    def test_matches_windowed_scan(self):
+        # 2x2 and 3x3 matrices, half of them triangular with eigenvalues
+        # from +-p^k and conjugated by a unimodular shear, at p = 2, 3, 5
+        rnd = random.Random(45)
+        found = 0
+        for i in range(600):
+            p = (PrimeModulus(2), P3, P5)[i % 3]
+            n = rnd.choice((2, 3))
+            if i % 2:
+                a = [[rnd.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            else:
+                a = [[rnd.randint(-4, 4) if j > k else 0 for j in range(n)]
+                     for k in range(n)]
+                for k in range(n):
+                    a[k][k] = rnd.choice((1, -1)) * rnd.choice(
+                        (1, p.p, p.p ** 2, p.p ** 3, rnd.randint(2, 9)))
+                j, k, c = *rnd.sample(range(n), 2), rnd.randint(-3, 3)
+                for col in range(n):  # E A, E = I + c e_jk
+                    a[j][col] += c * a[k][col]
+                for row in a:  # (E A) E^-1
+                    row[k] -= c * row[j]
+            v = frobenius_obstruction(a, p, r_max=6, s_max=30)
+            assert v == _windowed_obstruction(a, p, 6, 30)
+            found += v.obstructed and v.s > 0
+        assert found > 50
+
+    def test_large_s_window_is_cheap(self):
+        start = time.perf_counter()
+        v = frobenius_obstruction(((2, 1), (1, 1)), P5, 12, 20000)
+        assert time.perf_counter() - start < 1
+        assert str(v) == "clear-to-bound(12,20000)"
+
     def test_det_agreement(self):
         rnd = random.Random(44)
         found = 0
@@ -486,6 +520,26 @@ class TestObstruction:
                             for j in range(n_dim)] for i in range(n_dim)]
                 assert _det(shifted) == 0
         assert found > 0
+
+
+def _windowed_obstruction(a, p, r_max, s_max):
+    """frobenius_obstruction with every p^s of the window tested, each
+    computed afresh."""
+    m = [list(row) for row in a]
+    ar = m
+    for r in range(1, r_max + 1):
+        if r > 1:
+            ar = mat_mul(ar, m)
+        cp = list(char_poly_of_matrix(ar))
+        for s in range(0, s_max + 1):
+            if _synthetic_div(cp, p.p ** s) is not None:
+                return ObstructionVerdict(True, r, s)
+    minpoly = minimal_polynomial(m)
+    roots = lrs_char_roots(Lrs(minpoly[:-1], (0,) * (len(minpoly) - 1)))
+    for v in lrs_root_p_dependence(roots, p).verdicts:
+        if v.dependent:
+            return ObstructionVerdict(True, 2, 2 * v.s)
+    return ObstructionVerdict(False, r_max=r_max, s_max=s_max)
 
 
 def _det(m):
