@@ -1,5 +1,5 @@
-"""Golden reports: each CLI command on one fixed input, compared byte for
-byte with the report stored beside it in tests/data/cli, outside [meta].
+"""Golden reports: each CLI command on fixed inputs, compared byte for
+byte with the reports stored beside them in tests/data/cli, outside [meta].
 
 A change that means to alter a report rewrites the stored reports with
 `PYTHONPATH=src python tests/test_cli_golden.py` and shows the diff.
@@ -14,26 +14,32 @@ from pdml.cli import main
 
 DATA = pathlib.Path(__file__).resolve().parent / "data" / "cli"
 
-# command: its arguments; <name>.txt in DATA is the input file of a command
-# that reads one, and <name>.report its stored report
+# case: its command and arguments; <case>.txt in DATA is the input file of
+# a case that reads one, and <case>.report its stored report
 GOLDEN = {
-    "return-set": [],
-    "solve-pexp": [],
-    "classify-pexp": [],
-    "intersect-psets": [],
-    "ap-cap-pset": [],
-    "verify-reduction": [],
-    "gen-instance": [],
-    "exponent-set": ["--p", "5", "--c", "1,1", "--bound", "30"],
-    "obstruction": ["--rmax", "6", "--smax", "8"],
+    "return-set": ("return-set", []),
+    "solve-pexp": ("solve-pexp", []),
+    "classify-pexp": ("classify-pexp", []),
+    "intersect-psets": ("intersect-psets", []),
+    "ap-cap-pset": ("ap-cap-pset", []),
+    "verify-reduction": ("verify-reduction", []),
+    "gen-instance": ("gen-instance", []),
+    # c = 1,2 adds the subresultant equation to the pulled-back variety
+    "gen-instance-c12": ("gen-instance", []),
+    "exponent-set": ("exponent-set",
+                     ["--p", "5", "--c", "1,1", "--bound", "30"]),
+    "exponent-set-c12": ("exponent-set",
+                         ["--p", "7", "--c", "1,2", "--bound", "400"]),
+    "obstruction": ("obstruction", ["--rmax", "6", "--smax", "8"]),
 }
 
 
-def _report(command: str, out: pathlib.Path) -> str:
-    """The report of command on its golden input, cut before [meta]."""
-    source = DATA / f"{command}.txt"
+def _report(case: str, out: pathlib.Path) -> str:
+    """The report of a golden case, cut before [meta]."""
+    command, args = GOLDEN[case]
+    source = DATA / f"{case}.txt"
     argv = [command, *([str(source)] if source.exists() else []),
-            *GOLDEN[command], "--out", str(out)]
+            *args, "--out", str(out)]
     assert main(argv) == 0
     return out.read_text(encoding="utf-8").split("[meta]\n")[0]
 
@@ -41,13 +47,14 @@ def _report(command: str, out: pathlib.Path) -> str:
 def test_every_command_has_a_golden_report():
     from pdml.cli import _COMMANDS
 
-    assert sorted(GOLDEN) == sorted(_COMMANDS)
+    assert sorted({command for command, _ in GOLDEN.values()}) == sorted(
+        _COMMANDS)
 
 
-@pytest.mark.parametrize("command", GOLDEN)
-def test_report_matches_golden(command, tmp_path):
-    expected = (DATA / f"{command}.report").read_text(encoding="utf-8")
-    assert _report(command, tmp_path / "report.txt") == expected
+@pytest.mark.parametrize("case", GOLDEN)
+def test_report_matches_golden(case, tmp_path):
+    expected = (DATA / f"{case}.report").read_text(encoding="utf-8")
+    assert _report(case, tmp_path / "report.txt") == expected
 
 
 if __name__ == "__main__":
