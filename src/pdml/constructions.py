@@ -5,12 +5,15 @@ rows; those rows characterize points of the form ((t+1)^m, ..., (t+p-1)^m)
 with base-p digit sum equal to the coefficient total. Multiplicity patterns
 additionally need the evaluated points to come from a polynomial with few
 distinct roots, which is expressed through vanishing principal subresultant
-coefficients of (u, u') in the elementary-symmetric coordinates; the
-coordinates themselves are linear in the torus variables, so the extra
-equations stay explicit polynomials. Every construction self-checks against
-its parametrization before it is released, by exact packed-int evaluation
-(PolySystem). exponent_set tests the same equations on the base-p digit box
-of each m, where by Lucas's theorem its coordinates live.
+coefficients of (u, u'), Sylvester determinants over the coefficients e_k
+of u. The e_k are affine in the torus coordinates, so the one determinant
+helper gives the equations of X over those forms, and the same equations in
+the variables e_k. Every construction self-checks against its
+parametrization before it is released, by exact packed-int evaluation
+(PolySystem). exponent_set tests the e_k-form equations at each m that
+passes the linear rows: there e_k is (t+1)^m on the positions of base-p
+digit sum k that Lucas's theorem leaves nonzero, read off unweighted into
+the base-p digit box of m.
 """
 
 from __future__ import annotations
@@ -144,21 +147,21 @@ def _sym_det(matrix: list[list[SymPoly]], nvars: int) -> SymPoly:
     return rec((1 << n) - 1, 0)
 
 
-def _subresultant_polys(ell_prime: int, count: int) -> list[SymPoly]:
+def _subresultant_polys(e: list[SymPoly], count: int) -> list[SymPoly]:
     """Principal subresultant coefficients sres_j(u, u'), j = 0..count-1,
-    as polynomials in e_1..e_ell' for monic u of degree ell'.
+    of the monic u = X^ell' + e_1 X^(ell'-1) + ... + e_ell', as Sylvester
+    determinants over the coefficient forms e = [e_1, ..., e_ell'] (SymPolys
+    in one set of variables, none of them empty).
 
     With every root multiplicity below p, sres_0..sres_{count-1} all vanish
     iff u has at most ell' - count distinct roots.
     """
-    nv = ell_prime
-    m, n = ell_prime, ell_prime - 1
-    # u coefficients high -> low: 1, e_1, ..., e_ell'
-    F = [_sym_const(1, nv)] + [_sym_var(i, nv) for i in range(nv)]
-    # u' high -> low: ell'*1, (ell'-1)e_1, ..., 1*e_(ell'-1)
-    G = [_sym_const(ell_prime, nv)] + [
-        {ev: c * (ell_prime - 1 - i) for ev, c in _sym_var(i, nv).items()}
-        for i in range(nv - 1)]
+    m, n = len(e), len(e) - 1
+    nv = len(next(iter(e[0])))
+    # high -> low: u is 1, e_1, ..., e_ell'; u' is ell', (ell'-1) e_1, ...
+    F = [_sym_const(1, nv), *e]
+    G = [_sym_const(m, nv)] + [{ev: c * (m - 1 - k) for ev, c in e[k].items()}
+                               for k in range(n)]
     out = []
     for j in range(count):
         size = m + n - 2 * j
@@ -171,50 +174,16 @@ def _subresultant_polys(ell_prime: int, count: int) -> list[SymPoly]:
     return out
 
 
-def _merge_coarsenings(parts: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """All multisets reachable by repeatedly merging two parts."""
-    start = tuple(sorted(parts))
-    seen = {start}
-    stack = [start]
-    while stack:
-        cur = stack.pop()
-        for i in range(len(cur)):
-            for j in range(i + 1, len(cur)):
-                nxt = tuple(sorted(
-                    cur[:i] + cur[i + 1:j] + cur[j + 1:] + (cur[i] + cur[j],)))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-    return seen
-
-
-def _partitions_at_most(total: int, max_parts: int,
-                        largest: int | None = None) -> list[tuple[int, ...]]:
-    if total == 0:
-        return [()]
-    if max_parts == 0:
-        return []
-    largest = total if largest is None else largest
-    out = []
-    for first in range(min(total, largest), 0, -1):
-        for rest in _partitions_at_most(total - first, max_parts - 1, first):
-            out.append(tuple(sorted(rest + (first,))))
-    return sorted(set(out))
-
-
 class PsetVariety(Record):
     """The torus variety whose multiple-of-P membership set is a p-set;
-    e_k = e_const[k] + sum_a e_lin[k][a] * x_(a+1) for k = 1..ell'."""
+    sres holds its subresultant equations in the variables e_1..e_ell'."""
 
-    __slots__ = ("p", "coefficients", "X", "P", "A_inv", "ell_prime", "e_lin",
-                 "e_const", "sres")
+    __slots__ = ("p", "coefficients", "X", "P", "A_inv", "ell_prime", "sres")
 
     def __init__(self, p: PrimeModulus, coefficients: tuple[int, ...],
                  X: Variety, P: TorusPoint, A_inv: tuple[tuple[int, ...], ...],
-                 ell_prime: int, e_lin: tuple[tuple[int, ...], ...],
-                 e_const: tuple[int, ...], sres: tuple[SymPoly, ...]):
-        self._init(p, coefficients, X, P, A_inv, ell_prime, e_lin, e_const,
-                   sres)
+                 ell_prime: int, sres: tuple[SymPoly, ...]):
+        self._init(p, coefficients, X, P, A_inv, ell_prime, sres)
 
 
 def build_pset_variety(p: PrimeModulus, c: list[int]) -> PsetVariety:
@@ -223,9 +192,12 @@ def build_pset_variety(p: PrimeModulus, c: list[int]) -> PsetVariety:
     Linear rows: the inverse-Vandermonde combination at row sum(c) equals 1
     and the rows above it vanish. When some c_i > 1, subresultant equations
     in the recovered elementary-symmetric coordinates force the evaluation
-    polynomial to have at most len(c) distinct roots; patterns whose root
-    coincidences do not match that locus are rejected. The emitted equation
-    set must pass a parametrized-point / non-member self-check.
+    polynomial to have at most len(c) distinct roots. That locus is the
+    pattern c only when c is the one partition of sum(c) into len(c) parts
+    (merging parts lowers their count, so every other pattern on the locus
+    is a merge of c), i.e. len(c) = 1 or sum(c) = len(c) + 1; other
+    patterns are rejected. The emitted equation set must pass a
+    parametrized-point / non-member self-check.
     """
     pv = p.p
     c = [int(x) for x in c]
@@ -259,24 +231,28 @@ def build_pset_variety(p: PrimeModulus, c: list[int]) -> PsetVariety:
             for a in range(1, pv) if a_inv[k][a - 1]))
 
     sres: tuple[SymPoly, ...] = ()
-    e_lin: tuple[tuple[int, ...], ...] = ()
-    e_const: tuple[int, ...] = ()
     if ell < ell_prime:
-        wanted = set(_partitions_at_most(ell_prime, ell))
-        reachable = {pat for pat in _merge_coarsenings(tuple(c))}
-        if wanted != reachable:
+        if ell > 1 and ell_prime > ell + 1:
             raise ConstructionError(
                 f"multiplicity pattern {tuple(sorted(c))} does not match the "
                 "few-distinct-roots locus; variety not expressible here")
-        e_lin, e_const = _symmetric_recovery(p, ell_prime)
-        sres = tuple(_subresultant_polys(ell_prime, ell_prime - ell))
-        for poly in sres:
-            equations.append(_sres_to_equation(poly, e_lin, e_const, p, n))
+        count = ell_prime - ell
+        sres = tuple(_subresultant_polys(
+            [_sym_var(k, ell_prime) for k in range(ell_prime)], count))
+        # the same determinants over e_k(x), affine in the torus coordinates
+        minv, e_const = _symmetric_recovery(p, ell_prime)
+        e_x = [{**_sym_const(e0, n), **{unit_ev(a): coeff for a, coeff
+                                        in enumerate(row, 1) if coeff}}
+               for row, e0 in zip(minv, e_const)]
+        for poly in _subresultant_polys(e_x, count):
+            equations.append(tuple((ev, RatFunc.const(cc, p))
+                                   for ev, cc in sorted(poly.items())
+                                   if cc % pv))
 
     P = TorusPoint(tuple(
         RatFunc(FpPoly([a, 1], p)) for a in range(1, pv)))
     pvar = PsetVariety(p, tuple(c), Variety(n, tuple(equations)), P, a_inv,
-                       ell_prime, e_lin, e_const, sres)
+                       ell_prime, sres)
     _self_check(pvar)
     return pvar
 
@@ -294,29 +270,6 @@ def _symmetric_recovery(p: PrimeModulus, ell_prime: int
         -sum(minv[k][a] * pow(a + 1, ell_prime, pv) for a in range(nn)) % pv
         for k in range(nn))
     return minv, e_const
-
-
-def _sres_to_equation(poly: SymPoly, e_lin, e_const, p: PrimeModulus,
-                      n_vars: int) -> Equation:
-    """Substitute the affine-linear forms e_k(x) into a symbolic polynomial
-    and expand to an explicit torus equation: over Z, reduced mod p once as
-    the terms are emitted."""
-    e_forms = []
-    for k in range(len(e_lin)):
-        form = _sym_const(e_const[k], n_vars)
-        for a, coeff in enumerate(e_lin[k]):
-            if coeff:
-                form[tuple(int(i == a) for i in range(n_vars))] = coeff
-        e_forms.append(form)
-    acc: SymPoly = {}
-    for ev, coeff in poly.items():
-        term = _sym_const(coeff, n_vars)
-        for form, power in zip(e_forms, ev):
-            for _ in range(power):
-                term = _sym_mul(term, form)
-        acc = _sym_add(acc, term)
-    return tuple((ev, RatFunc.const(cc, p)) for ev, cc in sorted(acc.items())
-                 if cc % p.p)
 
 
 class PolySystem:
@@ -505,13 +458,16 @@ def exponent_set(pv: PsetVariety, bound: int) -> list[int]:
     mod (p-1), and only those m are walked: b is one packed int, times
     (t+1)^(p-1) per step with every slot reduced mod p by one multiply-
     shift-mask quotient, and the linear rows are one mask. Survivors get
-    the subresultant equations (degree D) at e_1..e_ell', sums over slot
-    classes of b. By Lucas's theorem C(m, i) != 0 mod p only where no
-    base-p digit of i exceeds that of m, and then the digit sums satisfy
-    s(m - i) = s(m) - s(i); were s(m) > ell' (so >= ell' + p - 1), an
-    i != 0 with s(i) = s(m) - ell' would sit in row ell'. So s(m) = ell',
-    the e_k live on at most 2^ell' slots, and _survivor_point packs them
-    in a digit box of at most (D+1)^ell' slots, each slot below
+    the subresultant equations (degree D) at e_1..e_ell'. By Lucas's
+    theorem C(m, i) != 0 mod p only where no base-p digit of i exceeds
+    that of m, and then the digit sums satisfy s(m - i) = s(m) - s(i);
+    were s(m) > ell' (so >= ell' + p - 1), an i != 0 with s(i) = s(m) - ell'
+    would sit in row ell'. So s(m) = ell', and as a^(p-1) = 1 each Lucas
+    position i has a^(m-i) = a^(ell' - s(i)): (t+a)^m = sum_k a^(ell'-k) E_k
+    with E_k the part of b on the Lucas positions of digit sum k. E_0 = 1,
+    so by the uniqueness of the Vandermonde solve for e, e_k = E_k: the e_k
+    live unweighted on at most 2^ell' slots of b, and _survivor_point packs
+    them in a digit box of at most (D+1)^ell' slots, each slot below
     terms (p-1)^(D+1) 2^(ell'(D-1)). Nothing here uses the structured
     membership tests of torus, so this stays their independent oracle.
     """
@@ -540,48 +496,48 @@ def exponent_set(pv: PsetVariety, bound: int) -> list[int]:
     sieve &= slots
     if pv.sres:
         sres = PolySystem([poly.items() for poly in pv.sres], pv.p, ell)
-        # e_k = e_const[k] + sum_j g[k][j] * (b on residue j)
-        g = [[sum(c * pow(a, (ell - j) % n, p) for a, c in enumerate(row, 1))
-              % p for j in range(n)] for row in pv.e_lin]
     step = pack_slots([math.comb(n, i) % p for i in range(p)], width)
     b = pack_slots([math.comb(ell, i) % p for i in range(ell + 1)], width)
     hits = []
     for m in range(ell, bound + 1, n):
         if b & sieve == 1 and (not pv.sres or sres.vanishes_packed(
-                *_survivor_point(sres, g, pv.e_const, b, m, w))):
+                *_survivor_point(sres, b, m, w))):
             hits.append(m)
         b = mod_p(b * step) & slots
     return hits
 
 
-def _survivor_point(sres: PolySystem, g, e_const, b: int, m: int, w: int):
+def _survivor_point(sres: PolySystem, b: int, m: int, w: int):
     """e_1..e_ell' of the survivor m, as the arguments (xs, width, fold) of
-    sres.vanishes_packed. e_k at t^i is g[k][i mod (p-1)] times slot i of
-    b = (t+1)^m (w bits a slot), plus e_const[k] at i = 0, read only at the
-    Lucas positions i, whose digits k_l are at most the digits d_l of m; a
-    nonzero slot of b elsewhere raises InternalError. i goes to the digit
-    box slot sum k_l R_l, R_l = prod over j < l of D d_j + 1, where no
-    product of D coordinates carries between digits; fold maps box slots
-    to powers of t."""
-    p, n, D = sres.p.p, len(g[0]), sres.degree
-    pos, fold, power, radix = [(0, 0)], [0], 1, 1
+    sres.vanishes_packed. e_k is b = (t+1)^m (w bits a slot) on the Lucas
+    positions i of digit sum k, whose digits k_l are at most the digits d_l
+    of m (exponent_set); a nonzero slot of b elsewhere, or a digit sum of
+    m other than ell', raises InternalError. Slot i goes to the digit box
+    slot sum k_l R_l, R_l = prod over j < l of D d_j + 1, where no product
+    of D coordinates carries between digits; fold maps box slots to powers
+    of t."""
+    p, ell, D = sres.p.p, sres.n_vars, sres.degree
+    # (i, box slot, digit sum of i) for each Lucas position i
+    pos, fold, power, radix = [(0, 0, 0)], [0], 1, 1
     rest = m
     while rest:
         rest, d = divmod(rest, p)
-        pos = [(i + k * power, s + k * radix)
-               for k in range(d + 1) for i, s in pos]
+        pos = [(i + k * power, s + k * radix, ds + k)
+               for k in range(d + 1) for i, s, ds in pos]
         fold = [e + k * power for k in range(D * d + 1) for e in fold]
         power, radix = power * p, radix * (D * d + 1)
     _guard_size(radix)
+    if pos[-1][2] != ell:  # pos[-1] is i = m
+        raise InternalError("survivor's digit sum is not sum(c)")
     slot = (1 << w) - 1
-    if b & ~sum(slot << (w * i) for i, _ in pos):
+    if b & ~sum(slot << (w * i) for i, _, _ in pos):
         raise InternalError("binomial row nonzero off its Lucas positions")
     width = sres.width(len(pos))
     bits = 8 * width
-    vals = [(i % n, s * bits, b >> (w * i) & slot) for i, s in pos]
-    xs = [sum((gk[j] * v + (e0 if not s else 0)) % p << s
-              for j, s, v in vals) for e0, gk in zip(e_const, g)]
-    return xs, width, fold
+    xs = [0] * (ell + 1)
+    for i, s, ds in pos:
+        xs[ds] |= (b >> (w * i) & slot) << (s * bits)
+    return xs[1:], width, fold
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ All arithmetic is exact over Python ints.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 from math import lcm
 

@@ -35,9 +35,6 @@ _PSET_FIT_MIN = 4
 # Largest exceptional set a structured description may carry.
 _EXCEPTIONAL_CAP = 64
 
-# Most nontrivial exponent terms of a fitted p-set: the two-exponent shape.
-_MAX_NONTRIVIAL = 2
-
 
 class PexpInstance(Record):
     """u_n = sum c_i p^(k_i n_i); empty terms mean the void equation, which
@@ -147,8 +144,6 @@ def fit_solution_desc(
     candidates: list[tuple[tuple[int, int], ReturnSetDesc]] = []
     if residual and len(residual) >= _PSET_FIT_MIN and allow_psets:
         for cand in fit_pset_shapes(residual, p, n_max, oracle):
-            if cand.nontrivial_terms() > _MAX_NONTRIVIAL:
-                continue
             cand_members = set(pset_enumerate(cand, p, n_max))
             if not cand_members <= solutions:
                 continue

@@ -25,9 +25,9 @@ from .errors import DomainError, InternalError, UsageError
 from .exact import (FpPoly, PrimeModulus, RatFunc, Record, _guard_size,
                     pack_slots, poly_factor, ratfunc_int_pow, slot_bytes,
                     unpack_slots)
-from .lrs import (Lrs, _poly_mul_z, _synthetic_div, char_poly_of_matrix,
-                  distinct_blocks, lrs_char_roots, lrs_prefix,
-                  lrs_root_p_dependence, mat_mul, mat_power_bound)
+from .lrs import (Lrs, _cyclotomic_orders, _poly_mul_z, _synthetic_div,
+                  char_poly_of_matrix, distinct_blocks, lrs_char_roots,
+                  lrs_prefix, lrs_root_p_dependence, mat_mul, mat_power_bound)
 from .psets import ReturnSetDesc
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -722,12 +722,23 @@ def frobenius_obstruction(a, p: PrimeModulus, r_max: int = DEFAULT_R_MAX,
     order, each s only while p^s is within Cauchy's root bound; afterwards
     any integer eigenvalue of absolute value p^b forces obstructed(2, 2b)
     even beyond the scan window. A clear verdict is explicitly bounded.
+
+    The r scan stops at R = 2 e max(2, max{k : phi(k) <= e}), e the size of
+    the largest block of A, past which it finds nothing new: if lam^r = p^s,
+    every conjugate of lam is lam times an r-th root of unity, so for
+    d = deg lam <= e, lam^d / N(lam) is a root of unity in Q(lam), of an
+    order k with phi(k) <= e, and N(lam) = +-p^j gives lam^(2dk) = p^(2jk).
+    The pairs (r, s) of one lam are multiples of its least one, whose r is
+    thus at most R and whose s is the least.
     """
     if r_max < 1 or s_max < 1:
         raise DomainError("bounds must be at least 1")
     m = [list(r) for r in _as_matrix(a)]
+    e = max(map(len, distinct_blocks(m)))
+    r_stop = min(r_max, 2 * e * max(
+        [2] + [k for k, _, _ in _cyclotomic_orders(e)]))
     ar = m
-    for r in range(1, r_max + 1):
+    for r in range(1, r_stop + 1):
         if r > 1:
             ar = mat_mul(ar, m)
         cp = list(char_poly_of_matrix(ar))

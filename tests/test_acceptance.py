@@ -6,7 +6,6 @@ independent brute-force oracle (exhaustive exponent enumeration, direct
 recurrence iteration) before the implementation was written against it.
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction

@@ -14,7 +14,10 @@ from pdml.constructions import (
     PsetVariety,
     _self_check,
     _self_check_points,
+    _subresultant_polys,
     _survivor_point,
+    _sym_var,
+    _symmetric_recovery,
     build_pset_variety,
     dml_instance,
     encode_lrs,
@@ -22,7 +25,7 @@ from pdml.constructions import (
     exponent_set,
     vandermonde_inverse,
 )
-from pdml.lrs import Lrs, constant, fibonacci, lrs_eval, lrs_prefix
+from pdml.lrs import Lrs, constant, fibonacci, lrs_prefix
 from pdml.pexp import PexpInstance, pexp_solution_set
 from pdml.psets import pset_enumerate, pset_of
 from pdml.torus import TorusPoint, Variety, return_set, variety_contains
@@ -55,6 +58,7 @@ def slow_exponent_set(pv, bound):
 
     one_row = rows(pv.ell_prime)
     zero_rows = [rows(k) for k in range(pv.ell_prime + 1, p - 1)]
+    e_lin, e_const = _symmetric_recovery(pv.p, pv.ell_prime)
     sres = (PolySystem([poly.items() for poly in pv.sres], pv.p,
                        pv.ell_prime) if pv.sres else None)
     xs = [1] * (p - 1)  # xs[a - 1] = (t+a)^m
@@ -64,8 +68,8 @@ def slow_exponent_set(pv, bound):
                 and not any(mod_p(sum(c * xs[a] for c, a in row))
                             for row in zero_rows)
                 and (sres is None or sres.vanishes_at([
-                    FpPoly(unpack_slots(mod_p(pv.e_const[k] + sum(
-                        c * x for c, x in zip(pv.e_lin[k], xs))), width,
+                    FpPoly(unpack_slots(mod_p(e_const[k] + sum(
+                        c * x for c, x in zip(e_lin[k], xs))), width,
                         m + 1), pv.p)
                     for k in range(pv.ell_prime)]))):
             hits.append(m)
@@ -79,6 +83,7 @@ def row_survivors(pv, bound):
     b = (t+1)^m packed at 4 bytes per slot, and e_1..e_ell' as FpPolys
     recovered from the coordinates (t+a)^m."""
     p, n, ell = pv.p.p, pv.p.p - 1, pv.ell_prime
+    e_lin, e_const = _symmetric_recovery(pv.p, ell)
     for m in range(ell, bound + 1, n):
         binomials = (FpPoly([1, 1], pv.p) ** m).coeffs
         # row k holds the i with m - i = k mod (p-1): row ell is exactly
@@ -86,18 +91,64 @@ def row_survivors(pv, bound):
         if all(i == 0 or (m - i) % n < ell
                for i, c in enumerate(binomials) if c):
             xs = [FpPoly([a, 1], pv.p) ** m for a in range(1, p)]
-            e = [FpPoly.const(pv.e_const[k], pv.p) + sum(
-                (x.scale(c) for c, x in zip(pv.e_lin[k], xs)),
+            e = [FpPoly.const(e_const[k], pv.p) + sum(
+                (x.scale(c) for c, x in zip(e_lin[k], xs)),
                 FpPoly.zero(pv.p)) for k in range(ell)]
             yield m, pack_slots(binomials, 4), e
 
 
 def e_weights(pv):
-    """g[k][j]: the weight of b's residue class j in e_k, as exponent_set
-    computes it."""
+    """(g, e_const): e_k = e_const[k] + sum_j g[k][j] (b on the slots
+    i = j mod (p-1)), from the recovery of e_k out of the coordinates
+    (t+a)^m = sum_i C(m, i) a^(m-i) t^i at the survivors m = ell' mod
+    (p-1)."""
     p, n, ell = pv.p.p, pv.p.p - 1, pv.ell_prime
+    e_lin, e_const = _symmetric_recovery(pv.p, ell)
     return [[sum(c * pow(a, (ell - j) % n, p) for a, c in enumerate(row, 1))
-             % p for j in range(n)] for row in pv.e_lin]
+             % p for j in range(n)] for row in e_lin], e_const
+
+
+def box_polys(xs, width, fold, p):
+    """The coordinates of a digit box as FpPolys: box slot s is t^fold[s]."""
+    out = []
+    for x in xs:
+        coeffs = [0] * (max(fold) + 1)
+        for e, v in zip(fold, unpack_slots(x, width, len(fold))):
+            coeffs[e] += v
+        out.append(FpPoly(coeffs, p))
+    return out
+
+
+def partitions_at_most(total, max_parts, largest=None):
+    """The partitions of total into at most max_parts parts, each a sorted
+    tuple."""
+    if total == 0:
+        return [()]
+    if max_parts == 0:
+        return []
+    largest = total if largest is None else largest
+    out = []
+    for first in range(min(total, largest), 0, -1):
+        for rest in partitions_at_most(total - first, max_parts - 1, first):
+            out.append(tuple(sorted(rest + (first,))))
+    return sorted(set(out))
+
+
+def merge_coarsenings(parts):
+    """All multisets reachable from parts by repeatedly merging two."""
+    start = tuple(sorted(parts))
+    seen = {start}
+    stack = [start]
+    while stack:
+        cur = stack.pop()
+        for i in range(len(cur)):
+            for j in range(i + 1, len(cur)):
+                nxt = tuple(sorted(
+                    cur[:i] + cur[i + 1:j] + cur[j + 1:] + (cur[i] + cur[j],)))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+    return seen
 
 
 class TestVandermonde:
@@ -171,10 +222,32 @@ class TestBuildPsetVariety:
             target = pset_of(*((ci, 1) for ci in c))
             assert exponent_set(pv, bound) == pset_enumerate(target, p, bound)
 
+    def test_buildable_exactly_when_the_locus_is_the_pattern(self,
+                                                             monkeypatch):
+        # by enumeration: the few-distinct-roots locus is the pattern c when
+        # every partition of sum(c) into at most len(c) parts is a merge of c
+        import pdml.constructions
+
+        class Reached(Exception):
+            pass
+
+        def reached(e, count):
+            raise Reached
+
+        monkeypatch.setattr(pdml.constructions, "_subresultant_polys", reached)
+        verdicts = set()
+        for total in range(2, 9):
+            for c in partitions_at_most(total, total - 1):
+                buildable = set(partitions_at_most(total, len(c))) == (
+                    merge_coarsenings(c))
+                with pytest.raises(Reached if buildable
+                                   else ConstructionError):
+                    build_pset_variety(P11, list(c))
+                verdicts.add(buildable)
+        assert verdicts == {True, False}
+
     def test_subresultant_gcd_criterion(self):
         # sres_j(u, u') vanish for j < k iff deg gcd(u, u') >= k
-        from pdml.constructions import _subresultant_polys
-
         rnd = random.Random(5)
         for _ in range(400):
             p = rnd.choice([5, 7, 11])
@@ -192,7 +265,9 @@ class TestBuildPsetVariety:
             e = [u.coeffs[ell_prime - k] for k in range(ell_prime + 1)]
             for count in range(1, ell_prime):
                 vanish = True
-                for poly in _subresultant_polys(ell_prime, count):
+                for poly in _subresultant_polys(
+                        [_sym_var(k, ell_prime) for k in range(ell_prime)],
+                        count):
                     val = 0
                     for ev, coeff in poly.items():
                         term = coeff
@@ -211,8 +286,7 @@ def mutated(pv, index):
     (ev, coeff), *rest = eqs[index]
     eqs[index] = ((ev, coeff + RatFunc.one(pv.p)), *rest)
     return PsetVariety(pv.p, pv.coefficients, Variety(pv.X.n_vars, tuple(eqs)),
-                       pv.P, pv.A_inv, pv.ell_prime, pv.e_lin, pv.e_const,
-                       pv.sres)
+                       pv.P, pv.A_inv, pv.ell_prime, pv.sres)
 
 
 def as_point(coords):
@@ -267,13 +341,16 @@ class TestPackedEvaluator:
         import pdml.constructions
         from pdml.cli import main
 
-        emit = pdml.constructions._sres_to_equation
+        emit = pdml.constructions._subresultant_polys
 
-        def off_by_one(*args):
-            (ev, coeff), *rest = emit(*args)
-            return ((ev, coeff + RatFunc.one(P7)), *rest)
+        def off_by_one(e, count):
+            polys = emit(e, count)
+            if len(next(iter(e[0]))) == 6:  # the forms e_k(x) over G_m^6
+                ev = min(polys[0])
+                polys[0] = {**polys[0], ev: polys[0][ev] + 1}
+            return polys
 
-        monkeypatch.setattr(pdml.constructions, "_sres_to_equation",
+        monkeypatch.setattr(pdml.constructions, "_subresultant_polys",
                             off_by_one)
         assert main(["exponent-set", "--p", "7", "--c", "1,2",
                      "--bound", "10"]) == 5
@@ -348,17 +425,15 @@ class TestPackedEvaluator:
             "(ev, c), *rest = eqs[-1]\n"
             "eqs[-1] = ((ev, c + RatFunc.one(p)), *rest)\n"
             "bad = PsetVariety(p, pv.coefficients, Variety(6, tuple(eqs)), "
-            "pv.P, pv.A_inv, pv.ell_prime, pv.e_lin, pv.e_const, pv.sres)\n"
+            "pv.P, pv.A_inv, pv.ell_prime, pv.sres)\n"
             "system = PolySystem(pv.X.equations, p, 6)\n"
             "x = RatFunc(FpPoly([1], p), FpPoly([0, 1], p))\n"
             "sres = PolySystem([q.items() for q in pv.sres], p, 3)\n"
-            "g = [[sum(c * pow(a, (3 - j) % 6, 7) for a, c in "
-            "enumerate(row, 1)) % 7 for j in range(6)] for row in pv.e_lin]\n"
             "b = sum(comb(9, i) % 7 << 32 * i for i in range(10))\n"
             "for call in (lambda: _self_check(bad),\n"
             "             lambda: system.vanishes_at([x] * 6),\n"
-            "             lambda: _survivor_point(sres, g, pv.e_const,\n"
-            "                                     b + (1 << 96), 9, 32)):\n"
+            "             lambda: _survivor_point(sres, b + (1 << 96), 9, "
+            "32)):\n"
             "    try:\n"
             "        call()\n"
             "    except InternalError:\n"
@@ -425,16 +500,23 @@ class TestExponentSet:
         for p, c in ((P7, [1, 2]), (P7, [1, 1, 2]), (P5, [2]))])
     def test_box_agrees_with_dense_vanishes_at(self, p, c):
         # the box on every survivor, against dense vanishes_at on the e_k
-        # recovered from the coordinates
+        # recovered from the coordinates; the box holds those e_k, which
+        # are also b weighted by residue class
         pv = build_pset_variety(p, c)
         sres = PolySystem([poly.items() for poly in pv.sres], p,
                           pv.ell_prime)
-        g = e_weights(pv)
+        g, e_const = e_weights(pv)
+        n = p.p - 1
         count = hits = 0
         for m, b, e in row_survivors(pv, 1500):
+            box = _survivor_point(sres, b, m, 32)
+            slots = unpack_slots(b, 4, m + 1)
+            weighted = [FpPoly([(gk[i % n] * v + (e0 if i == 0 else 0))
+                                % p.p for i, v in enumerate(slots)], p)
+                        for gk, e0 in zip(g, e_const)]
+            assert box_polys(*box, p) == weighted == e, m
             want = sres.vanishes_at(e)
-            assert sres.vanishes_packed(*_survivor_point(
-                sres, g, pv.e_const, b, m, 32)) == want, m
+            assert sres.vanishes_packed(*box) == want, m
             count += 1
             hits += want
         assert count >= 4 and 0 < hits < count
@@ -443,9 +525,8 @@ class TestExponentSet:
         # slot sum k_l R_l of the box stands for t^(sum k_l p^l)
         pv = build_pset_variety(P7, [1, 2])
         sres = PolySystem([poly.items() for poly in pv.sres], P7, 3)
-        g = e_weights(pv)
         for m, b, _ in row_survivors(pv, 342):  # m < 7^3
-            *_, fold = _survivor_point(sres, g, pv.e_const, b, m, 32)
+            *_, fold = _survivor_point(sres, b, m, 32)
             digits = [m // 7 ** l % 7 for l in range(3) if 7 ** l <= m]
             radices = [sres.degree * d + 1 for d in digits]
             assert len(fold) == math.prod(radices)
@@ -459,10 +540,13 @@ class TestExponentSet:
         pv = build_pset_variety(P7, [1, 2])
         sres = PolySystem([poly.items() for poly in pv.sres], P7, 3)
         (m, b, _), = (s for s in row_survivors(pv, 9) if s[0] == 9)
-        g = e_weights(pv)
-        _survivor_point(sres, g, pv.e_const, b, m, 32)
+        _survivor_point(sres, b, m, 32)
         with pytest.raises(InternalError):
-            _survivor_point(sres, g, pv.e_const, b + (1 << 32 * 3), m, 32)
+            _survivor_point(sres, b + (1 << 32 * 3), m, 32)
+        # m = 10, digits (3, 1), has digit sum 4, not sum(c) = 3
+        ten = pack_slots((FpPoly([1, 1], P7) ** 10).coeffs, 4)
+        with pytest.raises(InternalError):
+            _survivor_point(sres, ten, 10, 32)
 
     def test_bound_over_degree_cap(self):
         pv = build_pset_variety(P5, [1, 1])

@@ -17,7 +17,8 @@ from pdml.psets import ArithProg, PSet, ReturnSetDesc
 from pdml.torus import (ObstructionVerdict, ReductionData, TorusPoint,
                         TorusSelfMap, Variety)
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pdml"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "pdml"
 
 
 def test_library_has_no_assert():
@@ -37,6 +38,27 @@ def test_library_has_no_global():
     found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Global)]
+    assert found == []
+
+
+def test_every_import_is_read():
+    """Each name a module of the library or the tests imports (import a.b
+    binds a) is read somewhere in that module."""
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        found += [f"{path.parent.name}/{path.name}:{node.lineno} {name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"
+                  for name in (alias.asname or alias.name.split(".")[0]
+                               for alias in node.names)
+                  if name not in read]
+    assert len(paths) > 20
     assert found == []
 
 

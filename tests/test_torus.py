@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 import pdml.torus as torus_mod
-from pdml.errors import DomainError, ResourceLimitError, UsageError
+from pdml.errors import UsageError
 from pdml.exact import FpPoly, PrimeModulus, RatFunc, ratfunc_int_pow
-from pdml.lrs import (Lrs, _synthetic_div, char_poly_of_matrix,
-                      lrs_char_roots, lrs_prefix, lrs_root_p_dependence,
-                      mat_mul, mat_pow)
+from pdml.lrs import (Lrs, _cyclotomic_orders, _synthetic_div,
+                      char_poly_of_matrix, distinct_blocks, lrs_char_roots,
+                      lrs_prefix, lrs_root_p_dependence, mat_mul, mat_pow)
 from pdml.torus import (
     Factored,
     ObstructionVerdict,
@@ -27,7 +27,6 @@ from pdml.torus import (
     minimal_polynomial,
     reduction_decompose,
     return_set,
-    selfmap_apply,
     selfmap_iterate,
     variety_contains,
     verify_reduction,
@@ -473,30 +472,31 @@ class TestObstruction:
         assert v.obstructed and (v.r, v.s) == (2, 1)
 
     def test_matches_windowed_scan(self):
-        # 2x2 and 3x3 matrices, half of them triangular with eigenvalues
-        # from +-p^k and conjugated by a unimodular shear, at p = 2, 3, 5
-        rnd = random.Random(45)
         found = 0
-        for i in range(600):
-            p = (PrimeModulus(2), P3, P5)[i % 3]
-            n = rnd.choice((2, 3))
-            if i % 2:
-                a = [[rnd.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-            else:
-                a = [[rnd.randint(-4, 4) if j > k else 0 for j in range(n)]
-                     for k in range(n)]
-                for k in range(n):
-                    a[k][k] = rnd.choice((1, -1)) * rnd.choice(
-                        (1, p.p, p.p ** 2, p.p ** 3, rnd.randint(2, 9)))
-                j, k, c = *rnd.sample(range(n), 2), rnd.randint(-3, 3)
-                for col in range(n):  # E A, E = I + c e_jk
-                    a[j][col] += c * a[k][col]
-                for row in a:  # (E A) E^-1
-                    row[k] -= c * row[j]
+        for a, p in _scan_cases():
             v = frobenius_obstruction(a, p, r_max=6, s_max=30)
             assert v == _windowed_obstruction(a, p, 6, 30)
             found += v.obstructed and v.s > 0
         assert found > 50
+
+    def test_huge_r_max_stops_where_the_verdict_is_settled(self):
+        # R = 2 e max(2, max{k : phi(k) <= e}), e the largest block size,
+        # and the windowed scan 8 iterates past R finds the same verdict;
+        # planted: the roots of x^2 - 2x + 2 are sqrt(2) times 8th roots of
+        # unity, those of x^2 - 3x + 3 sqrt(3) times 12th roots of unity
+        planted = [([[0, -2], [1, 2]], PrimeModulus(2), (8, 4)),
+                   ([[0, -3], [1, 3]], P3, (12, 6))]
+        for a, p, least in [*((a, p, None) for a, p in _scan_cases()),
+                            *planted]:
+            e = max(map(len, distinct_blocks(a)))
+            r = 2 * e * max([2] + [k for k, _, _ in _cyclotomic_orders(e)])
+            start = time.perf_counter()
+            v = frobenius_obstruction(a, p, r_max=10 ** 20, s_max=30)
+            assert time.perf_counter() - start < 1
+            want = _windowed_obstruction(a, p, r + 8, 30)
+            assert (v.obstructed, v.r, v.s) == (
+                want.obstructed, want.r, want.s)
+            assert least is None or (v.r, v.s) == least
 
     def test_large_s_window_is_cheap(self):
         start = time.perf_counter()
@@ -520,6 +520,30 @@ class TestObstruction:
                             for j in range(n_dim)] for i in range(n_dim)]
                 assert _det(shifted) == 0
         assert found > 0
+
+
+def _scan_cases():
+    """(a, p): 2x2 and 3x3 matrices, half of them triangular with
+    eigenvalues from +-p^k and conjugated by a unimodular shear, at
+    p = 2, 3, 5."""
+    rnd = random.Random(45)
+    for i in range(600):
+        p = (PrimeModulus(2), P3, P5)[i % 3]
+        n = rnd.choice((2, 3))
+        if i % 2:
+            a = [[rnd.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        else:
+            a = [[rnd.randint(-4, 4) if j > k else 0 for j in range(n)]
+                 for k in range(n)]
+            for k in range(n):
+                a[k][k] = rnd.choice((1, -1)) * rnd.choice(
+                    (1, p.p, p.p ** 2, p.p ** 3, rnd.randint(2, 9)))
+            j, k, c = *rnd.sample(range(n), 2), rnd.randint(-3, 3)
+            for col in range(n):  # E A, E = I + c e_jk
+                a[j][col] += c * a[k][col]
+            for row in a:  # (E A) E^-1
+                row[k] -= c * row[j]
+        yield a, p
 
 
 def _windowed_obstruction(a, p, r_max, s_max):
