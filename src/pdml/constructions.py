@@ -13,7 +13,8 @@ parametrization before it is released, by exact packed-int evaluation
 (PolySystem). exponent_set tests the e_k-form equations at each m that
 passes the linear rows: there e_k is (t+1)^m on the positions of base-p
 digit sum k that Lucas's theorem leaves nonzero, read off unweighted into
-the base-p digit box of m.
+the layout torus.digit_box gives m, the one return_set's digit box route
+uses: the base-p digit box of m, or the dense slots when they are fewer.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (ConstructionError, DomainError, InternalError,
 from .exact import (FpPoly, PrimeModulus, RatFunc, Record, _guard_size,
                     pack_slots, ratfunc_int_pow, slot_bytes, unpack_slots)
 from .lrs import Lrs, companion_matrix, mat_pow
-from .torus import Equation, TorusPoint, TorusSelfMap, Variety
+from .torus import Equation, TorusPoint, TorusSelfMap, Variety, digit_box
 
 _SELF_CHECK_SAMPLES = 50
 _SELF_CHECK_SEED = 0x5E1F
@@ -467,9 +468,11 @@ def exponent_set(pv: PsetVariety, bound: int) -> list[int]:
     with E_k the part of b on the Lucas positions of digit sum k. E_0 = 1,
     so by the uniqueness of the Vandermonde solve for e, e_k = E_k: the e_k
     live unweighted on at most 2^ell' slots of b, and _survivor_point packs
-    them in a digit box of at most (D+1)^ell' slots, each slot below
-    terms (p-1)^(D+1) 2^(ell'(D-1)). Nothing here uses the structured
-    membership tests of torus, so this stays their independent oracle.
+    them in the layout of torus.digit_box: a digit box of at most
+    (D+1)^ell' slots, or the D m + 1 dense slots when those are fewer, each
+    slot below terms (p-1)^(D+1) 2^(ell'(D-1)). Nothing here uses the
+    membership tests of torus, only its layout, so this stays their
+    independent oracle.
     """
     if bound < 0:
         raise DomainError("bound must be non-negative")
@@ -512,21 +515,19 @@ def _survivor_point(sres: PolySystem, b: int, m: int, w: int):
     sres.vanishes_packed. e_k is b = (t+1)^m (w bits a slot) on the Lucas
     positions i of digit sum k, whose digits k_l are at most the digits d_l
     of m (exponent_set); a nonzero slot of b elsewhere, or a digit sum of
-    m other than ell', raises InternalError. Slot i goes to the digit box
-    slot sum k_l R_l, R_l = prod over j < l of D d_j + 1, where no product
-    of D coordinates carries between digits; fold maps box slots to powers
-    of t."""
+    m other than ell', raises InternalError. Slot i goes to slot
+    sum k_l R_l of the layout torus.digit_box gives products of D
+    coordinates: the digit box, where no product carries between digits
+    and fold maps box slots to powers of t, or the dense slots, R_l = p^l
+    and fold None, when those are fewer."""
     p, ell, D = sres.p.p, sres.n_vars, sres.degree
+    layout, fold = digit_box(m, p, D)
     # (i, box slot, digit sum of i) for each Lucas position i
-    pos, fold, power, radix = [(0, 0, 0)], [0], 1, 1
-    rest = m
-    while rest:
-        rest, d = divmod(rest, p)
+    pos, power = [(0, 0, 0)], 1
+    for d, radix in layout:
         pos = [(i + k * power, s + k * radix, ds + k)
                for k in range(d + 1) for i, s, ds in pos]
-        fold = [e + k * power for k in range(D * d + 1) for e in fold]
-        power, radix = power * p, radix * (D * d + 1)
-    _guard_size(radix)
+        power *= p
     if pos[-1][2] != ell:  # pos[-1] is i = m
         raise InternalError("survivor's digit sum is not sum(c)")
     slot = (1 << w) - 1

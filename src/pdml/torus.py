@@ -7,11 +7,11 @@ irreducibles, in slots as wide as a bound proven before the orbit is
 walked. A step row_i <- y_i + sum_j A_ij row_j is then a few int products,
 so points like (t+1)^(10^8) stay cheap. Points and varieties keep their
 factorizations, built on first use.
-Membership is a row ratio test for two terms, an exact digit-structured
-evaluation for linear equations in equal Frobenius powers, and otherwise
-dense expansion under the degree cap from one power table per equation,
-summed as packed integers. A preperiodic orbit is walked only to its first
-detected repeat.
+Membership is a row ratio test for two terms, a digit-sum test for linear
+equations in equal Frobenius powers (from coordinate shapes decoded once
+per step), and otherwise a packed sum in the base-p digit box of the
+terms' common exponent, under the degree cap. A preperiodic orbit is
+walked only to its first detected repeat.
 Everything user-facing remains plain RatFunc coordinates; dense iteration
 (selfmap_iterate, variety_contains) stays as the independent oracle.
 """
@@ -19,7 +19,7 @@ Everything user-facing remains plain RatFunc coordinates; dense iteration
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 from .errors import DomainError, InternalError, UsageError
 from .exact import (FpPoly, PrimeModulus, RatFunc, Record, _guard_size,
@@ -320,7 +320,7 @@ def _orbit(phi: TorusSelfMap, start: list[Row], y_rows: list[Row], p: int,
 
 
 # ---------------------------------------------------------------------------
-# Structured equation evaluation on Frobenius-power points
+# Equation evaluation on Frobenius-power points
 # ---------------------------------------------------------------------------
 
 
@@ -359,6 +359,31 @@ def _structured_zero_test(lin: list[tuple[int, int]], const: int, m: int,
     return (sum(l * pow(s, D % (p - 1), p) for s, l in lam) + const) % p == 0
 
 
+def digit_box(m: int, p: int, D: int
+              ) -> tuple[list[tuple[int, int]], list[int] | None]:
+    """Slots for products of D factors (t + s)^m = prod_l (T_l + s)^(d_l),
+    T_l = t^(p^l) over the base-p digits d_l of m: T_l^j at slot j R_l,
+    R_l = prod_(k<l) (D d_k + 1), so no digit carries, and fold maps slots
+    to powers of t; or, when its D m + 1 slots are fewer, the dense layout
+    (R_l = p^l, fold None). Returns [(d_l, R_l)] and fold, cap checked."""
+    digits, rest, box = [], m, 1
+    while rest:
+        rest, d = divmod(rest, p)
+        digits.append(d)
+        box *= D * d + 1
+    if box > D * m + 1:
+        _guard_size(D * m + 1)
+        return [(d, p ** l) for l, d in enumerate(digits)], None
+    _guard_size(box)
+    layout, fold, power = [], [0], 1
+    for d in digits:
+        layout.append((d, len(fold)))
+        if d:
+            fold = [e + k * power for k in range(D * d + 1) for e in fold]
+        power *= p
+    return layout, fold
+
+
 FactoredEquation = list[tuple[tuple[int, ...], Factored]]
 
 
@@ -371,103 +396,186 @@ def _factor_equations(v: Variety) -> list[FactoredEquation]:
     return v._factored
 
 
-def _equation_zero(terms: list[Row], basis: list[tuple[int, ...]],
-                   p: PrimeModulus, width: int) -> bool:
-    """Exact zero test of one equation from the rows of its terms.
+# (sparse exponent vector, coefficient row) per term
+RowEquation = list[tuple[list[tuple[int, int]], Row]]
+# (sum of the constants c, [(j, e, c)] for the terms c x_j^e)
+LinearPlan = tuple[int, list[tuple[int, int, int]]]
 
-    One term never vanishes; two terms reduce to a row ratio test whose
-    degrees are exact, so unequal degrees decide without expansion. Linear
-    combinations of equal Frobenius powers of distinct linear bases go
-    through the digit-structured route; what remains is expanded by
-    _expanded_zero, as one packed integer sum reduced mod p once.
+
+def _plan(eq: RowEquation, p: int) -> tuple | None:
+    """What _equation_zero needs of eq, once per call: for two terms the
+    coefficient row and exponents of their quotient; for more, each a
+    constant or a constant times a coordinate power, a LinearPlan."""
+    if len(eq) == 2:
+        (ev_a, (ua, qa)), (ev_b, (ub, qb)) = eq
+        diff = dict(ev_a)
+        for j, e in ev_b:
+            diff[j] = diff.get(j, 0) - e
+        return ((ua * pow(ub, -1, p) % p, qa - qb),
+                [(j, e) for j, e in diff.items() if e])
+    if len(eq) < 2 or any(q or len(ev) > 1 for ev, (_, q) in eq):
+        return None
+    return (sum(c for ev, (c, _) in eq if not ev),
+            [(j, e, c) for ev, (c, _) in eq for j, e in ev])
+
+
+def _equation_zero(eq: tuple[RowEquation, tuple | None], cur: list[Row],
+                   shapes: list | None, known: dict,
+                   basis: list[tuple[int, ...]], p: PrimeModulus,
+                   width: int) -> bool:
+    """Exact zero test of one equation (with its _plan) at the rows cur.
+
+    One term never vanishes; two vanish iff their quotient is -1, whose
+    degrees are exact. Linear combinations of equal Frobenius powers of
+    distinct linear bases take _linear_zero, the rest _expanded_zero;
+    known is their table for one return_set call.
     """
-    if len(terms) <= 2:
-        return not terms or (len(terms) == 2 and _two_term_zero(*terms, p.p))
-    structured = _try_structured(terms, basis, p.p, width)
-    return (_expanded_zero(terms, basis, p, width) if structured is None
-            else structured)
+    terms, plan = eq
+    pv = p.p
+    if len(terms) < 2:
+        return not terms
+    if len(terms) == 2:
+        return _two_term_zero(_combine(*plan, cur, pv), (1, 0), pv)
+    if plan is not None:
+        linear = _linear_zero(plan, shapes, known, pv)
+        if linear is not None:
+            return linear
+    rows = [_combine(coeff, ev, cur, pv) for ev, coeff in terms]
+    return _expanded_zero(rows, basis, p, width, known)
+
+
+def _shape(row: Row, basis: list[tuple[int, ...]], width: int
+           ) -> tuple[int, int, int] | None:
+    """(unit, s, m) for a row unit (t + s)^m with s, m != 0, else None."""
+    unit, q = row
+    if not q:
+        return None
+    # the lowest nonzero slot; q holds no other slot iff its value there
+    # lies inside the balanced-digit bound
+    i = ((q & -q).bit_length() - 1) // (8 * width)
+    m = q >> (8 * width * i)
+    if abs(m) >= 1 << (8 * width - 1) or len(basis[i]) != 2 or \
+            basis[i][0] == 0:
+        return None
+    return unit, basis[i][0], m
+
+
+def _linear_zero(plan: LinearPlan, shapes: list, known: dict, p: int
+                 ) -> bool | None:
+    """_structured_zero_test at coordinates u (t + s)^m of one exponent
+    e m, kept in known by (lambda per shift, constant, class of the digit
+    sum D of e m: D below p - 1, else D mod (p - 1)); None if a coordinate
+    has another shape or the exponents differ."""
+    const, lin = plan
+    lam: dict[int, int] = {}
+    m = None
+    for j, e, c in lin:
+        shape = shapes[j]
+        if shape is None:
+            return None
+        u, s, mj = shape
+        if e * mj != m:
+            if m is not None:
+                return None
+            m = e * mj
+        if u != 1:
+            c = c * pow(u, e % (p - 1), p)
+        lam[s] = (lam.get(s, 0) + c) % p
+    if m is None:
+        return const % p == 0
+    D = _digit_sum(m, p) if m > 0 else -1
+    # no sort: the plan fixes the order, and another would only miss
+    key = (tuple(lam.items()), const % p,
+           D if D < p - 1 else p - 1 + D % (p - 1))
+    if key not in known:
+        known[key] = _structured_zero_test(list(key[0]), key[1], m, p)
+    return known[key]
 
 
 def _expanded_zero(terms: list[Row], basis: list[tuple[int, ...]],
-                   p: PrimeModulus, width: int) -> bool:
-    """Dense zero test under the degree cap, the only route that decodes
-    rows. Stripping the common monomial leaves zeroness alone and makes each
-    term a polynomial. The cap is checked on every term before any product;
-    each distinct power of a key is computed once, reduced mod p, and
-    packed once (exact.pack_slots). Each term is then the unreduced big-int
-    product of its packed powers times its unit, the terms are summed over
-    Z, and the sum is unpacked once and tested slot by slot mod p.
-
-    Slot bound: a coefficient of a product of k polynomials of lengths
-    L_1 <= ... <= L_k is a sum of at most L_1 ... L_(k-1) products of k
-    coefficients below p, so a term with unit u has coefficients at most
-    u (p-1)^k L_1 ... L_(k-1). The slots are as wide as the sum of these
-    bounds over the terms, so no slot of any partial sum carries.
+                   p: PrimeModulus, width: int, table: dict | None = None
+                   ) -> bool:
+    """Zero test in the digit box of the terms' common exponent, the only
+    route that decodes whole rows. Stripping the common monomial leaves
+    zeroness alone and makes each term u prod_i Y_i^(k_i), Y_i = key_i^g
+    for g the gcd of the exponents left, of degree at most D g, D the
+    largest sum_i deg(key_i) k_i; digit_box lays it out. Powers are built
+    reduced mod p: densely, or in the box as tensor products of digit
+    powers key_i(T_l)^(k d_l), which table keeps. A term is the unreduced
+    big-int product of packed powers: of the Y_i, at most D factors, while
+    those slots fit a machine word, else of one reduced power per (key,
+    exponent), at most one a key. The sum is unpacked once, folded to
+    powers of t and tested mod p. Slots hold len(terms) (p-1)^(K+1)
+    N^(K-1) for K factors of at most N nonzero coefficients below p, as
+    their product has coefficients below (p-1)^K N^(K-1).
     """
-    n, half = len(basis), 1 << (8 * width - 1)
-    bias = half * ((1 << (8 * width * n)) - 1) // ((1 << (8 * width)) - 1)
-    rows = [[e - half for e in unpack_slots(q + bias, width, n)]
-            for _, q in terms]
+    # all rows, biased into unsigned slots, unpacked at once
+    n, w = len(basis), 8 * width
+    bias = (1 << (w - 1)) * ((1 << (w * n)) - 1) // ((1 << w) - 1)
+    flat = unpack_slots(sum((q + bias) << (w * n * k)
+                            for k, (_, q) in enumerate(terms)),
+                        width, n * len(terms))
+    rows = [flat[k * n:k * n + n] for k in range(len(terms))]
     common = [min(col) for col in zip(*rows)]
+    exps = [[(i, e - c) for i, e, c in zip(range(n), row, common) if e > c]
+            for row in rows]
     pv = p.p
-    table: dict[tuple[int, int], FpPoly] = {}
-    products = []
-    bound = 0
-    for (unit, _), row in zip(terms, rows):
-        exps = [(i, e - c) for i, e, c in zip(range(n), row, common) if e > c]
-        _guard_size(sum((len(basis[i]) - 1) * e for i, e in exps) + 1)
-        for i, e in exps:
-            if (i, e) not in table:
-                table[i, e] = FpPoly(basis[i], p, _canonical=True) ** e
-        lens = sorted(len(table[key].coeffs) for key in exps)
-        bound += unit * (pv - 1) ** len(lens) * prod(lens[:-1])
-        products.append((unit, exps))
-    slot = slot_bytes(bound)
-    packed = {key: pack_slots(f.coeffs, slot) for key, f in table.items()}
-    total = 0
-    for unit, exps in products:
-        term = unit
-        for key in exps:
-            term *= packed[key]
-        total += term
-    return not total or not any(v % pv for v in unpack_slots(
-        total, slot, -(-total.bit_length() // (8 * slot))))
+    g = gcd(*(e for ex in exps for _, e in ex))
+    if not g:
+        return sum(unit for unit, _ in terms) % pv == 0
+    D = max(sum((len(basis[i]) - 1) * e for i, e in ex) for ex in exps) // g
+    layout, fold = digit_box(g, pv, D)
+    table = {} if table is None else table
+
+    def power(i: int, k: int) -> list[int]:
+        """key_i^(k g) reduced mod p in the layout: one dense power, or
+        the tensor product of the digit powers key_i(T_l)^(k d_l), T_l^j
+        at slot j R_l with R_l = len(y), which table keeps."""
+        key = FpPoly(basis[i], p, _canonical=True)
+        if fold is None:
+            return (key ** (k * g)).coeffs
+        y = [1]
+        for d, _ in layout:
+            if d:
+                if (i, k * d) not in table:
+                    table[i, k * d] = (key ** (k * d)).coeffs
+                out = [0] * (len(y) * (D * d + 1))
+                for j, c in enumerate(table[i, k * d]):
+                    out[j * len(y):(j + 1) * len(y)] = [c * x % pv for x in y]
+                y = out
+        return y
+
+    powers = {f for ex in exps for f in ex}
+    ys = {i: power(i, 1) for i in {i for i, _ in powers}}
+    N = max(len(y) - y.count(0) for y in ys.values())
+    slot = slot_bytes(len(terms) * (pv - 1) ** (D + 1) * N ** (D - 1))
+    if slot <= 8:
+        ys = {i: pack_slots(y, slot) for i, y in ys.items()}
+        packed = {(i, e): ys[i] ** (e // g) for i, e in powers}
+    else:
+        ys = {(i, e): power(i, e // g) for i, e in powers}
+        K = max(map(len, exps))
+        N = max(len(y) - y.count(0) for y in ys.values())
+        slot = slot_bytes(len(terms) * (pv - 1) ** (K + 1) * N ** (K - 1))
+        packed = {f: pack_slots(y, slot) for f, y in ys.items()}
+    total = sum(unit * prod(packed[f] for f in ex)
+                for (unit, _), ex in zip(terms, exps))
+    values = unpack_slots(total, slot, -(-total.bit_length() // (8 * slot)))
+    if fold is not None:
+        if len(values) > len(fold):
+            raise InternalError("packed sum outgrew its digit box")
+        folded: dict[int, int] = {}
+        for e, v in zip(fold, values):
+            if v % pv:
+                folded[e] = folded.get(e, 0) + v
+        values = folded.values()
+    return not any(v % pv for v in values)
 
 
 def _two_term_zero(a: Row, b: Row, p: int) -> bool:
     """a + b = 0 iff a/b = -1; degrees of the reduced ratio are exact, so
     any unequal exponent already decides."""
     return a[1] == b[1] and (a[0] + b[0]) % p == 0
-
-
-def _try_structured(terms: list[Row], basis: list[tuple[int, ...]],
-                    p: int, width: int) -> bool | None:
-    """Terms c_a (t + s_a)^m and constants through _structured_zero_test;
-    None for any other shape."""
-    lin: list[tuple[int, int]] = []
-    const = 0
-    m_common: int | None = None
-    for unit, q in terms:
-        if not q:
-            const = (const + unit) % p
-            continue
-        # the lowest nonzero slot; q holds no other slot iff its value there
-        # lies inside the balanced-digit bound
-        i = ((q & -q).bit_length() - 1) // (8 * width)
-        e = q >> (8 * width * i)
-        if abs(e) >= 1 << (8 * width - 1):
-            return None
-        key = basis[i]
-        if len(key) != 2 or key[0] == 0:
-            return None  # base is not t + s with s != 0
-        if m_common is None:
-            m_common = e
-        elif m_common != e:
-            return None
-        lin.append((key[0], unit))
-    if m_common is None:
-        return const == 0
-    return _structured_zero_test(lin, const, m_common, p)
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +613,12 @@ def return_set(phi: TorusSelfMap, alpha: TorusPoint, v: Variety,
     equations = [list(zip(_sparse([ev for ev, _ in eq]),
                           _rows([f for _, f in eq], basis, width)))
                  for eq in f_eqs]
+    equations = [(eq, _plan(eq, p.p)) for eq in equations]
+    # the coordinates linear plans read, shaped once per step
+    linear = sorted({j for eq, plan in equations if plan and len(eq) > 2
+                     for j, _, _ in plan[1]})
+    known: dict = {}
+    shapes = None
     orbit = _orbit(phi, _rows(f_alpha, basis, width),
                    _rows(f_y, basis, width), p.p, n_max)
     inside: list[bool] = []
@@ -516,10 +630,12 @@ def return_set(phi: TorusSelfMap, alpha: TorusPoint, v: Variety,
             break
         if not n & (n - 1):
             saved, m = cur, n
-        inside.append(all(_equation_zero([_combine(coeff, ev, cur, p.p)
-                                          for ev, coeff in eq],
-                                         basis, p, width)
-                          for eq in equations))
+        if linear:
+            shapes = [None] * len(cur)
+            for j in linear:
+                shapes[j] = _shape(cur[j], basis, width)
+        inside.append(all(_equation_zero(eq, cur, shapes, known, basis, p,
+                                         width) for eq in equations))
     return [n for n, hit in enumerate(inside) if hit]
 
 

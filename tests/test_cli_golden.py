@@ -18,6 +18,9 @@ DATA = pathlib.Path(__file__).resolve().parent / "data" / "cli"
 # a case that reads one, and <case>.report its stored report
 GOLDEN = {
     "return-set": ("return-set", []),
+    # u_n = 7^n + 2 at c = 1,2: the gen-instance output of that pexp
+    # instance, whose subresultant equation is decided in its digit box
+    "return-set-pow7": ("return-set", []),
     "solve-pexp": ("solve-pexp", []),
     "classify-pexp": ("classify-pexp", []),
     "intersect-psets": ("intersect-psets", []),

@@ -109,9 +109,14 @@ def e_weights(pv):
 
 
 def box_polys(xs, width, fold, p):
-    """The coordinates of a digit box as FpPolys: box slot s is t^fold[s]."""
+    """The coordinates of a digit box as FpPolys: box slot s is t^fold[s],
+    or t^s when fold is None (the dense layout)."""
     out = []
     for x in xs:
+        if fold is None:
+            out.append(FpPoly(unpack_slots(x, width, -(-x.bit_length() // (
+                8 * width))), p))
+            continue
         coeffs = [0] * (max(fold) + 1)
         for e, v in zip(fold, unpack_slots(x, width, len(fold))):
             coeffs[e] += v
@@ -522,18 +527,26 @@ class TestExponentSet:
         assert count >= 4 and 0 < hits < count
 
     def test_box_fold_gives_each_slot_its_power_of_t(self):
-        # slot sum k_l R_l of the box stands for t^(sum k_l p^l)
+        # slot sum k_l R_l of the box stands for t^(sum k_l p^l); where the
+        # D m + 1 dense slots are fewer, they are the layout (fold None)
         pv = build_pset_variety(P7, [1, 2])
         sres = PolySystem([poly.items() for poly in pv.sres], P7, 3)
+        layouts = set()
         for m, b, _ in row_survivors(pv, 342):  # m < 7^3
             *_, fold = _survivor_point(sres, b, m, 32)
             digits = [m // 7 ** l % 7 for l in range(3) if 7 ** l <= m]
             radices = [sres.degree * d + 1 for d in digits]
-            assert len(fold) == math.prod(radices)
+            dense = sres.degree * m + 1
+            layouts.add(fold is None)
+            if fold is None:
+                assert dense < math.prod(radices), m
+                continue
+            assert len(fold) == math.prod(radices) <= dense, m
             for s, e in enumerate(fold):
                 ks = [s // math.prod(radices[:l]) % r
                       for l, r in enumerate(radices)]
                 assert e == sum(k * 7 ** l for l, k in enumerate(ks))
+        assert layouts == {True, False}
 
     def test_slot_off_the_lucas_positions_raises(self):
         # m = 9 has base-7 digits (2, 1); 3 = (3, 0) is not below them
@@ -562,7 +575,7 @@ class TestExponentSet:
         want = exponent_set(pv, 800)
         monkeypatch.setattr(pdml.exact, "_DEGREE_CAP", 1000)
         assert exponent_set(pv, 800) == want
-        # m = 9, digits (2, 1), has a box of 9 * 5 slots
+        # m = 15, digits (1, 2), has a box of 5 * 9 slots and 61 dense ones
         monkeypatch.setattr(pdml.exact, "_DEGREE_CAP", 40)
         with pytest.raises(ResourceLimitError):
             exponent_set(pv, 39)
@@ -660,3 +673,14 @@ class TestDmlInstance:
         hits2 = return_set(phi2, start2, v2, 12)
         inst2 = PexpInstance(fibonacci(), P7, ((1, 1), (2, 1)))
         assert hits2 == sorted(pexp_solution_set(inst2, 12)) == [4, 8]
+
+    def test_power_of_p_plus_two_every_n(self):
+        # u_n = 7^n + 2 = 1 * 7^n + 2 * 7^0 at c = (1, 2): every n is a hit.
+        # The subresultant equation's exponent has 41 base-7 digits at
+        # n = 40, but only two nonzero ones, so its digit box has 9 * 5
+        # slots where the dense layout would need 4 * u_40 + 1.
+        u = Lrs((7, -8), (3, 9))
+        assert lrs_prefix(u, 40)[40] == 7 ** 40 + 2
+        hits = return_set(*dml_instance(u, P7, [1, 2]), 40)
+        inst = PexpInstance(u, P7, ((1, 1), (2, 1)))
+        assert hits == sorted(pexp_solution_set(inst, 40)) == list(range(41))

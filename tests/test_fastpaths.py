@@ -26,8 +26,8 @@ from pdml.torus import (
     _basis,
     _combine,
     _rows,
+    _shape,
     _structured_zero_test,
-    _try_structured,
     _two_term_zero,
     endo_apply,
     reduction_decompose,
@@ -271,33 +271,86 @@ class TestRowKernel:
     variety_contains(selfmap_iterate(...))."""
 
     def _count_routes(self, monkeypatch):
-        routes = {"structured": 0, "expanded": 0}
+        routes = {"structured": 0, "box": 0}
         structured = torus_mod._structured_zero_test
-        expand = torus_mod._expanded_zero
+        box = torus_mod._expanded_zero
 
         def count_structured(*args):
             routes["structured"] += 1
             return structured(*args)
 
-        def count_expand(*args):
-            routes["expanded"] += 1
-            return expand(*args)
+        def count_box(*args):
+            routes["box"] += 1
+            return box(*args)
 
         monkeypatch.setattr(torus_mod, "_structured_zero_test",
                             count_structured)
-        monkeypatch.setattr(torus_mod, "_expanded_zero", count_expand)
+        monkeypatch.setattr(torus_mod, "_expanded_zero", count_box)
         return routes
 
     def test_multiplicity_instance_linear_sequence(self, monkeypatch):
         # u_n = n + s at p = 7, c = (1, 2): the p-set rows go through the
-        # structured route, the subresultant equation through expansion
+        # digit-sum route, the subresultant equation through the digit box
         routes = self._count_routes(monkeypatch)
         for s in (0, 4, 9):
             phi, alpha, v = dml_instance(Lrs((1, -2), (s, s + 1)), P7, [1, 2])
             hits = return_set(phi, alpha, v, 12)
             assert hits == dense_hits(phi, alpha, v, 12)
             assert hits == [n for n in range(13) if n + s in (3, 9, 15, 21)]
-        assert routes["structured"] > 0 and routes["expanded"] > 0
+        assert routes["structured"] > 0 and routes["box"] > 0
+
+    @pytest.mark.parametrize("p, c", [(P5, [1, 2]), (P7, [1, 2]),
+                                      (P7, [1, 1, 2])],
+                             ids=["5-1,2", "7-1,2", "7-1,1,2"])
+    def test_digit_box_on_dml_survivors(self, p, c):
+        # u_n = s + a n = sum(c) mod p - 1: the survivors of the linear
+        # rows (digit sum sum(c)) reach the subresultant equation, decided
+        # in its digit box
+        rnd = random.Random(100 * p.p + len(c))
+        s = sum(c) + (p.p - 1) * rnd.randrange(5)
+        a = (p.p - 1) * rnd.randint(1, 2)
+        u = Lrs((1, -2), (s, s + a))
+        phi, alpha, v = dml_instance(u, p, c)
+        values = lrs_prefix(u, 24)
+        survivors = [n for n in range(25)
+                     if torus_mod._digit_sum(values[n], p.p) == sum(c)]
+        hits = return_set(phi, alpha, v, 24)
+        assert set(hits) <= set(survivors)
+        sres = torus_mod._factor_equations(v)[-1]
+        flipped = 0
+        for n in survivors:
+            x = selfmap_iterate(phi, alpha, n)
+            assert (n in hits) == variety_contains(v, x), n
+            # the subresultant equation's terms at x, as exponent lists
+            basis = _basis(torus_mod.factor_point(x), [f for _, f in sres])
+            cur = list_rows(torus_mod.factor_point(x), basis)
+            spec = [list_combine(coeff, ev, cur, p.p) for ev, coeff in zip(
+                torus_mod._sparse([ev for ev, _ in sres]),
+                list_rows([f for _, f in sres], basis))]
+            zero = _expanded(spec, basis, p)
+            assert zero == (n in hits) == _dense_zero(spec, basis, p), n
+            if zero:
+                # one unit changed: the sum is off by a nonzero term
+                k = rnd.randrange(len(spec))
+                unit, row = spec[k]
+                spec[k] = (unit % (p.p - 1) + 1, row)
+                assert not _expanded(spec, basis, p)
+                assert not _dense_zero(spec, basis, p)
+                flipped += 1
+        assert len(survivors) >= 5 and flipped > 0
+
+    def test_constant_coordinates_leave_the_digit_sum_route(self):
+        # x -> x^2 from x = 2 at p = 7: the coordinate is a constant, so
+        # the linear equation goes to the box with an empty basis
+        one = RatFunc.one(P7)
+        phi = TorusSelfMap.endomorphism(((2,),), P7)
+        alpha = TorusPoint((RatFunc.const(2, P7),))
+        for c in range(1, 7):
+            v = Variety(1, ((((1,), RatFunc.const(3, P7)), ((0,), one),
+                             ((-1,), RatFunc.const(c, P7))),))
+            hits = return_set(phi, alpha, v, 6)
+            assert hits == dense_hits(phi, alpha, v, 6), c
+            assert hits == list_return_set(phi, alpha, v, 6), c
 
     def test_period_two_instance(self):
         # u alternates 2, 3 at p = 11, c = (1, 1): 2 = 1 + 1 is in the
@@ -620,21 +673,20 @@ class TestPackedRows:
 
     @pytest.mark.parametrize("width", [1, 2, 8, 9, 17])
     def test_two_slot_rows_are_not_structured(self, width):
-        p = P5
         basis = [(1, 1), (2, 1)]
         edge = (1 << (8 * width - 1)) - 1
-        const = (3, 0)
         # (t+1)/(t+2), and rows at the edge of the width
         for row in ([1, -1], [edge, 1], [-edge, 1], [edge, -1], [1, edge],
                     [-1, -edge], [edge, edge], [-edge, -edge], [edge, -edge]):
-            terms = [(1, pack(row, width)), const, (4, 0)]
-            assert _try_structured(terms, basis, p.p, width) is None, row
+            assert _shape((1, pack(row, width)), basis, width) is None, row
         # one slot at the edge is still a linear base: (t+1)^m, (t+2)^m
         for m in (edge, -edge, 1, -1):
-            terms = [(1, pack([m, 0], width)), (4, pack([0, m], width)),
-                     const]
-            assert _try_structured(terms, basis, p.p, width) == \
-                _structured_zero_test([(1, 1), (2, 4)], 3, m, p.p)
+            assert _shape((1, pack([m, 0], width)), basis, width) == (1, 1, m)
+            assert _shape((4, pack([0, m], width)), basis, width) == (4, 2, m)
+        # neither a constant nor t^m is a shifted base
+        assert _shape((3, 0), basis, width) is None
+        assert _shape((1, pack([5, 0], width)), [(0, 1), (1, 1)],
+                      width) is None
 
     def test_verify_width_covers_the_right_side(self):
         # Q_0 off by (t+1)^256 / (t+2): at one-byte slots that difference
@@ -670,10 +722,11 @@ class TestPackedRows:
 
     def test_expansion_route_keeps_the_degree_cap(self, tmp_path, capsys,
                                                   monkeypatch):
-        # x + x^2 + 1 with x = ((t+1)(t+3))^(1000^n) is neither two-term
-        # nor structured; at n = 2 its degree passes the cap
+        # x + x^2 + 1 with x = ((t+1)(t+3))^(506^n) is neither two-term
+        # nor linear; at n = 2 both its digit box (16,160,625 slots) and its
+        # dense layout (4 * 506^2 + 1 = 1,024,145 slots) pass the cap
         p = P5
-        phi = TorusSelfMap.endomorphism(((1000,),), p)
+        phi = TorusSelfMap.endomorphism(((506,),), p)
         alpha = TorusPoint((lin(1, p) * lin(3, p),))
         one = RatFunc.one(p)
         v = Variety(1, ((((1,), one), ((2,), one), ((0,), one)),))
@@ -681,7 +734,7 @@ class TestPackedRows:
         with pytest.raises(ResourceLimitError):
             return_set(phi, alpha, v, 2)
         inst = tmp_path / "cap.txt"
-        inst.write_text("p = 5\nn_max = 2\nmatrix = 1000\ny = 1/1\n"
+        inst.write_text("p = 5\nn_max = 2\nmatrix = 506\ny = 1/1\n"
                         "alpha = 3,4,1/1\n"
                         "equation = 1 : 1/1 ; 2 : 1/1 ; 0 : 1/1\n")
         assert main(["return-set", str(inst)]) == 4
@@ -866,17 +919,30 @@ def _expanded(spec, basis, p):
                                     width)
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(derandomize=True, max_examples=200, deadline=None)
 @given(data=st.data())
 def test_packed_expansion_matches_fppoly(data):
-    p = data.draw(st.sampled_from([2, 3, 5, 7, 10007]))
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 10007]))
     pool = _irreducibles(p) if p < 100 else [
         (a, 1) for a in (1, 2, 5000, 10005, 10006)]
     basis = sorted(data.draw(st.lists(st.sampled_from(pool), min_size=1,
                                       max_size=4, unique=True)))
-    top = 12 if p < 100 else 6
-    row = st.lists(st.integers(-3, top), min_size=len(basis),
-                   max_size=len(basis))
+    if p < 100 and data.draw(st.booleans()):
+        # exponents k g with g of 1-4 base-p digits, laid out in the digit
+        # box of g or densely, whichever has fewer slots; at most two keys
+        # keep the dense oracle cheap
+        basis = basis[:2]
+        size = data.draw(st.integers(1, 4))
+        digits = data.draw(st.lists(st.integers(0, p - 1), min_size=size,
+                                    max_size=size))
+        digits[-1] = max(digits[-1], 1)
+        g = sum(d * p ** l for l, d in enumerate(digits))
+        scale = st.integers(-1, 2).map(lambda k: k * g)
+        row = st.lists(scale, min_size=len(basis), max_size=len(basis))
+    else:
+        top = 12 if p < 100 else 6
+        row = st.lists(st.integers(-3, top), min_size=len(basis),
+                       max_size=len(basis))
     spec = data.draw(st.lists(st.tuples(st.integers(1, p - 1), row),
                               min_size=1, max_size=6))
     # cancelling copies: f g - g f is one row with units u and p - u
@@ -887,6 +953,28 @@ def test_packed_expansion_matches_fppoly(data):
 
 
 class TestPackedExpansion:
+    def test_digit_box_picks_the_smaller_layout(self):
+        # products of D = 4 factors (t + s)^g at p = 7
+        digit_box = torus_mod.digit_box
+        # one digit: the box is the dense layout, fold the identity
+        assert digit_box(3, 7, 4) == ([(3, 1)], list(range(13)))
+        # g = 9 = (2, 1): 37 dense slots against a box of 9 * 5
+        assert digit_box(9, 7, 4) == ([(2, 1), (1, 7)], None)
+        # g = 15 = (1, 2): a box of 5 * 9 against 61 dense slots
+        layout, fold = digit_box(15, 7, 4)
+        assert layout == [(1, 1), (2, 5)] and len(fold) == 45
+        assert fold[:6] == [0, 1, 2, 3, 4, 7] and fold[-1] == 4 + 8 * 7
+        # g = 7^40 + 2: 41 digits, two of them nonzero, a box of 9 * 5
+        layout, fold = digit_box(7 ** 40 + 2, 7, 4)
+        assert len(layout) == 41 and len(fold) == 45
+        assert sorted(set(fold)) == sorted(
+            j + k * 7 ** 40 for j in range(9) for k in range(5))
+        # the cap is checked on the smaller layout: 4 * 506^2 + 1 dense
+        # slots at p = 5, fewer than its box
+        with pytest.raises(ResourceLimitError):
+            digit_box(506 ** 2, 5, 4)
+        assert digit_box(506, 5, 4)[1] is not None
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_frobenius_binomials_cancel(self, p):
         # (t+a)^(p^k) - t^(p^k) - a^(p^k) = 0; any other constant is not
@@ -900,6 +988,20 @@ class TestPackedExpansion:
                     want = c == -a % p
                     assert _expanded(spec, basis, mod) == want
                     assert _dense_zero(spec, basis, mod) == want
+
+    def test_high_degree_terms_take_reduced_powers(self):
+        # g = 1 and D = 500: unreduced products of 500 factors would not
+        # fit a machine word, so each (key, exponent) is one reduced power
+        p = 7
+        mod = PrimeModulus(p)
+        basis = [(1, 1), (2, 1), (3, 1)]
+        for extra in (0, 1):
+            spec = [(3, [300, 0, 200]), (4, [300, 0, 200]),
+                    (5, [0, 499, 1]), (2, [0, 499, 1])]
+            spec += [(6, [1, 1, 1])] * extra
+            want = _dense_zero(spec, basis, mod)
+            assert want == (extra == 0)
+            assert _expanded(spec, basis, mod) == want
 
     def test_three_factor_terms_at_a_large_prime(self):
         # coefficients reach (p-1)^3 L1 L2 before the sum is reduced
