@@ -25,9 +25,10 @@ import random
 from .errors import (ConstructionError, DomainError, InternalError,
                      ResourceLimitError)
 from .exact import (FpPoly, PrimeModulus, RatFunc, Record, _guard_size,
-                    pack_slots, ratfunc_int_pow, slot_bytes, unpack_slots)
+                    pack_slots, ratfunc_int_pow, slot_bytes)
 from .lrs import Lrs, companion_matrix, mat_pow
-from .torus import Equation, TorusPoint, TorusSelfMap, Variety, digit_box
+from .torus import (Equation, TorusPoint, TorusSelfMap, Variety, box_zero,
+                    digit_box)
 
 _SELF_CHECK_SAMPLES = 50
 _SELF_CHECK_SEED = 0x5E1F
@@ -358,7 +359,6 @@ class PolySystem:
             for _ in range(top - 1):
                 row.append(row[-1] * xs[a])
             powers[a] = row
-        bits = 8 * width
         for eq in self.equations:
             total = 0
             stack = [1]  # stack[i]: the current term's first i factors
@@ -367,16 +367,7 @@ class PolySystem:
                 for a, e in rest:
                     stack.append(stack[-1] * powers[a][e])
                 total += c * stack[-1]
-            values = unpack_slots(total, width,
-                                  -(-total.bit_length() // bits))
-            if fold is not None:
-                if len(values) > len(fold):
-                    raise InternalError("packed sum outgrew its digit box")
-                folded: dict[int, int] = {}
-                for e, v in zip(fold, values):
-                    folded[e] = folded.get(e, 0) + v
-                values = folded.values()
-            if any(v % pv for v in values):
+            if not box_zero(total, width, fold, pv):
                 return False
         return True
 

@@ -384,6 +384,21 @@ def digit_box(m: int, p: int, D: int
     return layout, fold
 
 
+def box_zero(total: int, width: int, fold: list[int] | None, p: int
+             ) -> bool:
+    """Is the packed sum total (width-byte slots of a digit_box layout)
+    zero mod p once slots that share a power of t, fold[s], are added?"""
+    values = unpack_slots(total, width, -(-total.bit_length() // (8 * width)))
+    if fold is not None:
+        if len(values) > len(fold):
+            raise InternalError("packed sum outgrew its digit box")
+        folded: dict[int, int] = {}
+        for e, v in zip(fold, values):
+            folded[e] = folded.get(e, 0) + v
+        values = folded.values()
+    return not any(v % p for v in values)
+
+
 FactoredEquation = list[tuple[tuple[int, ...], Factored]]
 
 
@@ -420,7 +435,7 @@ def _plan(eq: RowEquation, p: int) -> tuple | None:
 
 
 def _equation_zero(eq: tuple[RowEquation, tuple | None], cur: list[Row],
-                   shapes: list | None, known: dict,
+                   shapes: list | None, known: dict, powers: dict,
                    basis: list[tuple[int, ...]], p: PrimeModulus,
                    width: int) -> bool:
     """Exact zero test of one equation (with its _plan) at the rows cur.
@@ -428,7 +443,8 @@ def _equation_zero(eq: tuple[RowEquation, tuple | None], cur: list[Row],
     One term never vanishes; two vanish iff their quotient is -1, whose
     degrees are exact. Linear combinations of equal Frobenius powers of
     distinct linear bases take _linear_zero, the rest _expanded_zero;
-    known is their table for one return_set call.
+    known (linear verdicts) and powers (digit powers) are their tables
+    for one return_set call.
     """
     terms, plan = eq
     pv = p.p
@@ -441,7 +457,7 @@ def _equation_zero(eq: tuple[RowEquation, tuple | None], cur: list[Row],
         if linear is not None:
             return linear
     rows = [_combine(coeff, ev, cur, pv) for ev, coeff in terms]
-    return _expanded_zero(rows, basis, p, width, known)
+    return _expanded_zero(rows, basis, p, width, powers)
 
 
 def _shape(row: Row, basis: list[tuple[int, ...]], width: int
@@ -504,10 +520,10 @@ def _expanded_zero(terms: list[Row], basis: list[tuple[int, ...]],
     powers key_i(T_l)^(k d_l), which table keeps. A term is the unreduced
     big-int product of packed powers: of the Y_i, at most D factors, while
     those slots fit a machine word, else of one reduced power per (key,
-    exponent), at most one a key. The sum is unpacked once, folded to
-    powers of t and tested mod p. Slots hold len(terms) (p-1)^(K+1)
-    N^(K-1) for K factors of at most N nonzero coefficients below p, as
-    their product has coefficients below (p-1)^K N^(K-1).
+    exponent), at most K = len(term) factors; box_zero tests the sum.
+    Slots hold len(terms) (p-1)^(K+1) N^(K-1) (K = D for the Y_i) for
+    factors of at most N nonzero coefficients below p, as K of them
+    multiply to coefficients below (p-1)^K N^(K-1).
     """
     # all rows, biased into unsigned slots, unpacked at once
     n, w = len(basis), 8 * width
@@ -525,30 +541,35 @@ def _expanded_zero(terms: list[Row], basis: list[tuple[int, ...]],
         return sum(unit for unit, _ in terms) % pv == 0
     D = max(sum((len(basis[i]) - 1) * e for i, e in ex) for ex in exps) // g
     layout, fold = digit_box(g, pv, D)
+    digits = [d for d, _ in layout if d]
     table = {} if table is None else table
 
     def power(i: int, k: int) -> list[int]:
         """key_i^(k g) reduced mod p in the layout: one dense power, or
         the tensor product of the digit powers key_i(T_l)^(k d_l), T_l^j
         at slot j R_l with R_l = len(y), which table keeps."""
-        key = FpPoly(basis[i], p, _canonical=True)
         if fold is None:
-            return (key ** (k * g)).coeffs
+            return (FpPoly(basis[i], p, _canonical=True) ** (k * g)).coeffs
         y = [1]
-        for d, _ in layout:
-            if d:
-                if (i, k * d) not in table:
-                    table[i, k * d] = (key ** (k * d)).coeffs
-                out = [0] * (len(y) * (D * d + 1))
-                for j, c in enumerate(table[i, k * d]):
-                    out[j * len(y):(j + 1) * len(y)] = [c * x % pv for x in y]
-                y = out
+        for d in digits:
+            if (i, k * d) not in table:
+                table[i, k * d] = (FpPoly(basis[i], p, _canonical=True)
+                                   ** (k * d)).coeffs
+            r = len(y)
+            out = [0] * (r * (D * d + 1))
+            for j, c in enumerate(table[i, k * d]):
+                out[j * r:j * r + r] = [c * x % pv for x in y]
+            y = out
         return y
 
     powers = {f for ex in exps for f in ex}
     ys = {i: power(i, 1) for i in {i for i, _ in powers}}
     N = max(len(y) - y.count(0) for y in ys.values())
     slot = slot_bytes(len(terms) * (pv - 1) ** (D + 1) * N ** (D - 1))
+    # powers of the Y_i are plain int powers, but their slots grow with D:
+    # they are taken while slots are machine words (x^500 at g = 1 would
+    # need 225-byte slots and ran about 80 times slower than with reduced
+    # powers)
     if slot <= 8:
         ys = {i: pack_slots(y, slot) for i, y in ys.items()}
         packed = {(i, e): ys[i] ** (e // g) for i, e in powers}
@@ -558,18 +579,9 @@ def _expanded_zero(terms: list[Row], basis: list[tuple[int, ...]],
         N = max(len(y) - y.count(0) for y in ys.values())
         slot = slot_bytes(len(terms) * (pv - 1) ** (K + 1) * N ** (K - 1))
         packed = {f: pack_slots(y, slot) for f, y in ys.items()}
-    total = sum(unit * prod(packed[f] for f in ex)
-                for (unit, _), ex in zip(terms, exps))
-    values = unpack_slots(total, slot, -(-total.bit_length() // (8 * slot)))
-    if fold is not None:
-        if len(values) > len(fold):
-            raise InternalError("packed sum outgrew its digit box")
-        folded: dict[int, int] = {}
-        for e, v in zip(fold, values):
-            if v % pv:
-                folded[e] = folded.get(e, 0) + v
-        values = folded.values()
-    return not any(v % pv for v in values)
+    return box_zero(sum(unit * prod(packed[f] for f in ex)
+                        for (unit, _), ex in zip(terms, exps)),
+                    slot, fold, pv)
 
 
 def _two_term_zero(a: Row, b: Row, p: int) -> bool:
@@ -618,6 +630,7 @@ def return_set(phi: TorusSelfMap, alpha: TorusPoint, v: Variety,
     linear = sorted({j for eq, plan in equations if plan and len(eq) > 2
                      for j, _, _ in plan[1]})
     known: dict = {}
+    powers: dict = {}
     shapes = None
     orbit = _orbit(phi, _rows(f_alpha, basis, width),
                    _rows(f_y, basis, width), p.p, n_max)
@@ -634,8 +647,9 @@ def return_set(phi: TorusSelfMap, alpha: TorusPoint, v: Variety,
             shapes = [None] * len(cur)
             for j in linear:
                 shapes[j] = _shape(cur[j], basis, width)
-        inside.append(all(_equation_zero(eq, cur, shapes, known, basis, p,
-                                         width) for eq in equations))
+        inside.append(all(_equation_zero(eq, cur, shapes, known, powers,
+                                         basis, p, width)
+                          for eq in equations))
     return [n for n, hit in enumerate(inside) if hit]
 
 

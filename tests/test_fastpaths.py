@@ -25,6 +25,8 @@ from pdml.torus import (
     Variety,
     _basis,
     _combine,
+    _linear_zero,
+    _plan,
     _rows,
     _shape,
     _structured_zero_test,
@@ -679,14 +681,44 @@ class TestPackedRows:
         for row in ([1, -1], [edge, 1], [-edge, 1], [edge, -1], [1, edge],
                     [-1, -edge], [edge, edge], [-edge, -edge], [edge, -edge]):
             assert _shape((1, pack(row, width)), basis, width) is None, row
-        # one slot at the edge is still a linear base: (t+1)^m, (t+2)^m
+        # one slot at the edge is still a linear base: (t+1)^m, (t+2)^m;
+        # x_0 + x_1 + 3 at x = ((t+1)^m, 4 (t+2)^m) takes the digit-sum route
+        eq = [([(0, 1)], (1, 0)), ([(1, 1)], (1, 0)), ([], (3, 0))]
+        plan = _plan(eq, P5.p)
         for m in (edge, -edge, 1, -1):
-            assert _shape((1, pack([m, 0], width)), basis, width) == (1, 1, m)
-            assert _shape((4, pack([0, m], width)), basis, width) == (4, 2, m)
+            shapes = [_shape((1, pack([m, 0], width)), basis, width),
+                      _shape((4, pack([0, m], width)), basis, width)]
+            assert shapes == [(1, 1, m), (4, 2, m)]
+            assert _linear_zero(plan, shapes, {}, P5.p) == \
+                _structured_zero_test([(1, 1), (2, 4)], 3, m, P5.p)
         # neither a constant nor t^m is a shifted base
         assert _shape((3, 0), basis, width) is None
         assert _shape((1, pack([5, 0], width)), [(0, 1), (1, 1)],
                       width) is None
+
+    def test_linear_verdicts_are_shared_by_digit_sum_class(self):
+        # c_1 x_0 + c_2 x_1 + const at x = ((t+1)^m, (t+2)^m), p = 5: one
+        # table serves every m, and exponents of one class (digit sum
+        # D below 4, else 4 + D mod 4) share an entry
+        p, width = P5.p, 2
+        basis = [(1, 1), (2, 1)]
+        ms = (-3, 1, 5, 25, 2, 10, 4, 8, 24, 3, 7, 19, 124)
+        seen = set()
+        for c1, c2, const in itertools.product(range(1, 5), range(1, 5),
+                                               range(5)):
+            eq = [([(0, 1)], (c1, 0)), ([(1, 1)], (c2, 0)),
+                  ([], (const, 0))]
+            plan, known = _plan(eq, p), {}
+            for m in ms:
+                shapes = [_shape((1, pack([m, 0], width)), basis, width),
+                          _shape((1, pack([0, m], width)), basis, width)]
+                want = _structured_zero_test([(1, c1), (2, c2)], const, m, p)
+                assert _linear_zero(plan, shapes, known, p) == want, (eq, m)
+                seen.add(want)
+            # classes -1 (m < 0); 1, 2, 3 (m = 3, 7); 4 (D = 4, 8, 12);
+            # 7 (m = 19, D = 7)
+            assert len(known) == 6
+        assert seen == {False, True}
 
     def test_verify_width_covers_the_right_side(self):
         # Q_0 off by (t+1)^256 / (t+2): at one-byte slots that difference
