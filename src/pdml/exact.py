@@ -567,24 +567,48 @@ def poly_factor(poly: FpPoly) -> tuple[int, list[tuple[FpPoly, int]]]:
     degree, then by coefficients. The whole chain runs on coefficient lists
     through the kernels above; FpPoly objects are made only for the result,
     and a random generator only when an equal-degree split is needed.
+    A power (t + a)^k of degree 2 or more skips it (_linear_power).
     """
     if poly.is_zero():
         raise DomainError("factorisation of zero")
     if poly.degree == 0:
         return poly.leading(), []
     p = poly.modulus.p
+    f = _monic(poly.coeffs, p)
+    mult = ((_linear_power(f, poly.modulus) if len(f) > 2 else None)
+            or _factor_chain(f, p))
+    return poly.leading(), [
+        (FpPoly(g, poly.modulus, _canonical=True), m)
+        for g, m in sorted(mult.items(), key=lambda gm: (len(gm[0]), gm[0]))]
+
+
+def _factor_chain(f: list[int], p: int) -> dict[tuple[int, ...], int]:
+    """Monic f as {monic irreducible: multiplicity}: the general chain."""
     rng = None
     mult: dict[tuple[int, ...], int] = {}
-    for sqf, m in _squarefree(_monic(poly.coeffs, p), p):
+    for sqf, m in _squarefree(f, p):
         for g, d in _distinct_degree(sqf, p):
             if len(g) - 1 > d and rng is None:
                 rng = random.Random(_FACTOR_SEED)
-            for f in _equal_degree(g, d, p, rng):
-                f = tuple(f)
-                mult[f] = mult.get(f, 0) + m
-    return poly.leading(), [
-        (FpPoly(f, poly.modulus, _canonical=True), m)
-        for f, m in sorted(mult.items(), key=lambda fm: (len(fm[0]), fm[0]))]
+            for h in _equal_degree(g, d, p, rng):
+                h = tuple(h)
+                mult[h] = mult.get(h, 0) + m
+    return mult
+
+
+def _linear_power(f, modulus: PrimeModulus) -> dict | None:
+    """{(a, 1): k} if monic f is (t + a)^k = (t^(p^j) + a)^m, k = p^j m
+    and p not dividing m, whose t^(k - p^j) coefficient is m a; a^k must be
+    f's constant term and (t + a)^k, by base-p powering, f itself."""
+    p = modulus.p
+    k = m = len(f) - 1
+    while m % p == 0:
+        m //= p
+    a = f[k - k // m] * pow(m, -1, p) % p
+    if f[0] != pow(a, k, p) or \
+            (FpPoly((a, 1), modulus, _canonical=True) ** k).coeffs != tuple(f):
+        return None
+    return {(a, 1): k}
 
 
 def _squarefree(f: list[int], p: int) -> list[tuple[list[int], int]]:

@@ -6,7 +6,7 @@ int that packs a signed exponent per key of a sorted basis of monic
 irreducibles, in slots as wide as a bound proven before the orbit is
 walked. A step row_i <- y_i + sum_j A_ij row_j is then a few int products,
 so points like (t+1)^(10^8) stay cheap. Points and varieties keep their
-factorizations, built on first use.
+factorizations, and maps what depends on them alone, built on first use.
 Membership is a row ratio test for two terms, a digit-sum test for linear
 equations in equal Frobenius powers (from coordinate shapes decoded once
 per step), and otherwise a packed sum in the base-p digit box of the
@@ -79,13 +79,14 @@ class TorusPoint(Record):
 class TorusSelfMap(Record):
     """x -> translation * [matrix]x with the matrix acting multiplicatively."""
 
-    __slots__ = ("matrix", "translation")
+    # _derived: what depends on the map alone, built on first use by _per_map
+    __slots__ = ("matrix", "translation", "_derived")
 
     def __init__(self, matrix: Matrix, translation: TorusPoint):
         matrix = _as_matrix(matrix)
         if len(matrix) != translation.dim:
             raise DomainError("matrix size and translation dimension differ")
-        self._init(matrix, translation)
+        self._init(matrix, translation, {})
 
     @property
     def dim(self) -> int:
@@ -135,6 +136,13 @@ def endo_apply(matrix, x: TorusPoint) -> TorusPoint:
                 acc = acc * ratfunc_int_pow(xj, a)
         coords.append(acc)
     return TorusPoint(tuple(coords))
+
+
+def _per_map(phi: TorusSelfMap, key, make, *args):
+    """phi's datum key, made by make(*args), which reads phi alone, once."""
+    if key not in phi._derived:
+        phi._derived[key] = make(*args)
+    return phi._derived[key]
 
 
 def selfmap_apply(phi: TorusSelfMap, x: TorusPoint) -> TorusPoint:
@@ -276,11 +284,12 @@ def _height(*values: Factored) -> int:
     return max((abs(e) for f in values for e in f.powers.values()), default=0)
 
 
-def _orbit_height(matrix: Matrix, start: int, y: int, n_max: int) -> int:
+def _orbit_height(phi: TorusSelfMap, start: int, y: int, n_max: int) -> int:
     """A bound on every |exponent| of Phi^n(alpha), n <= n_max: the rows are
     A^n alpha + sum_(k<n) A^k y, so M (|alpha| + n_max |y|) bounds them when
-    M bounds the row sums ||A^k|| for k <= n_max."""
-    return mat_power_bound(matrix, n_max) * (start + n_max * y)
+    M, kept per map, bounds the row sums ||A^k|| for k <= n_max."""
+    return _per_map(phi, ("power bound", n_max), mat_power_bound, phi.matrix,
+                   n_max) * (start + n_max * y)
 
 
 def _rows(values: list[Factored], basis: list[tuple[int, ...]], width: int
@@ -618,7 +627,7 @@ def return_set(phi: TorusSelfMap, alpha: TorusPoint, v: Variety,
     f_y = factor_point(phi.translation)
     f_alpha = factor_point(alpha)
     basis = _basis(f_alpha, f_y, *([f for _, f in eq] for eq in f_eqs))
-    reach = _orbit_height(phi.matrix, _height(*f_alpha), _height(*f_y), n_max)
+    reach = _orbit_height(phi, _height(*f_alpha), _height(*f_y), n_max)
     width = slot_bytes(2 * max([reach] + [
         _height(f) + reach * sum(map(abs, ev)) for eq in f_eqs for ev, f in eq
     ]) + 1)
@@ -737,6 +746,12 @@ class ReductionData(Record):
 
 def reduction_decompose(phi: TorusSelfMap, alpha: TorusPoint
                         ) -> ReductionData:
+    """The decomposition of Phi^n as ReductionData. It reads only phi, not
+    alpha, so it is built once per map and shared by every start point."""
+    return _per_map(phi, "reduction", _reduction, phi)
+
+
+def _reduction(phi: TorusSelfMap) -> ReductionData:
     minpoly = minimal_polynomial(phi.matrix)
     l = len(minpoly) - 1
     v_seqs = tuple(
@@ -801,7 +816,7 @@ def verify_reduction(rd: ReductionData, phi: TorusSelfMap,
     h_factors = [_height(*fq) for fq in f_q] + [
         h_alpha * max(sum(map(abs, row)) for row in ap) for ap in apows]
     width = slot_bytes(2 * max(
-        [_orbit_height(phi.matrix, h_alpha, _height(*f_y), n_max)]
+        [_orbit_height(phi, h_alpha, _height(*f_y), n_max)]
         + [sum(abs(s[n]) * h for s, h in zip(seqs, h_factors))
            for n in range(n_max + 1)]) + 1)
     alpha_rows = _rows(f_alpha, basis, width)
@@ -917,7 +932,8 @@ def classify_hits(phi: TorusSelfMap, hits: list[int], n_max: int,
     notes: list[str] = []
     allow_psets = True
     if phi.is_endomorphism():
-        verdict = frobenius_obstruction(phi.matrix, p, r_max, s_max)
+        verdict = _per_map(phi, ("obstruction", r_max, s_max),
+                           frobenius_obstruction, phi.matrix, p, r_max, s_max)
         if not verdict.obstructed:
             allow_psets = False
             notes.append(f"no Frobenius obstruction: {verdict}; "

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pdml.errors import DomainError, ResourceLimitError, UsageError
 from pdml.exact import (
@@ -14,7 +14,8 @@ from pdml.exact import (
     ratfunc_int_pow,
 )
 import pdml.exact as exact_mod
-from pdml.exact import _distinct_degree, _divmod, _squarefree
+from pdml.exact import (_distinct_degree, _divmod, _factor_chain, _linear_power,
+                        _monic, _squarefree)
 
 P5 = PrimeModulus(5)
 P3 = PrimeModulus(3)
@@ -427,6 +428,44 @@ class TestFactor:
         f = lin ** 2 * quad * FpPoly([5, 1], p)
         assert poly_factor(f) == (1, [(lin, 2), (FpPoly([5, 1], p), 1),
                                       (quad, 1)])
+
+
+def chain_factor(f: FpPoly) -> tuple[int, list[tuple[FpPoly, int]]]:
+    """poly_factor by the general chain alone, without the linear-power
+    route: the oracle for that route."""
+    p = f.modulus.p
+    mult = _factor_chain(_monic(f.coeffs, p), p)
+    return f.leading(), sorted(
+        ((FpPoly(g, f.modulus), m) for g, m in mult.items()),
+        key=lambda gm: (gm[0].degree, gm[0].coeffs))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 10**9 + 7]), st.data())
+def test_linear_power_route_agrees_with_the_chain(q, data):
+    """c (t + a)^k, with p or p^2 dividing k and a = 0 among the shifts,
+    takes the linear-power route; one changed coefficient and
+    (t + a)^i (t + b)^(k - i) fall through to the chain unless it finds a
+    single linear factor too. Each gives what the chain gives."""
+    p = PrimeModulus(q)
+    m = data.draw(st.integers(1, 6), "m")
+    c = data.draw(st.integers(1, q - 1), "c")
+    for k, a in itertools.product(
+            [m * q ** j for j in range(3) if 2 <= m * q ** j <= 100],
+            (0, data.draw(st.integers(1, q - 1), "a"))):
+        power = FpPoly([a, 1], p) ** k
+        near = list(power.coeffs)
+        i = data.draw(st.integers(0, k - 1), "i")
+        near[i] = (near[i] + data.draw(st.integers(1, q - 1), "dc")) % q
+        b = data.draw(st.integers(0, q - 1).filter(lambda x: x != a), "b")
+        split = FpPoly([a, 1], p) ** i * FpPoly([b, 1], p) ** (k - i)
+        assert poly_factor(power.scale(c)) == (c, [(FpPoly([a, 1], p), k)])
+        for f in (power, FpPoly(near, p), split):
+            want = chain_factor(f.scale(c))
+            assert poly_factor(f.scale(c)) == want
+            single = len(want[1]) == 1 and want[1][0][0].degree == 1
+            assert (_linear_power(_monic(f.coeffs, q), p) is not None) == \
+                single
 
 
 def squarefree(f: FpPoly) -> list[tuple[FpPoly, int]]:

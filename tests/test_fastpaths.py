@@ -640,7 +640,7 @@ class TestPackedRows:
         a1, a2 = lin(1, p), lin(2, p)
         alpha = TorusPoint((a1, a1 * a1, a2, a2 * a2))
         n_max = 300
-        h = torus_mod._orbit_height(phi.matrix, 2, 0, n_max)
+        h = torus_mod._orbit_height(phi, 2, 0, n_max)
         assert 2 * n_max < h < 2 ** 64
         one = RatFunc.one(p)
         # x1 = (t+1)^(n+1), x3 = (t+2)^(n+1)

@@ -1,6 +1,7 @@
 """Rules that every module of the library keeps."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -151,7 +152,7 @@ VALUE_CLASSES = {
                      None),
     "TorusPoint": (lambda: TorusPoint((X, X)), "coords", "_factors", None),
     "TorusSelfMap": (lambda: TorusSelfMap(((1, 1), (0, 1)), TorusPoint((X, X))),
-                     "matrix", None, None),
+                     "matrix", "_derived", None),
     "Variety": (lambda: Variety(2, ((((1, 0), X), ((0, 1), X)),)),
                 "equations", "_factored", None),
     "ReductionData": (lambda: ReductionData((1, -1), (LRS,), (LRS,), ()),
@@ -199,3 +200,30 @@ def test_value_class_contract(name):
             held.append(None)
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert cache not in repr(a)
+
+
+def _library_records() -> list[type]:
+    """Every Record subclass that a module of the library defines."""
+    for path in sorted(SRC.glob("*.py")):
+        importlib.import_module(
+            "pdml" if path.stem == "__init__" else f"pdml.{path.stem}")
+    found, todo = [], Record.__subclasses__()
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if cls.__module__.startswith("pdml."):
+            found.append(cls)
+    return found
+
+
+def test_every_record_is_a_value_class():
+    """Each Record of the library has a row in VALUE_CLASSES whose cache
+    column names its underscore slot, so test_value_class_contract checks
+    that every cache stays out of equality, hashing and repr."""
+    records = _library_records()
+    assert len(records) >= 16
+    assert [cls.__name__ for cls in records
+            if cls.__name__ not in VALUE_CLASSES] == []
+    assert [f"{cls.__name__}.{slot}" for cls in records
+            for slot in cls.__slots__
+            if slot[0] == "_" and VALUE_CLASSES[cls.__name__][2] != slot] == []

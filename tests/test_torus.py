@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import pdml.torus as torus_mod
+from pdml.constructions import dml_instance
 from pdml.errors import UsageError
 from pdml.exact import FpPoly, PrimeModulus, RatFunc, ratfunc_int_pow
 from pdml.lrs import (Lrs, _cyclotomic_orders, _synthetic_div,
@@ -20,6 +21,7 @@ from pdml.torus import (
     _basis,
     _combine,
     _rows,
+    classify_hits,
     endo_apply,
     factor_point,
     frobenius_obstruction,
@@ -257,6 +259,47 @@ class TestFactorCache:
             assert made > 0
             assert op(*inst) == first
             assert len(calls) == made
+
+    def test_map_derives_once_for_many_start_points(self, monkeypatch):
+        """Five start points on one dml_instance map share its reduction,
+        obstruction verdict and power bounds, and get what a fresh equal
+        map gives; each (r_max, s_max) window keeps its own verdict."""
+        calls = {"minimal_polynomial": 0, "frobenius_obstruction": 0}
+        for name in calls:
+            def counting(*args, _real=getattr(torus_mod, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(torus_mod, name, counting)
+        # u_(n+2) = -u_n: A^4 = I, so the default window finds (4, 0)
+        n_max = 24
+        instances = [dml_instance(Lrs((1, 0), (s, s + 1)), P5, [1, 1])
+                     for s in range(5)]
+        phi = instances[0][0]
+
+        def analyse(phi, alpha, v):
+            return (return_set(phi, alpha, v, n_max),
+                    full_pipeline(phi, alpha, v, n_max),
+                    verify_reduction(reduction_decompose(phi, alpha), phi,
+                                     alpha, n_max))
+
+        shared = [analyse(phi, alpha, v) for _, alpha, v in instances]
+        assert calls == {"minimal_polynomial": 1, "frobenius_obstruction": 1}
+        assert any(hits for hits, _, _ in shared)
+        assert all(verified for _, _, verified in shared)
+        for (_, alpha, v), got in zip(instances, shared):
+            fresh = TorusSelfMap(phi.matrix, phi.translation)
+            assert fresh == phi and not fresh._derived
+            assert analyse(fresh, alpha, v) == got
+        hits = shared[1][0]
+        calls["frobenius_obstruction"] = 0
+        for _ in range(2):
+            narrow = classify_hits(phi, hits, n_max, r_max=3, s_max=2)
+            wide = classify_hits(phi, hits, n_max)
+        assert narrow.notes == ("no Frobenius obstruction: "
+                                "clear-to-bound(3,2); progressions-only shape",)
+        assert wide.notes == ("obstructed(4,0)",)
+        assert calls["frobenius_obstruction"] == 1
 
     def test_cache_is_invisible(self):
         from pdml.serial import torus_instance_to_text
