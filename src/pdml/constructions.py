@@ -1,14 +1,16 @@
 """Instance generators: recurrences as torus dynamics and p-set varieties.
 
 The p-set variety in G_m^(p-1) is cut out by inverse-Vandermonde linear
-rows; those rows characterize points of the form ((t+1)^m, ..., (t+p-1)^m)
-with base-p digit sum equal to the coefficient total. Multiplicity patterns
+rows, read off the character table of F_p^* in closed form; those rows
+characterize points of the form ((t+1)^m, ..., (t+p-1)^m) with base-p
+digit sum equal to the coefficient total. Multiplicity patterns
 additionally need the evaluated points to come from a polynomial with few
 distinct roots, which is expressed through vanishing principal subresultant
 coefficients of (u, u'), Sylvester determinants over the coefficients e_k
-of u. The e_k are affine in the torus coordinates, so the one determinant
-helper gives the equations of X over those forms, and the same equations in
-the variables e_k. Every construction self-checks against its
+of u. The e_k are affine in the torus coordinates (by Lagrange
+interpolation at the nodes 1..ell'), so the one determinant helper gives
+the equations of X over those forms, and the same equations in the
+variables e_k. Every construction self-checks against its
 parametrization before it is released, by exact packed-int evaluation
 (PolySystem). exponent_set tests the e_k-form equations at each m that
 passes the linear rows: there e_k is (t+1)^m on the positions of base-p
@@ -33,51 +35,30 @@ from .torus import (Equation, TorusPoint, TorusSelfMap, Variety, box_zero,
 _SELF_CHECK_SAMPLES = 50
 _SELF_CHECK_SEED = 0x5E1F
 # Largest ambient dimension p - 1 of a p-set variety. The Vandermonde
-# inverse and its check grow like p^3, the packed self-check like p^2;
-# p = 113 builds in about 2 s for c = (1, 1) on a 2-core machine, 0.5 s
-# of it in the Vandermonde check.
+# inverse is a closed form of p^2 entries, and the packed self-check is
+# most of a build, about p^2 per sample; p = 113 builds in about 0.6 s
+# for c = (1, 1) on a 2-core machine.
 _MAX_VARIETY_DIM = 112
 
 
 def vandermonde_inverse(p: PrimeModulus) -> tuple[tuple[int, ...], ...]:
-    """Inverse of the (p-1)x(p-1) Vandermonde matrix (a^j) over F_p.
+    """Inverse of the (p-1)x(p-1) Vandermonde matrix (a^j) over F_p: the
+    character table A[k][a-1] = -a^(-k) of F_p^*.
 
-    Rows are indexed by k = 0..p-2 and columns by a = 1..p-1, so that
-    sum_a A[k][a-1] a^j is 1 exactly when j = k mod (p-1) and 0 otherwise;
-    the defining identity is checked for j up to 2(p-1).
+    Rows are indexed by k = 0..p-2 and columns by a = 1..p-1. By the
+    orthogonality relation sum_a a^(j-k) = -[j = k mod (p-1)] over F_p^*,
+    sum_a A[k][a-1] a^j is 1 exactly when j = k mod (p-1) and 0 otherwise,
+    for every j >= 0; no entry is 0.
     """
     if p.p < 3:
         raise DomainError("need p >= 3")
     pv = p.p
-    n = pv - 1
-    # powers[j][a - 1] = a^j for j = 0..2(p-1); V is its first p-1 rows,
-    # transposed to rows a = 1..p-1 and columns j = 0..p-2
-    powers = [[pow(a, j, pv) for a in range(1, pv)] for j in range(2 * n + 1)]
-    inv_rows = _inverse_mod([list(col) for col in zip(*powers[:n])], pv)
-    for k in range(n):
-        for j in range(2 * n + 1):
-            total = sum(x * y for x, y in zip(inv_rows[k], powers[j])) % pv
-            if total != (1 if (j - k) % n == 0 else 0):
-                raise InternalError("Vandermonde inverse identity failed")
-    return inv_rows
-
-
-def _inverse_mod(m: list[list[int]], pv: int) -> tuple[tuple[int, ...], ...]:
-    """Inverse of the invertible square matrix m over F_pv, by Gauss-Jordan
-    elimination."""
-    n = len(m)
-    aug = [[x % pv for x in row] + [int(i == j) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], pv - 2, pv)
-        aug[col] = [x * inv % pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % pv for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    inverses = [pow(a, -1, pv) for a in range(1, pv)]
+    row, rows = [pv - 1] * (pv - 1), []
+    for _ in range(pv - 1):
+        rows.append(tuple(row))
+        row = [x * y % pv for x, y in zip(row, inverses)]
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +161,12 @@ class PsetVariety(Record):
     """The torus variety whose multiple-of-P membership set is a p-set;
     sres holds its subresultant equations in the variables e_1..e_ell'."""
 
-    __slots__ = ("p", "coefficients", "X", "P", "A_inv", "ell_prime", "sres")
+    __slots__ = ("p", "coefficients", "X", "P", "ell_prime", "sres")
 
     def __init__(self, p: PrimeModulus, coefficients: tuple[int, ...],
-                 X: Variety, P: TorusPoint, A_inv: tuple[tuple[int, ...], ...],
-                 ell_prime: int, sres: tuple[SymPoly, ...]):
-        self._init(p, coefficients, X, P, A_inv, ell_prime, sres)
+                 X: Variety, P: TorusPoint, ell_prime: int,
+                 sres: tuple[SymPoly, ...]):
+        self._init(p, coefficients, X, P, ell_prime, sres)
 
 
 def build_pset_variety(p: PrimeModulus, c: list[int]) -> PsetVariety:
@@ -215,22 +196,16 @@ def build_pset_variety(p: PrimeModulus, c: list[int]) -> PsetVariety:
             f"p-set variety in G_m^{n} exceeds the dimension cap "
             f"{_MAX_VARIETY_DIM}")
     a_inv = vandermonde_inverse(p)
-    one = RatFunc.one(p)
 
     def unit_ev(a: int) -> tuple[int, ...]:
         ev = [0] * n
         ev[a - 1] = 1
         return tuple(ev)
 
-    equations: list[Equation] = []
-    eq = tuple((unit_ev(a), RatFunc.const(a_inv[ell_prime][a - 1], p))
-               for a in range(1, pv) if a_inv[ell_prime][a - 1]) + (
-        ((0,) * n, -one),)
-    equations.append(eq)
-    for k in range(ell_prime + 1, n):
-        equations.append(tuple(
-            (unit_ev(a), RatFunc.const(a_inv[k][a - 1], p))
-            for a in range(1, pv) if a_inv[k][a - 1]))
+    equations: list[Equation] = [
+        tuple((unit_ev(a), RatFunc.const(w, p))
+              for a, w in enumerate(a_inv[k], 1)) for k in range(ell_prime, n)]
+    equations[0] += (((0,) * n, -RatFunc.one(p)),)  # row sum(c) is 1
 
     sres: tuple[SymPoly, ...] = ()
     if ell < ell_prime:
@@ -253,7 +228,7 @@ def build_pset_variety(p: PrimeModulus, c: list[int]) -> PsetVariety:
 
     P = TorusPoint(tuple(
         RatFunc(FpPoly([a, 1], p)) for a in range(1, pv)))
-    pvar = PsetVariety(p, tuple(c), Variety(n, tuple(equations)), P, a_inv,
+    pvar = PsetVariety(p, tuple(c), Variety(n, tuple(equations)), P,
                        ell_prime, sres)
     _self_check(pvar)
     return pvar
@@ -262,16 +237,29 @@ def build_pset_variety(p: PrimeModulus, c: list[int]) -> PsetVariety:
 def _symmetric_recovery(p: PrimeModulus, ell_prime: int
                         ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Solve x_a = a^ell' + sum_k e_k a^(ell'-k) for e_1..e_ell' from the
-    first ell' coordinates: e = M^-1 (x - consts)."""
+    first ell' coordinates: e = M^-1 (x - consts).
+
+    q = sum_k e_k X^(ell'-k) has degree below ell' and q(a) = x_a - a^ell'
+    at the nodes a = 1..ell', so q = sum_a (x_a - a^ell') L_a over the
+    Lagrange basis L_a = prod_(b != a) (X - b)/(a - b): column a of M^-1
+    holds the coefficients of L_a, highest first. At x = 0 the monic
+    X^ell' + q vanishes at every node, so it is u = prod_b (X - b), and
+    the constants are the coefficients of u below its leading one.
+    """
     pv = p.p
-    nn = ell_prime
-    minv = _inverse_mod([[pow(a, ell_prime - k, pv) for k in range(1, nn + 1)]
-                         for a in range(1, nn + 1)], pv)
-    # e_k = sum_a minv[k-1][a-1] * (x_a - a^ell')
-    e_const = tuple(
-        -sum(minv[k][a] * pow(a + 1, ell_prime, pv) for a in range(nn)) % pv
-        for k in range(nn))
-    return minv, e_const
+    nodes = range(1, ell_prime + 1)
+    u = [1]  # prod_b (X - b), highest first
+    for b in nodes:
+        u = [(x - b * y) % pv for x, y in zip(u + [0], [0] + u)]
+    columns = []
+    for a in nodes:
+        # u / (X - a) by synthetic division, then divided by its value at a
+        q = [1]
+        for c in u[1:-1]:
+            q.append((c + a * q[-1]) % pv)
+        scale = pow(math.prod(a - b for b in nodes if b != a), -1, pv)
+        columns.append([x * scale % pv for x in q])
+    return tuple(zip(*columns)), tuple(u[1:])
 
 
 class PolySystem:
@@ -412,11 +400,10 @@ def _self_check(pv: PsetVariety):
 
 def _self_check_points(pv: PsetVariety):
     """The self-check's seeded (member, non-member) pairs of polynomial
-    points: x_a = prod (y_j + a)^(c_j), and the same point with one
-    coordinate of nonzero normalization-row weight times t + r."""
+    points: x_a = prod (y_j + a)^(c_j), and the same point with its first
+    coordinate times t + r."""
     rng = random.Random(_SELF_CHECK_SEED)
     p = pv.p
-    a0 = next(a for a in range(1, p.p) if pv.A_inv[pv.ell_prime][a - 1])
     for _ in range(_SELF_CHECK_SAMPLES):
         # degree >= 1 parameters keep every shifted base nonzero
         ys = [_random_poly(rng, p) for _ in range(len(pv.coefficients))]
@@ -426,10 +413,11 @@ def _self_check_points(pv: PsetVariety):
             for y, cj in zip(ys, pv.coefficients):
                 acc = acc * (y + FpPoly.const(a, p)) ** cj
             member.append(acc)
-        # scaling a coordinate with nonzero row weight breaks the
-        # normalization row, so this is a non-member by construction
+        # every normalization-row weight is nonzero (vandermonde_inverse),
+        # so scaling a coordinate breaks that row: a non-member by
+        # construction
         twist = list(member)
-        twist[a0 - 1] = twist[a0 - 1] * FpPoly([rng.randrange(p.p), 1], p)
+        twist[0] = twist[0] * FpPoly([rng.randrange(p.p), 1], p)
         yield member, twist
 
 
@@ -443,7 +431,7 @@ def _random_poly(rng: random.Random, p: PrimeModulus) -> FpPoly:
 def exponent_set(pv: PsetVariety, bound: int) -> list[int]:
     """{m in [0, bound] : [m]P in X} by exact evaluation.
 
-    By (t+a)^m = sum_i C(m,i) a^(m-i) t^i and the identity checked by
+    By (t+a)^m = sum_i C(m,i) a^(m-i) t^i and the identity of
     vandermonde_inverse, sum_a A[k][a-1] a^j = [j = k mod (p-1)], row k at
     [m]P is the part of b = (t+1)^m on the slots i with m - i = k mod
     (p-1). Slot 0 holds C(m,0) = 1, so row sum(c) is 1 only if m = sum(c)

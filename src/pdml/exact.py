@@ -155,10 +155,6 @@ class FpPoly:
     def const(c: int, modulus: PrimeModulus) -> "FpPoly":
         return FpPoly((c,), modulus)
 
-    @staticmethod
-    def x(modulus: PrimeModulus) -> "FpPoly":
-        return FpPoly((0, 1), modulus, _canonical=True)
-
     # -- basic queries ---------------------------------------------------------
 
     @property
@@ -171,9 +167,6 @@ class FpPoly:
 
     def is_one(self) -> bool:
         return self.coeffs == (1,)
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def leading(self) -> int:
         if not self.coeffs:
@@ -244,10 +237,6 @@ class FpPoly:
         self._check(other)
         return FpPoly(_gcd(self.coeffs, other.coeffs, self.modulus.p),
                       self.modulus, _canonical=True)
-
-    def monic(self) -> "FpPoly":
-        return FpPoly(_monic(self.coeffs, self.modulus.p), self.modulus,
-                      _canonical=True)
 
     def derivative(self) -> "FpPoly":
         return FpPoly(_derivative(self.coeffs, self.modulus.p), self.modulus,

@@ -128,9 +128,13 @@ def fit_solution_desc(
     """Fit-and-verify a ReturnSetDesc for a solution set on [0, n_max].
 
     Tries AP extraction, then (if allowed) two-exponent p-set shapes on the
-    residual, then falls back to the raw exceptional set, which always
-    verifies. fit_pset_shapes drops every shape with a small member in
-    [0, n_max] outside the solutions, so only the survivors are enumerated.
+    residual, then falls back to the raw exceptional set. fit_pset_shapes
+    drops every shape with a small member in [0, n_max] outside the
+    solutions, so only the survivors are enumerated. Every description
+    built here equals the solutions on [0, n_max] by construction (fitted
+    progressions hold only hits, a p-set candidate's members come from
+    the pset_enumerate call desc_verify makes and its leftovers are the
+    rest), so the best one is checked once, InternalError on a mismatch.
     The returned description always carries verified_bound = n_max.
     """
     oracle = solutions.__contains__
@@ -154,23 +158,16 @@ def fit_solution_desc(
                 p, aps=aps, psets=(cand,), exceptional=leftovers,
                 notes=notes)))
     # fewest leftover exceptional points first, then simplest shape
-    candidates.sort(key=lambda kv: kv[0])
-    ranked = [d for _, d in candidates]
-    if len(residual) <= _EXCEPTIONAL_CAP:
-        exc_only = ReturnSetDesc(
+    best = min(candidates, key=lambda kv: kv[0])[1] if candidates else None
+    # a fit that explains most of the residual beats the plain list
+    if len(residual) <= _EXCEPTIONAL_CAP and (
+            best is None or len(best.exceptional) > len(residual) // 2):
+        best = ReturnSetDesc(
             p, aps=aps, psets=(), exceptional=tuple(residual), notes=notes)
-        # a fit that explains most of the residual beats the plain list
-        if ranked and len(ranked[0].exceptional) <= len(residual) // 2:
-            ranked.append(exc_only)
-        else:
-            ranked.insert(0, exc_only)
-    ranked.append(ReturnSetDesc(
-        p, exceptional=tuple(sorted(solutions)),
-        notes=notes + ("fallback: raw solution set",)))
-    for desc in ranked:
-        if desc_verify(desc, oracle, n_max):
-            return desc
-    raise InternalError("raw solution description failed to verify")
+    if best is None:
+        best = ReturnSetDesc(p, exceptional=tuple(sorted(solutions)),
+                             notes=notes + ("fallback: raw solution set",))
+    return _verified(best, oracle, n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -472,9 +472,6 @@ class ReturnSetDesc(Record):
             out.update(pset_enumerate(ps, self.p, bound))
         return out
 
-    def is_empty(self) -> bool:
-        return not (self.aps or self.psets or self.exceptional)
-
 
 def desc_verify(D: ReturnSetDesc, oracle, bound: int) -> bool:
     """True iff D's predicate agrees with the oracle on all of [0, bound].

@@ -235,28 +235,6 @@ class Factored:
     def __repr__(self):
         return f"Factored(unit={self.unit}, powers={self.powers})"
 
-    def expanded_len(self) -> int:
-        """Coefficient count of the numerator/denominator if expanded."""
-        num = sum((len(k) - 1) * e for k, e in self.powers.items() if e > 0)
-        den = sum((len(k) - 1) * -e for k, e in self.powers.items() if e < 0)
-        return max(num, den) + 1
-
-    def to_ratfunc(self) -> RatFunc:
-        """Dense expansion under the degree cap. Numerator and denominator
-        are products of powers of distinct monic irreducibles, so they are
-        coprime and the denominator is monic: no gcd runs."""
-        _guard_size(self.expanded_len())
-        return RatFunc(self._expand(1).scale(self.unit), self._expand(-1),
-                       _canonical=True)
-
-    def _expand(self, sign: int) -> FpPoly:
-        """prod key^|e| over the exponents e of the given sign."""
-        acc = FpPoly.one(self.p)
-        for key, e in self.powers.items():
-            if e * sign > 0:
-                acc = acc * FpPoly(key, self.p, _canonical=True) ** abs(e)
-        return acc
-
 
 def factor_point(x: TorusPoint) -> list[Factored]:
     """The coordinates' factorizations, computed once per point."""
@@ -342,19 +320,17 @@ def _digit_sum(m: int, p: int) -> int:
 
 
 def _structured_zero_test(lin: list[tuple[int, int]], const: int, m: int,
-                          p: int) -> bool | None:
+                          p: int) -> bool:
     """Is sum_a lam_a (t + s_a)^m + const zero over F_p?
 
-    Requires distinct nonzero shifts s_a. The Frobenius factorization
-    (t+s)^m = prod_i (t^(p^i) + s)^(d_i) over the base-p digits d_i of m
-    makes every coefficient a binomial product (nonzero mod p by Lucas)
-    times W(K) = sum_a lam_a s_a^K, so the polynomial vanishes iff W does
-    on the achievable exponent range. Returns None when inapplicable.
+    Precondition: the shifts s_a are distinct and nonzero mod p (the one
+    caller, _linear_zero, keys lam by shift, and _shape rejects s = 0).
+    The Frobenius factorization (t+s)^m = prod_i (t^(p^i) + s)^(d_i) over
+    the base-p digits d_i of m makes every coefficient a binomial product
+    (nonzero mod p by Lucas) times W(K) = sum_a lam_a s_a^K, so the
+    polynomial vanishes iff W does on the achievable exponent range.
     """
     lam = [(s % p, l % p) for s, l in lin]
-    shifts = {s for s, _ in lam}
-    if len(shifts) != len(lam) or 0 in shifts:
-        return None
     if m == 0:
         return (sum(l for _, l in lam) + const) % p == 0
     if m < 0:
@@ -450,17 +426,17 @@ def _equation_zero(eq: tuple[RowEquation, tuple | None], cur: list[Row],
     """Exact zero test of one equation (with its _plan) at the rows cur.
 
     One term never vanishes; two vanish iff their quotient is -1, whose
-    degrees are exact. Linear combinations of equal Frobenius powers of
-    distinct linear bases take _linear_zero, the rest _expanded_zero;
-    known (linear verdicts) and powers (digit powers) are their tables
-    for one return_set call.
+    degrees are exact: its row is (p - 1, 0). Linear combinations of
+    equal Frobenius powers of distinct linear bases take _linear_zero, the
+    rest _expanded_zero; known (linear verdicts) and powers (digit powers)
+    are their tables for one return_set call.
     """
     terms, plan = eq
     pv = p.p
     if len(terms) < 2:
         return not terms
     if len(terms) == 2:
-        return _two_term_zero(_combine(*plan, cur, pv), (1, 0), pv)
+        return _combine(*plan, cur, pv) == (pv - 1, 0)
     if plan is not None:
         linear = _linear_zero(plan, shapes, known, pv)
         if linear is not None:
@@ -518,8 +494,7 @@ def _linear_zero(plan: LinearPlan, shapes: list, known: dict, p: int
 
 
 def _expanded_zero(terms: list[Row], basis: list[tuple[int, ...]],
-                   p: PrimeModulus, width: int, table: dict | None = None
-                   ) -> bool:
+                   p: PrimeModulus, width: int, table: dict) -> bool:
     """Zero test in the digit box of the terms' common exponent, the only
     route that decodes whole rows. Stripping the common monomial leaves
     zeroness alone and makes each term u prod_i Y_i^(k_i), Y_i = key_i^g
@@ -532,7 +507,9 @@ def _expanded_zero(terms: list[Row], basis: list[tuple[int, ...]],
     exponent), at most K = len(term) factors; box_zero tests the sum.
     Slots hold len(terms) (p-1)^(K+1) N^(K-1) (K = D for the Y_i) for
     factors of at most N nonzero coefficients below p, as K of them
-    multiply to coefficients below (p-1)^K N^(K-1).
+    multiply to coefficients below (p-1)^K N^(K-1). The product of a
+    term's K factors, each of up to all the layout's slots, is held under
+    the degree cap counted in 8-byte words.
     """
     # all rows, biased into unsigned slots, unpacked at once
     n, w = len(basis), 8 * width
@@ -551,7 +528,6 @@ def _expanded_zero(terms: list[Row], basis: list[tuple[int, ...]],
     D = max(sum((len(basis[i]) - 1) * e for i, e in ex) for ex in exps) // g
     layout, fold = digit_box(g, pv, D)
     digits = [d for d, _ in layout if d]
-    table = {} if table is None else table
 
     def power(i: int, k: int) -> list[int]:
         """key_i^(k g) reduced mod p in the layout: one dense power, or
@@ -572,6 +548,8 @@ def _expanded_zero(terms: list[Row], basis: list[tuple[int, ...]],
         return y
 
     powers = {f for ex in exps for f in ex}
+    K = max(map(len, exps))
+    box = len(fold) if fold is not None else D * g + 1
     ys = {i: power(i, 1) for i in {i for i, _ in powers}}
     N = max(len(y) - y.count(0) for y in ys.values())
     slot = slot_bytes(len(terms) * (pv - 1) ** (D + 1) * N ** (D - 1))
@@ -580,23 +558,18 @@ def _expanded_zero(terms: list[Row], basis: list[tuple[int, ...]],
     # need 225-byte slots and ran about 80 times slower than with reduced
     # powers)
     if slot <= 8:
+        _guard_size(K * box * slot // 8)
         ys = {i: pack_slots(y, slot) for i, y in ys.items()}
         packed = {(i, e): ys[i] ** (e // g) for i, e in powers}
     else:
         ys = {(i, e): power(i, e // g) for i, e in powers}
-        K = max(map(len, exps))
         N = max(len(y) - y.count(0) for y in ys.values())
         slot = slot_bytes(len(terms) * (pv - 1) ** (K + 1) * N ** (K - 1))
+        _guard_size(K * box * slot // 8)
         packed = {f: pack_slots(y, slot) for f, y in ys.items()}
     return box_zero(sum(unit * prod(packed[f] for f in ex)
                         for (unit, _), ex in zip(terms, exps)),
                     slot, fold, pv)
-
-
-def _two_term_zero(a: Row, b: Row, p: int) -> bool:
-    """a + b = 0 iff a/b = -1; degrees of the reduced ratio are exact, so
-    any unequal exponent already decides."""
-    return a[1] == b[1] and (a[0] + b[0]) % p == 0
 
 
 # ---------------------------------------------------------------------------

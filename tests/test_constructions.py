@@ -53,11 +53,10 @@ def slow_exponent_set(pv, bound):
     def mod_p(x):
         return x - p * ((x * recip >> shift) & mask)
 
-    def rows(k):
-        return [(c, a) for a, c in enumerate(pv.A_inv[k]) if c]
-
-    one_row = rows(pv.ell_prime)
-    zero_rows = [rows(k) for k in range(pv.ell_prime + 1, p - 1)]
+    a_inv = vandermonde_inverse(pv.p)
+    one_row = list(zip(a_inv[pv.ell_prime], range(p - 1)))
+    zero_rows = [list(zip(a_inv[k], range(p - 1)))
+                 for k in range(pv.ell_prime + 1, p - 1)]
     e_lin, e_const = _symmetric_recovery(pv.p, pv.ell_prime)
     sres = (PolySystem([poly.items() for poly in pv.sres], pv.p,
                        pv.ell_prime) if pv.sres else None)
@@ -154,6 +153,46 @@ def merge_coarsenings(parts):
                     seen.add(nxt)
                     stack.append(nxt)
     return seen
+
+
+def gauss_jordan_inverse(m, p):
+    """Inverse of the invertible square matrix m over F_p, by Gauss-Jordan
+    elimination: the oracle for the closed forms of constructions."""
+    n = len(m)
+    aug = [[x % p for x in row] + [int(i == j) for j in range(n)]
+           for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = pow(aug[col][col], p - 2, p)
+        aug[col] = [x * inv % p for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+class TestClosedForms:
+    def test_vandermonde_inverse_is_the_eliminated_inverse(self):
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            v = [[pow(a, j, p) for j in range(p - 1)] for a in range(1, p)]
+            assert vandermonde_inverse(PrimeModulus(p)) == \
+                gauss_jordan_inverse(v, p)
+
+    def test_symmetric_recovery_is_the_eliminated_inverse(self):
+        # M[a-1][k-1] = a^(ell'-k) at the nodes a = 1..ell', and the
+        # constants e = -M^-1 (a^ell')_a
+        for p in (3, 5, 7, 11, 13):
+            for ell in range(1, p - 1):
+                minv = gauss_jordan_inverse(
+                    [[pow(a, ell - k, p) for k in range(1, ell + 1)]
+                     for a in range(1, ell + 1)], p)
+                consts = tuple(-sum(row[a - 1] * pow(a, ell, p)
+                                    for a in range(1, ell + 1)) % p
+                               for row in minv)
+                assert _symmetric_recovery(PrimeModulus(p), ell) == (
+                    minv, consts)
 
 
 class TestVandermonde:
@@ -291,7 +330,7 @@ def mutated(pv, index):
     (ev, coeff), *rest = eqs[index]
     eqs[index] = ((ev, coeff + RatFunc.one(pv.p)), *rest)
     return PsetVariety(pv.p, pv.coefficients, Variety(pv.X.n_vars, tuple(eqs)),
-                       pv.P, pv.A_inv, pv.ell_prime, pv.sres)
+                       pv.P, pv.ell_prime, pv.sres)
 
 
 def as_point(coords):
@@ -430,7 +469,7 @@ class TestPackedEvaluator:
             "(ev, c), *rest = eqs[-1]\n"
             "eqs[-1] = ((ev, c + RatFunc.one(p)), *rest)\n"
             "bad = PsetVariety(p, pv.coefficients, Variety(6, tuple(eqs)), "
-            "pv.P, pv.A_inv, pv.ell_prime, pv.sres)\n"
+            "pv.P, pv.ell_prime, pv.sres)\n"
             "system = PolySystem(pv.X.equations, p, 6)\n"
             "x = RatFunc(FpPoly([1], p), FpPoly([0, 1], p))\n"
             "sres = PolySystem([q.items() for q in pv.sres], p, 3)\n"

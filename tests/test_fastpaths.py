@@ -2,6 +2,7 @@
 against plain dense arithmetic on ranges where both are feasible."""
 
 import itertools
+import pathlib
 import random
 import time
 from fractions import Fraction
@@ -17,6 +18,7 @@ from pdml.exact import (_DEGREE_CAP, FpPoly, PrimeModulus, RatFunc,
                         ratfunc_int_pow, slot_bytes)
 from pdml.lrs import Lrs, lrs_prefix, mat_pow
 from pdml.psets import PSet, pset_enumerate, pset_membership
+from pdml.serial import torus_instance_from_text
 from pdml.torus import (
     Factored,
     ReductionData,
@@ -30,7 +32,6 @@ from pdml.torus import (
     _rows,
     _shape,
     _structured_zero_test,
-    _two_term_zero,
     endo_apply,
     reduction_decompose,
     return_set,
@@ -41,6 +42,7 @@ from pdml.torus import (
 
 P3, P5, P7 = PrimeModulus(3), PrimeModulus(5), PrimeModulus(7)
 P11 = PrimeModulus(11)
+DATA = pathlib.Path(__file__).resolve().parent / "data" / "cli"
 
 
 class TestStructuredZeroTest:
@@ -109,9 +111,9 @@ class TestFactoredRatioTest:
                 ratfunc_int_pow(b2, e2) * RatFunc.const(c2, p)
             basis = _basis([f1, f2])
             rows = _rows([f1, f2, k1, k2], basis, 1)
-            got = _two_term_zero(_combine(rows[2], [(0, e1)], rows, pv),
-                                 _combine(rows[3], [(1, e2)], rows, pv), pv)
-            assert got == lhs.is_zero()
+            (ua, qa), (ub, qb) = (_combine(rows[2], [(0, e1)], rows, pv),
+                                  _combine(rows[3], [(1, e2)], rows, pv))
+            assert (qa == qb and (ua + ub) % pv == 0) == lhs.is_zero()
 
 
 class TestRationalCoefficients:
@@ -257,15 +259,6 @@ class TestSingleFactoredPath:
         hits = return_set(phi, alpha, v, 40)
         assert time.perf_counter() - start < 1.0
         assert hits == list(range(0, 41, 4))
-
-    def test_expansion_refused_at_degree_cap(self):
-        p = P5
-        # refused before any product is formed
-        with pytest.raises(ResourceLimitError):
-            Factored(1, {(1, 1): _DEGREE_CAP}, p).to_ratfunc()
-        f = Factored(1, {(1, 1): 50}, p)
-        assert f.to_ratfunc() == ratfunc_int_pow(RatFunc(FpPoly([1, 1], p)),
-                                                 50)
 
 
 class TestRowKernel:
@@ -436,7 +429,7 @@ def list_orbit(phi, start, y_rows, p, n_max):
 
 def list_equation_zero(terms, basis, p):
     """Two terms by equal rows, equal Frobenius powers of linear bases by
-    _structured_zero_test, the rest by expanding Factored values."""
+    _structured_zero_test, the rest by dense expansion."""
     if len(terms) <= 2:
         return not terms or (len(terms) == 2 and terms[0][1] == terms[1][1]
                              and (terms[0][0] + terms[1][0]) % p.p == 0)
@@ -456,12 +449,7 @@ def list_equation_zero(terms, basis, p):
                _structured_zero_test(lin, const % p.p, ms.pop(), p.p))
         if got is not None:
             return got
-    common = [min(col) for col in zip(*(row for _, row in terms))]
-    total = FpPoly.zero(p)
-    for unit, row in terms:
-        reduced = {k: e - c for k, e, c in zip(basis, row, common)}
-        total = total + Factored(unit, reduced, p).to_ratfunc().num
-    return total.is_zero()
+    return _dense_zero(terms, basis, p)
 
 
 def list_return_set(phi, alpha, v, n_max):
@@ -780,8 +768,21 @@ class TestPackedRows:
         basis = [(1, 1), (2, 1)]
         terms = [(1, pack([half, half], 4)), (1, pack([0, 1], 4)), (1, 0)]
         with pytest.raises(ResourceLimitError):
-            torus_mod._expanded_zero(terms, basis, p, 4)
+            torus_mod._expanded_zero(terms, basis, p, 4, {})
         assert powers == []
+
+    def test_expansion_product_keeps_the_degree_cap(self):
+        # the golden return-set-pow7 input at p = 10^9 + 7: no coordinate
+        # is a linear power there, so the subresultant equation takes the
+        # expansion route at g = 1 with D growing about 7x a step; its
+        # products of K packed factors are refused, not left to run
+        text = (DATA / "return-set-pow7.txt").read_text()
+        text = text.replace("p = 7\n", "p = 1000000007\n", 1)
+        _, phi, alpha, v, n_max = torus_instance_from_text(text)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            return_set(phi, alpha, v, n_max)
+        assert time.perf_counter() - start < 5.0
 
 
 class TestPreperiodicCutoff:
@@ -948,7 +949,7 @@ def _dense_zero(spec, basis, p):
 def _expanded(spec, basis, p):
     width = slot_bytes(2 * max(abs(e) for _, row in spec for e in row) + 1)
     return torus_mod._expanded_zero(_packed_terms(spec, width), basis, p,
-                                    width)
+                                    width, {})
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

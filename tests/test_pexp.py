@@ -208,7 +208,7 @@ class TestFitSolutionDesc:
 
     def test_empty(self):
         desc = fit_solution_desc(set(), P5, 200, allow_psets=True)
-        assert desc.is_empty()
+        assert desc.aps == desc.psets == desc.exceptional == ()
         assert desc.verified_bound == 200
 
     def test_full(self):

@@ -77,6 +77,61 @@ def test_exponent_set_stays_an_independent_oracle():
                              "_equation_zero", "_expanded_zero"})
 
 
+# Functions that no other code of the library names, by qualified name:
+# each is an entry point of its own.
+LIBRARY_ENTRY_POINTS = {
+    "_Parser.error": "argparse calls it on a usage error",
+    "encode_lrs": "the paper's encoding, built by benchmark set-up",
+    "encoding_exponent": "the paper's encoding, read by the acceptance "
+                         "oracle",
+    "fibonacci": "an example sequence",
+    "constant": "an example sequence",
+    "lrs_zero_progression_certify": "wrapped by bench/tracing.py",
+    "lrs_nondegenerate_split": "wrapped by bench/tracing.py",
+    "desc_from_text": "wrapped by bench/tracing.py",
+    "selfmap_iterate": "the dense orbit oracle",
+    "variety_contains": "the dense membership oracle",
+    "full_pipeline": "a benchmark entry point",
+}
+
+
+def test_no_test_only_library_code():
+    """Every function and non-dunder method of the library is named
+    somewhere in the library outside its own body, or is an entry point
+    listed in LIBRARY_ENTRY_POINTS: code that only tests reach goes."""
+    defs, named = [], {}  # named[name]: the (module, line) pairs naming it
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                name = getattr(child, "name", None)
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defs.append((path.name, prefix + name, name,
+                                 child.lineno, child.end_lineno))
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)):
+                    visit(child, f"{prefix}{name}.")
+                else:
+                    visit(child, prefix)
+
+        visit(tree, "")
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name is not None:
+                named.setdefault(name, []).append((path.name, node.lineno))
+    assert len(defs) > 100
+    unnamed = {qual for module, qual, name, first, last in defs
+               if not (name.startswith("__") and name.endswith("__"))
+               and not any(m != module or not first <= line <= last
+                           for m, line in named.get(name, ()))}
+    assert sorted(unnamed - LIBRARY_ENTRY_POINTS.keys()) == []
+    # an entry that the library names again leaves the list
+    assert sorted(LIBRARY_ENTRY_POINTS.keys() - unnamed) == []
+
+
 def _loaded_after(module: str) -> list[str]:
     """The pdml modules that importing module loads, in a fresh process."""
     code = (f"import sys, {module}\n"
