@@ -1,9 +1,10 @@
 """Instance generators: recurrences as torus dynamics and p-set varieties.
 
-The p-set variety in G_m^(p-1) is cut out by inverse-Vandermonde linear
-rows, read off the character table of F_p^* in closed form; those rows
-characterize points of the form ((t+1)^m, ..., (t+p-1)^m) with base-p
-digit sum equal to the coefficient total. Multiplicity patterns
+The p-set variety lives in G_m^(p-1), around P = (t+1, ..., t+p-1). Its
+linear part is one equation: the ell'-th divided difference of the first
+ell' + 1 coordinates is 1, ell' the coefficient total, and at
+[m]P = ((t+1)^m, ..., (t+p-1)^m) that holds iff the base-p digit sum of m
+is ell' (E. Lucas, Amer. J. Math. 1 (1878)). Multiplicity patterns
 additionally need the evaluated points to come from a polynomial with few
 distinct roots, which is expressed through vanishing principal subresultant
 coefficients of (u, u'), Sylvester determinants over the coefficients e_k
@@ -34,31 +35,10 @@ from .torus import (Equation, TorusPoint, TorusSelfMap, Variety, box_zero,
 
 _SELF_CHECK_SAMPLES = 50
 _SELF_CHECK_SEED = 0x5E1F
-# Largest ambient dimension p - 1 of a p-set variety. The Vandermonde
-# inverse is a closed form of p^2 entries, and the packed self-check is
-# most of a build, about p^2 per sample; p = 113 builds in about 0.6 s
-# for c = (1, 1) on a 2-core machine.
+# Largest ambient dimension p - 1 of a p-set variety. dml_instance pulls
+# it back to a dense (p-1)d x (p-1)d matrix for a recurrence of order d,
+# and every later command reads and iterates that matrix.
 _MAX_VARIETY_DIM = 112
-
-
-def vandermonde_inverse(p: PrimeModulus) -> tuple[tuple[int, ...], ...]:
-    """Inverse of the (p-1)x(p-1) Vandermonde matrix (a^j) over F_p: the
-    character table A[k][a-1] = -a^(-k) of F_p^*.
-
-    Rows are indexed by k = 0..p-2 and columns by a = 1..p-1. By the
-    orthogonality relation sum_a a^(j-k) = -[j = k mod (p-1)] over F_p^*,
-    sum_a A[k][a-1] a^j is 1 exactly when j = k mod (p-1) and 0 otherwise,
-    for every j >= 0; no entry is 0.
-    """
-    if p.p < 3:
-        raise DomainError("need p >= 3")
-    pv = p.p
-    inverses = [pow(a, -1, pv) for a in range(1, pv)]
-    row, rows = [pv - 1] * (pv - 1), []
-    for _ in range(pv - 1):
-        rows.append(tuple(row))
-        row = [x * y % pv for x, y in zip(row, inverses)]
-    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +152,20 @@ class PsetVariety(Record):
 def build_pset_variety(p: PrimeModulus, c: list[int]) -> PsetVariety:
     """Variety X in G_m^(p-1) with [m]P in X iff m = sum c_i p^(n_i).
 
-    Linear rows: the inverse-Vandermonde combination at row sum(c) equals 1
-    and the rows above it vanish. When some c_i > 1, subresultant equations
-    in the recovered elementary-symmetric coordinates force the evaluation
-    polynomial to have at most len(c) distinct roots. That locus is the
-    pattern c only when c is the one partition of sum(c) into len(c) parts
-    (merging parts lowers their count, so every other pattern on the locus
-    is a merge of c), i.e. len(c) = 1 or sum(c) = len(c) + 1; other
-    patterns are rejected. The emitted equation set must pass a
-    parametrized-point / non-member self-check.
+    Linear part: sum_(a=1..ell'+1) w_a x_a = 1, ell' = sum(c), w from
+    _node_weights (ell' < p - 1 keeps the nodes distinct and nonzero). At
+    [m]P, (t+a)^m = prod_l (T_l + a)^(d_l), T_l = t^(p^l) over the base-p
+    digits of m, is monic of degree s(m) = sum d_l in a. Its divided
+    difference is 0 if s(m) < ell' and 1 if s(m) = ell'; if s(m) > ell',
+    its part of degree s(m) - ell' in the T_l, e_(s(m)-ell') of the T_l
+    taken d_l times each, is nonzero by Lucas. When some c_i > 1, subresultant equations in the recovered
+    elementary-symmetric coordinates force the evaluation polynomial to
+    have at most len(c) distinct roots. That locus is the pattern c only
+    when c is the one partition of sum(c) into len(c) parts (merging parts
+    lowers their count, so every other pattern on the locus is a merge of
+    c), i.e. len(c) = 1 or sum(c) = len(c) + 1; other patterns are
+    rejected. The emitted equation set must pass a parametrized-point /
+    non-member self-check.
     """
     pv = p.p
     c = [int(x) for x in c]
@@ -195,17 +180,16 @@ def build_pset_variety(p: PrimeModulus, c: list[int]) -> PsetVariety:
         raise ResourceLimitError(
             f"p-set variety in G_m^{n} exceeds the dimension cap "
             f"{_MAX_VARIETY_DIM}")
-    a_inv = vandermonde_inverse(p)
 
     def unit_ev(a: int) -> tuple[int, ...]:
         ev = [0] * n
         ev[a - 1] = 1
         return tuple(ev)
 
-    equations: list[Equation] = [
-        tuple((unit_ev(a), RatFunc.const(w, p))
-              for a, w in enumerate(a_inv[k], 1)) for k in range(ell_prime, n)]
-    equations[0] += (((0,) * n, -RatFunc.one(p)),)  # row sum(c) is 1
+    equations: list[Equation] = [(
+        *((unit_ev(a), RatFunc.const(w, p)) for a, w
+          in enumerate(_node_weights(p, ell_prime + 1), 1)),
+        ((0,) * n, -RatFunc.one(p)))]
 
     sres: tuple[SymPoly, ...] = ()
     if ell < ell_prime:
@@ -234,6 +218,16 @@ def build_pset_variety(p: PrimeModulus, c: list[int]) -> PsetVariety:
     return pvar
 
 
+def _node_weights(p: PrimeModulus, count: int) -> list[int]:
+    """w_a = 1 / prod_(b != a) (a - b) mod p at the nodes a = 1..count:
+    sum_a w_a f(a) is the divided difference of f, the leading coefficient
+    of its interpolant of degree below count (0 for f = X^K, K < count - 1;
+    1 at K = count - 1)."""
+    nodes = range(1, count + 1)
+    return [pow(math.prod(a - b for b in nodes if b != a), -1, p.p)
+            for a in nodes]
+
+
 def _symmetric_recovery(p: PrimeModulus, ell_prime: int
                         ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Solve x_a = a^ell' + sum_k e_k a^(ell'-k) for e_1..e_ell' from the
@@ -241,10 +235,11 @@ def _symmetric_recovery(p: PrimeModulus, ell_prime: int
 
     q = sum_k e_k X^(ell'-k) has degree below ell' and q(a) = x_a - a^ell'
     at the nodes a = 1..ell', so q = sum_a (x_a - a^ell') L_a over the
-    Lagrange basis L_a = prod_(b != a) (X - b)/(a - b): column a of M^-1
-    holds the coefficients of L_a, highest first. At x = 0 the monic
-    X^ell' + q vanishes at every node, so it is u = prod_b (X - b), and
-    the constants are the coefficients of u below its leading one.
+    Lagrange basis L_a = w_a prod_(b != a) (X - b), w_a of _node_weights
+    over these ell' nodes: column a of M^-1 holds the coefficients of L_a,
+    highest first. At x = 0 the monic X^ell' + q vanishes at every node, so
+    it is u = prod_b (X - b), and the constants are the coefficients of u
+    below its leading one.
     """
     pv = p.p
     nodes = range(1, ell_prime + 1)
@@ -252,12 +247,11 @@ def _symmetric_recovery(p: PrimeModulus, ell_prime: int
     for b in nodes:
         u = [(x - b * y) % pv for x, y in zip(u + [0], [0] + u)]
     columns = []
-    for a in nodes:
+    for a, scale in zip(nodes, _node_weights(p, ell_prime)):
         # u / (X - a) by synthetic division, then divided by its value at a
         q = [1]
         for c in u[1:-1]:
             q.append((c + a * q[-1]) % pv)
-        scale = pow(math.prod(a - b for b in nodes if b != a), -1, pv)
         columns.append([x * scale % pv for x in q])
     return tuple(zip(*columns)), tuple(u[1:])
 
@@ -413,9 +407,8 @@ def _self_check_points(pv: PsetVariety):
             for y, cj in zip(ys, pv.coefficients):
                 acc = acc * (y + FpPoly.const(a, p)) ** cj
             member.append(acc)
-        # every normalization-row weight is nonzero (vandermonde_inverse),
-        # so scaling a coordinate breaks that row: a non-member by
-        # construction
+        # the linear equation moves by w_1 x_1 (t + r - 1), w_1 != 0: a
+        # non-member by construction
         twist = list(member)
         twist[0] = twist[0] * FpPoly([rng.randrange(p.p), 1], p)
         yield member, twist
@@ -431,27 +424,30 @@ def _random_poly(rng: random.Random, p: PrimeModulus) -> FpPoly:
 def exponent_set(pv: PsetVariety, bound: int) -> list[int]:
     """{m in [0, bound] : [m]P in X} by exact evaluation.
 
-    By (t+a)^m = sum_i C(m,i) a^(m-i) t^i and the identity of
-    vandermonde_inverse, sum_a A[k][a-1] a^j = [j = k mod (p-1)], row k at
-    [m]P is the part of b = (t+1)^m on the slots i with m - i = k mod
-    (p-1). Slot 0 holds C(m,0) = 1, so row sum(c) is 1 only if m = sum(c)
-    mod (p-1), and only those m are walked: b is one packed int, times
-    (t+1)^(p-1) per step with every slot reduced mod p by one multiply-
-    shift-mask quotient, and the linear rows are one mask. Survivors get
-    the subresultant equations (degree D) at e_1..e_ell'. By Lucas's
-    theorem C(m, i) != 0 mod p only where no base-p digit of i exceeds
-    that of m, and then the digit sums satisfy s(m - i) = s(m) - s(i);
-    were s(m) > ell' (so >= ell' + p - 1), an i != 0 with s(i) = s(m) - ell'
-    would sit in row ell'. So s(m) = ell', and as a^(p-1) = 1 each Lucas
-    position i has a^(m-i) = a^(ell' - s(i)): (t+a)^m = sum_k a^(ell'-k) E_k
-    with E_k the part of b on the Lucas positions of digit sum k. E_0 = 1,
-    so by the uniqueness of the Vandermonde solve for e, e_k = E_k: the e_k
-    live unweighted on at most 2^ell' slots of b, and _survivor_point packs
-    them in the layout of torus.digit_box: a digit box of at most
-    (D+1)^ell' slots, or the D m + 1 dense slots when those are fewer, each
-    slot below terms (p-1)^(D+1) 2^(ell'(D-1)). Nothing here uses the
-    membership tests of torus, only its layout, so this stays their
-    independent oracle.
+    By (t+a)^m = sum_i C(m,i) a^(m-i) t^i and the character sum
+    sum_a a^(j-k) = -[j = k mod (p-1)] over F_p^*, row k at [m]P,
+    -sum_a a^(-k) (t+a)^m, is the part of b = (t+1)^m on the slots i with
+    m - i = k mod (p-1). Slot 0 holds C(m,0) = 1, so row ell' = sum(c) is 1
+    only if m = ell' mod (p-1), and only those m are walked: b is one
+    packed int, times (t+1)^(p-1) per step with every slot reduced mod p by
+    one multiply-shift-mask quotient, and rows ell'..p-2 are one mask: row
+    ell' is 1, the others vanish. By Lucas's theorem C(m, i) != 0 mod p
+    only where no base-p digit of i exceeds that of m, and then
+    s(m - i) = s(m) - s(i) for the digit sum s; were s(m) > ell' (so
+    >= ell' + p - 1), an i != 0 with s(i) = s(m) - ell' would sit in row
+    ell'. So the mask keeps the m with s(m) = ell', as the divided-
+    difference equation of build_pset_variety does, without using it. As
+    a^(p-1) = 1 each Lucas position i has a^(m-i) = a^(ell' - s(i)):
+    (t+a)^m = sum_k a^(ell'-k) E_k with E_k the part of b on the Lucas
+    positions of digit sum k. E_0 = 1, so by the uniqueness of the solve of
+    _symmetric_recovery, e_k = E_k. Survivors get the subresultant
+    equations (degree D) at e_1..e_ell', which live unweighted on at most
+    2^ell' slots of b; _survivor_point packs them in the layout of
+    torus.digit_box: a digit box of at most (D+1)^ell' slots, or the
+    D m + 1 dense slots when those are fewer, each slot below
+    terms (p-1)^(D+1) 2^(ell'(D-1)). Nothing here uses the membership
+    tests of torus, only its layout, so this stays their independent
+    oracle.
     """
     if bound < 0:
         raise DomainError("bound must be non-negative")

@@ -415,11 +415,11 @@ def _powmod(a, e: int, p: int, f=None) -> list[int]:
     return result
 
 
-def _guard_size(n_coeffs: int):
-    if n_coeffs > _DEGREE_CAP:
+def _guard_size(n: int, what: str = "polynomial with {} coefficients"):
+    """Refuse a size n above the degree cap; what names what n counts."""
+    if n > _DEGREE_CAP:
         raise ResourceLimitError(
-            f"polynomial with {n_coeffs} coefficients exceeds cap "
-            f"{_DEGREE_CAP}")
+            f"{what.format(n)} exceeds cap {_DEGREE_CAP}")
 
 
 class RatFunc:

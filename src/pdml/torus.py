@@ -558,14 +558,14 @@ def _expanded_zero(terms: list[Row], basis: list[tuple[int, ...]],
     # need 225-byte slots and ran about 80 times slower than with reduced
     # powers)
     if slot <= 8:
-        _guard_size(K * box * slot // 8)
+        _guard_size(K * box * slot // 8, "packed product of {} 8-byte words")
         ys = {i: pack_slots(y, slot) for i, y in ys.items()}
         packed = {(i, e): ys[i] ** (e // g) for i, e in powers}
     else:
         ys = {(i, e): power(i, e // g) for i, e in powers}
         N = max(len(y) - y.count(0) for y in ys.values())
         slot = slot_bytes(len(terms) * (pv - 1) ** (K + 1) * N ** (K - 1))
-        _guard_size(K * box * slot // 8)
+        _guard_size(K * box * slot // 8, "packed product of {} 8-byte words")
         packed = {f: pack_slots(y, slot) for f, y in ys.items()}
     return box_zero(sum(unit * prod(packed[f] for f in ex)
                         for (unit, _), ex in zip(terms, exps)),

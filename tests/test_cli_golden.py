@@ -60,6 +60,24 @@ def test_report_matches_golden(case, tmp_path):
     assert _report(case, tmp_path / "report.txt") == expected
 
 
+def test_return_set_pow7_round_trip(tmp_path):
+    """The stored return-set-pow7 input came from the earlier G_m^(p-1)
+    character-table rows; gen-instance's instance of the same pexp
+    instance, with its one divided-difference equation, has the same
+    return set and description."""
+    source = tmp_path / "pexp.txt"
+    source.write_text("p = 7\nlrs = 2;7,-8;3,9\nterms = 1,1 ; 2,1\n"
+                      "c = 1,2\nn_max = 30\n")
+    inst, out = tmp_path / "inst.txt", tmp_path / "report.txt"
+    assert main(["gen-instance", str(source), "--out", str(inst)]) == 0
+    stored = (DATA / "return-set-pow7.txt").read_text(encoding="utf-8")
+    assert inst.read_text(encoding="utf-8") != stored
+    assert main(["return-set", str(inst), "--out", str(out)]) == 0
+    expected = (DATA / "return-set-pow7.report").read_text(encoding="utf-8")
+    got = out.read_text(encoding="utf-8").split("[meta]\n")[0]
+    assert got.split("[result]\n")[1] == expected.split("[result]\n")[1]
+
+
 if __name__ == "__main__":
     import tempfile
 

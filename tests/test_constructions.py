@@ -12,6 +12,7 @@ from pdml.exact import (FpPoly, PrimeModulus, RatFunc, pack_slots,
 from pdml.constructions import (
     PolySystem,
     PsetVariety,
+    _node_weights,
     _self_check,
     _self_check_points,
     _subresultant_polys,
@@ -23,7 +24,6 @@ from pdml.constructions import (
     encode_lrs,
     encoding_exponent,
     exponent_set,
-    vandermonde_inverse,
 )
 from pdml.lrs import Lrs, constant, fibonacci, lrs_prefix
 from pdml.pexp import PexpInstance, pexp_solution_set
@@ -35,6 +35,57 @@ P3, P5, P7, P11, P13 = (PrimeModulus(p) for p in (3, 5, 7, 11, 13))
 
 def multiple_of_p_point(pv, m):
     return TorusPoint(tuple(ratfunc_int_pow(c, m) for c in pv.P.coords))
+
+
+def character_table(p):
+    """Inverse of the (p-1)x(p-1) Vandermonde matrix (a^j) over F_p: the
+    character table A[k][a-1] = -a^(-k) of F_p^*, rows k = 0..p-2 and
+    columns a = 1..p-1. Its rows k >= sum(c) were the linear part of the
+    p-set variety before the one divided-difference equation; the tests
+    keep them as an oracle."""
+    pv = p.p
+    return tuple(tuple((-pow(a, -k, pv)) % pv for a in range(1, pv))
+                 for k in range(pv - 1))
+
+
+def old_pset_variety(pv):
+    """pv with its linear equation replaced by the old linear rows in
+    G_m^(p-1): row sum(c) of the character table equals 1 and the rows
+    above it vanish."""
+    n = pv.p.p - 1
+    rows = character_table(pv.p)[pv.ell_prime:]
+    linear = [tuple((tuple(int(b == a) for b in range(n)),
+                     RatFunc.const(w, pv.p)) for a, w in enumerate(row))
+              for row in rows]
+    linear[0] += (((0,) * n, -RatFunc.one(pv.p)),)
+    X = Variety(n, (*linear, *pv.X.equations[1:]))
+    return PsetVariety(pv.p, pv.coefficients, X, pv.P, pv.ell_prime,
+                       pv.sres)
+
+
+def variety_exponent_sets(pvs, bound):
+    """{m in [0, bound] : [m]P in pv.X} for each pv of pvs, all at one P:
+    every equation of pv.X evaluated at the coordinates (t+a)^m by
+    PolySystem.vanishes_at, the linear ones at every m and the others
+    where the linear ones vanish."""
+    systems = []
+    for pv in pvs:
+        linear = [eq for eq in pv.X.equations
+                  if all(sum(ev) <= 1 for ev, _ in eq)]
+        rest = [eq for eq in pv.X.equations if eq not in linear]
+        systems.append([PolySystem(eqs, pv.p, pv.X.n_vars)
+                        for eqs in (linear, rest) if eqs])
+    p, bases = pvs[0].p, [c.num.coeffs for c in pvs[0].P.coords]
+    coeffs = [[1] for _ in bases]  # coeffs[a - 1]: (t+a)^m, lowest first
+    hits = [[] for _ in pvs]
+    for m in range(bound + 1):
+        xs = [FpPoly(c, p) for c in coeffs]
+        for found, system in zip(hits, systems):
+            if all(part.vanishes_at(xs) for part in system):
+                found.append(m)
+        coeffs = [[(a * x + y) % p.p for x, y in zip(c + [0], [0] + c)]
+                  for (a, _), c in zip(bases, coeffs)]
+    return hits
 
 
 def slow_exponent_set(pv, bound):
@@ -53,7 +104,7 @@ def slow_exponent_set(pv, bound):
     def mod_p(x):
         return x - p * ((x * recip >> shift) & mask)
 
-    a_inv = vandermonde_inverse(pv.p)
+    a_inv = character_table(pv.p)
     one_row = list(zip(a_inv[pv.ell_prime], range(p - 1)))
     zero_rows = [list(zip(a_inv[k], range(p - 1)))
                  for k in range(pv.ell_prime + 1, p - 1)]
@@ -177,8 +228,18 @@ class TestClosedForms:
     def test_vandermonde_inverse_is_the_eliminated_inverse(self):
         for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
             v = [[pow(a, j, p) for j in range(p - 1)] for a in range(1, p)]
-            assert vandermonde_inverse(PrimeModulus(p)) == \
+            assert character_table(PrimeModulus(p)) == \
                 gauss_jordan_inverse(v, p)
+
+    def test_node_weights_are_the_eliminated_divided_difference(self):
+        # sum_a w_a a^K = [K = count - 1] for K < count: w is the last row
+        # of the inverse of the Vandermonde matrix (a^K) at the nodes
+        for p in (3, 5, 7, 11, 13):
+            for count in range(1, p):
+                v = [[pow(a, k, p) for k in range(count)]
+                     for a in range(1, count + 1)]
+                assert tuple(_node_weights(PrimeModulus(p), count)) == \
+                    gauss_jordan_inverse(v, p)[-1]
 
     def test_symmetric_recovery_is_the_eliminated_inverse(self):
         # M[a-1][k-1] = a^(ell'-k) at the nodes a = 1..ell', and the
@@ -195,13 +256,51 @@ class TestClosedForms:
                     minv, consts)
 
 
+def buildable_patterns(p):
+    """The c, as sorted tuples, that build_pset_variety accepts at p: the
+    few-distinct-roots locus of each is the pattern (as checked by
+    test_buildable_exactly_when_the_locus_is_the_pattern)."""
+    return [c for total in range(1, p - 1)
+            for c in partitions_at_most(total, total)
+            if set(partitions_at_most(total, len(c))) == merge_coarsenings(c)]
+
+
+class TestDividedDifference:
+    """The one divided-difference equation against the old G_m^(p-1)
+    character-table rows."""
+
+    @pytest.mark.parametrize("p", [
+        pytest.param(p, id=str(p.p)) for p in (P5, P7, P11, P13)])
+    def test_old_and_new_variety_have_equal_exponent_sets(self, p):
+        # The linear part depends on sum(c) alone, and the all-ones c
+        # reach every sum(c) < p - 1. Subresultant equations grow fast
+        # with sum(c) (at p = 7, evaluating c = (1, 1, 1, 2) at its
+        # survivors takes seconds, and c = (6) takes about 13 s to build
+        # at p = 11), so those c stop at sum(c) = 4.
+        n = p.p - 1
+        pvs = [build_pset_variety(p, list(c)) for c in buildable_patterns(p.p)
+               if len(c) == sum(c) or sum(c) <= 4]
+        assert len(pvs) >= n - 1
+        for pv in pvs:
+            linear, *rest = pv.X.equations
+            assert [ev for ev, _ in linear] == [
+                tuple(int(b == a) for b in range(n))
+                for a in range(pv.ell_prime + 1)] + [(0,) * n]
+            assert linear[-1][1] == -RatFunc.one(p)
+            assert len(rest) == len(pv.sres)
+        sets = variety_exponent_sets(
+            pvs + [old_pset_variety(pv) for pv in pvs], 400)
+        for pv, got, want in zip(pvs, sets, sets[len(pvs):]):
+            assert got == want == exponent_set(pv, 400), pv.coefficients
+
+
 class TestVandermonde:
     def test_p3_explicit(self):
-        assert vandermonde_inverse(P3) == ((2, 2), (2, 1))
+        assert character_table(P3) == ((2, 2), (2, 1))
 
     def test_product_is_identity(self):
         for p in (P3, P5, P7, P11):
-            a = vandermonde_inverse(p)
+            a = character_table(p)
             n = p.p - 1
             v = [[pow(av, j, p.p) for j in range(n)]
                  for av in range(1, p.p)]
@@ -210,9 +309,10 @@ class TestVandermonde:
             assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
 
     def test_defining_identity_beyond_one_period(self):
-        # construction itself asserts j <= 2(p-1); spot check j = k + (p-1)
+        # the orthogonality relation holds for every j; spot check
+        # j = k + (p-1), one period above the product
         for p in (P3, P5, P7):
-            a = vandermonde_inverse(p)
+            a = character_table(p)
             n = p.p - 1
             for k in range(n):
                 total = sum(a[k][av - 1] * pow(av, k + n, p.p)
@@ -220,8 +320,10 @@ class TestVandermonde:
                 assert total == 1
 
     def test_too_small_prime(self):
+        # sum(c) + 1 distinct nonzero nodes need sum(c) < p - 1: none at
+        # p = 2
         with pytest.raises(DomainError):
-            vandermonde_inverse(PrimeModulus(2))
+            build_pset_variety(PrimeModulus(2), [1])
 
 
 class TestBuildPsetVariety:

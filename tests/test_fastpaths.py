@@ -65,25 +65,29 @@ class TestStructuredZeroTest:
             assert structured == dense_zero, (pv, shifts, lams, const, m)
 
     def test_vandermonde_rows_are_exercised(self):
-        # the all-ones variety rows: membership iff digit sum matches
-        from pdml.constructions import vandermonde_inverse
+        # the linear equation of the p-set variety: it holds at [m]P iff
+        # the digit sum of m is sum(c)
+        from pdml.constructions import build_pset_variety
 
         for p in (P3, P5, P7):
             pv = p.p
-            a_inv = vandermonde_inverse(p)
             ell = 2 if pv > 3 else 1
+            (*terms, (_, const)), *_ = build_pset_variety(
+                p, [1] * ell).X.equations
+            row = [(ev.index(1) + 1, w.num.coeffs[0]) for ev, w in terms]
+            const = const.num.coeffs[0]
+            assert len(row) == ell + 1
             for m in range(0, 200):
                 digit_sum = 0
                 mm = m
                 while mm:
                     digit_sum += mm % pv
                     mm //= pv
-                row = list(zip(range(1, pv), a_inv[ell]))
-                got = _structured_zero_test(row, pv - 1, m, pv)
-                dense = FpPoly([pv - 1], p)
+                got = _structured_zero_test(row, const, m, pv)
+                dense = FpPoly([const], p)
                 for s, lam in row:
                     dense = dense + (FpPoly([s, 1], p) ** m).scale(lam)
-                assert got == dense.is_zero()
+                assert got == dense.is_zero() == (digit_sum == ell), m
 
     def test_negative_exponent_pole_argument(self):
         # nonzero coefficient on a pole can never sum to zero
@@ -775,14 +779,17 @@ class TestPackedRows:
         # the golden return-set-pow7 input at p = 10^9 + 7: no coordinate
         # is a linear power there, so the subresultant equation takes the
         # expansion route at g = 1 with D growing about 7x a step; its
-        # products of K packed factors are refused, not left to run
+        # products of K packed factors are refused, not left to run, and
+        # the refusal counts 8-byte words, not coefficients
         text = (DATA / "return-set-pow7.txt").read_text()
         text = text.replace("p = 7\n", "p = 1000000007\n", 1)
         _, phi, alpha, v, n_max = torus_instance_from_text(text)
         start = time.perf_counter()
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError) as refused:
             return_set(phi, alpha, v, n_max)
         assert time.perf_counter() - start < 5.0
+        assert str(refused.value) == (
+            "packed product of 1274079 8-byte words exceeds cap 1000000")
 
 
 class TestPreperiodicCutoff:

@@ -467,8 +467,9 @@ class TestErrorExits:
         ["exponent-set", "--p", "10007", "--c", "1,1", "--bound", "3"],
         ["gen-instance", "{inst}"]])
     def test_large_prime_exit_4(self, tmp_path, capsys, argv):
-        # the p-set variety lives in G_m^(p-1); above the dimension cap
-        # the construction stops before its cubic-cost set-up
+        # the p-set variety lives in G_m^(p-1), and gen-instance's matrix
+        # is dense in (p-1)d coordinates; above the dimension cap the
+        # construction stops before building either
         inst = tmp_path / "big.txt"
         inst.write_text(PEXP.format(terms="1,1", c="c = 1,1\n", n_max="4")
                         .replace("p = 5", "p = 10007"))
