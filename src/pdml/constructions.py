@@ -385,28 +385,29 @@ def _self_check(pv: PsetVariety):
     """Emitted equations must vanish on parametrized sample points and
     reject perturbed non-members; failure aborts the construction."""
     system = PolySystem(pv.X.equations, pv.p, pv.X.n_vars)
-    for member, twist in _self_check_points(pv):
+    for member, twist in _self_check_points(pv, system.top):
         if not system.vanishes_at(member):
             raise InternalError("parametrized point violates equations")
         if system.vanishes_at(twist):
             raise InternalError("perturbed non-member satisfied equations")
 
 
-def _self_check_points(pv: PsetVariety):
+def _self_check_points(pv: PsetVariety, read):
     """The self-check's seeded (member, non-member) pairs of polynomial
-    points: x_a = prod (y_j + a)^(c_j), and the same point with its first
-    coordinate times t + r."""
+    points: x_a = prod (y_j + a)^(c_j) on the coordinates x_(i+1), i in
+    read, that the equations read, 1 on the others, which no equation
+    constrains, and the same point with its first coordinate times t + r."""
     rng = random.Random(_SELF_CHECK_SEED)
     p = pv.p
     for _ in range(_SELF_CHECK_SAMPLES):
         # degree >= 1 parameters keep every shifted base nonzero
         ys = [_random_poly(rng, p) for _ in range(len(pv.coefficients))]
-        member = []
-        for a in range(1, p.p):
+        member = [FpPoly.one(p)] * (p.p - 1)
+        for i in read:
             acc = FpPoly.one(p)
             for y, cj in zip(ys, pv.coefficients):
-                acc = acc * (y + FpPoly.const(a, p)) ** cj
-            member.append(acc)
+                acc = acc * (y + FpPoly.const(i + 1, p)) ** cj
+            member[i] = acc
         # the linear equation moves by w_1 x_1 (t + r - 1), w_1 != 0: a
         # non-member by construction
         twist = list(member)

@@ -70,8 +70,8 @@ class Record:
     """Base of the value classes: a subclass lists its fields in __slots__
     and sets them in its __init__ with _init. Equality (between instances
     of one class), hashing and repr read the slots not starting with "_";
-    those that do hold caches. Assigning or deleting an attribute raises
-    AttributeError."""
+    one that does is the cache slot _derived, a dict filled through
+    derived. Assigning or deleting an attribute raises AttributeError."""
 
     __slots__ = ()
 
@@ -104,6 +104,20 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+_UNMADE = object()
+
+
+def derived(obj: Record, key, make, *args):
+    """obj's datum key, made by make(*args), which reads obj alone, once,
+    and kept in obj's cache slot _derived: the one place a Record cache is
+    written. A hit costs one dict lookup."""
+    cache = obj._derived
+    value = cache.get(key, _UNMADE)
+    if value is _UNMADE:
+        value = cache[key] = make(*args)
+    return value
 
 
 class PrimeModulus(Record):

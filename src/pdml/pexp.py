@@ -6,6 +6,13 @@ p-sets of the two-exponent shape, re-verifying every emitted description
 against the solver on the full range. The classifier never extrapolates
 unverified structure: shape fitting is advisory, the oracle check
 is mandatory.
+
+An instance decides each n once. Its PSet, the largest n decided so far
+and the hits up to it, with their witnesses once built, stay on the
+instance, so pexp_classify after pexp_solve, or any call after another at
+any bound, decides only the n past that bound and builds only the missing
+witnesses. A CLI process runs one command on a fresh instance and gains
+nothing from this.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError, InternalError, UnsupportedError
-from .exact import PrimeModulus, Record
+from .exact import PrimeModulus, Record, derived
 from .lrs import (
     Lrs,
     lrs_char_roots,
@@ -40,49 +47,75 @@ class PexpInstance(Record):
     """u_n = sum c_i p^(k_i n_i); empty terms mean the void equation, which
     every n satisfies."""
 
-    __slots__ = ("u", "p", "terms")
+    # _derived: what the instance has decided, kept by _decide
+    __slots__ = ("u", "p", "terms", "_derived")
 
     def __init__(self, u: Lrs, p: PrimeModulus,
                  terms: tuple[tuple[int, int], ...]):
         terms = tuple((int(c), int(k)) for c, k in terms)
         if any(k < 0 for _, k in terms):
             raise DomainError("exponent multipliers must be non-negative")
-        self._init(u, p, terms)
+        self._init(u, p, terms, {})
 
     def nontrivial_terms(self) -> int:
         return sum(1 for c, k in self.terms if k >= 1 and c != 0)
 
-    def pset(self) -> PSet | None:
-        if not self.terms:
-            return None
-        return PSet(tuple((Fraction(c), k) for c, k in self.terms))
+
+class _Decided:
+    """What one instance has decided: its PSet (None for the void
+    equation), whose digit automaton serves every call, the largest n
+    decided so far, and the hits up to it, each mapped to its witness, or
+    to None while none is built."""
+
+    __slots__ = ("pset", "bound", "hits")
+
+    def __init__(self, inst: PexpInstance):
+        self.pset = (PSet(tuple((Fraction(c), k) for c, k in inst.terms))
+                     if inst.terms else None)
+        self.bound = -1
+        self.hits: dict[int, tuple[int, ...] | None] = {}
+
+
+def _decide(inst: PexpInstance, n_max: int, witnesses: bool
+            ) -> dict[int, tuple[int, ...] | None]:
+    """The hits n <= n_max, each with its witness if witnesses is set.
+
+    Only the n past the instance's decided bound are decided, and only the
+    hits that lack a wanted witness get one; u's prefix is computed only
+    when one of the two is needed."""
+    if n_max < 0:
+        raise DomainError("n_max must be non-negative")
+    table = derived(inst, "decided", _Decided, inst)
+    S, bound = table.pset, table.bound
+    hits = {n: w for n, w in table.hits.items() if n <= n_max}
+    lacking = [n for n, w in hits.items() if w is None] if witnesses else []
+    if n_max > bound or lacking:
+        values = lrs_prefix(inst.u, n_max)
+        for n in lacking:
+            hits[n] = pset_membership(values[n], S, inst.p)
+        for n in range(bound + 1, n_max + 1):
+            if S is None:
+                hits[n] = ()
+            elif witnesses:
+                w = pset_membership(values[n], S, inst.p)
+                if w is not None:
+                    hits[n] = w
+            elif pset_contains(values[n], S, inst.p):
+                hits[n] = None
+        table.hits.update(hits)
+        table.bound = max(table.bound, n_max)
+    return hits
 
 
 def pexp_solve(inst: PexpInstance, n_max: int
                ) -> list[tuple[int, tuple[int, ...]]]:
     """All (n, lexicographically least witness) with n <= n_max."""
-    if n_max < 0:
-        raise DomainError("n_max must be non-negative")
-    values = lrs_prefix(inst.u, n_max)
-    S = inst.pset()
-    out = []
-    for n, v in enumerate(values):
-        if S is None:
-            out.append((n, ()))
-            continue
-        w = pset_membership(v, S, inst.p)
-        if w is not None:
-            out.append((n, w))
-    return out
+    return sorted(_decide(inst, n_max, True).items())
 
 
 def pexp_solution_set(inst: PexpInstance, n_max: int) -> set[int]:
-    """All n <= n_max with u_n representable; decides without witnesses."""
-    if n_max < 0:
-        raise DomainError("n_max must be non-negative")
-    S = inst.pset()
-    return {n for n, v in enumerate(lrs_prefix(inst.u, n_max))
-            if S is None or pset_contains(v, S, inst.p)}
+    """All n <= n_max with u_n representable; builds no witness."""
+    return set(_decide(inst, n_max, False))
 
 
 # ---------------------------------------------------------------------------

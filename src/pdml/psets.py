@@ -22,7 +22,7 @@ from math import lcm, prod
 
 from .errors import (DomainError, InternalError, ResourceLimitError,
                      UnsupportedError)
-from .exact import PrimeModulus, Record
+from .exact import PrimeModulus, Record, derived
 
 # Split depth for excluding single points from a p-set before giving up.
 _EXCLUDE_SPLIT_CAP = 64
@@ -81,8 +81,8 @@ class ArithProg(Record):
 class PSet(Record):
     """terms = ((c_1, k_1), ..., (c_m, k_m)) with rational c_j, k_j >= 0."""
 
-    # _automata: digit automata by prime, built on first use (see _automaton)
-    __slots__ = ("terms", "_automata")
+    # _derived: digit automata by prime, built on first use (see _automaton)
+    __slots__ = ("terms", "_derived")
 
     def __init__(self, terms: tuple[tuple[Fraction, int], ...]):
         norm = tuple((Fraction(c), int(k)) for c, k in terms)
@@ -134,10 +134,14 @@ class _DigitAutomaton:
     at level l means the terms placed below l sum to (T mod p^l) + carry
     p^l. A move places a subset, of sum sigma, of the unplaced terms allowed
     at l, writes the digit (carry + sigma) mod p and carries the rest; the
-    carries stay in |carry| <= sum|e_j|/(p-1) + 1. Moves are tabled once
-    per set of placeable terms, as sigma does not depend on the carry. A
-    state with every term placed accepts iff its carry is floor(T / p^l).
-    Above its top digit T reads 0 forever, or p - 1 if negative.
+    carries stay in |carry| <= sum|e_j|/(p-1) + 1. Equal terms (same e_j
+    and k_j) are placed in index order, so a move places a prefix of the
+    unplaced ones of each kind: m equal terms cost m + 1 subsets, not 2^m.
+    That keeps every member, and the least witness, whose levels never
+    decrease over equal terms. Moves are tabled once per set of placeable
+    terms, as sigma does not depend on the carry. A state with every term
+    placed accepts iff its carry is floor(T / p^l). Above its top digit T
+    reads 0 forever, or p - 1 if negative.
     """
 
     def __init__(self, S: PSet, p: int):
@@ -147,6 +151,10 @@ class _DigitAutomaton:
         self.ks = [k for _, k in cleared]
         self.terms = [(e, k) for e, k in cleared if k >= 1]
         self.lam = lcm(*(k for _, k in self.terms))
+        kinds: dict[tuple[int, int], list[int]] = {}
+        for j, term in enumerate(self.terms):
+            kinds.setdefault(term, []).append(j)
+        self.kinds = [(e, js) for (e, _), js in kinds.items()]
         self.start = (1 << len(self.terms)) - 1
         # every carry stays within cap: |carry| <= C gives |carry'| <= C
         # for C >= sum|e_j| / (p - 1) + 2
@@ -171,11 +179,19 @@ class _DigitAutomaton:
         avail = mask & self._allowed[cls]
         if avail not in self._table:
             out = self._table[avail] = {}
-            for sub in range(avail + 1):  # the empty subset is always legal
-                if sub & ~avail == 0:
-                    sigma = sum(e for j, (e, _) in enumerate(self.terms)
-                                if sub >> j & 1)
-                    out.setdefault(sigma % self.p, []).append((sub, sigma))
+            # per kind, the (placed, sigma) of each prefix of its terms in
+            # avail, the empty one first
+            prefixes = []
+            for e, js in self.kinds:
+                row = [(0, 0)]
+                for j in js:
+                    if avail >> j & 1:
+                        row.append((row[-1][0] | 1 << j, row[-1][1] + e))
+                prefixes.append(row)
+            for moves in itertools.product(*prefixes):
+                sub = sum(placed for placed, _ in moves)
+                sigma = sum(part for _, part in moves)
+                out.setdefault(sigma % self.p, []).append((sub, sigma))
         return self._table[avail]
 
     def step(self, cls: int, states: frozenset, digit: int) -> tuple:
@@ -308,9 +324,7 @@ class _DigitAutomaton:
 
 def _automaton(S: PSet, p: PrimeModulus) -> _DigitAutomaton:
     """S's digit automaton for p, built on first use and kept on S."""
-    if p.p not in S._automata:
-        S._automata[p.p] = _DigitAutomaton(S, p.p)
-    return S._automata[p.p]
+    return derived(S, p.p, _DigitAutomaton, S, p.p)
 
 
 def pset_contains(M: int | Fraction, S: PSet, p: PrimeModulus) -> bool:

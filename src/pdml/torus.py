@@ -23,8 +23,8 @@ from math import gcd, prod
 
 from .errors import DomainError, InternalError, UsageError
 from .exact import (FpPoly, PrimeModulus, RatFunc, Record, _guard_size,
-                    pack_slots, poly_factor, ratfunc_int_pow, slot_bytes,
-                    unpack_slots)
+                    derived, pack_slots, poly_factor, ratfunc_int_pow,
+                    slot_bytes, unpack_slots)
 from .lrs import (Lrs, _cyclotomic_orders, _poly_mul_z, _synthetic_div,
                   char_poly_of_matrix, distinct_blocks, lrs_char_roots,
                   lrs_prefix, lrs_root_p_dependence, mat_mul, mat_power_bound)
@@ -43,8 +43,8 @@ def _as_matrix(rows) -> Matrix:
 class TorusPoint(Record):
     """Point of G_m^N: every coordinate a nonzero element of F_p(t)."""
 
-    # _factors: factorizations, built on first use by factor_point
-    __slots__ = ("coords", "_factors")
+    # _derived: the coordinates' factorizations, made by factor_point
+    __slots__ = ("coords", "_derived")
 
     def __init__(self, coords: tuple[RatFunc, ...]):
         coords = tuple(coords)
@@ -52,7 +52,7 @@ class TorusPoint(Record):
             raise DomainError("need at least one coordinate")
         if any(c.is_zero() for c in coords):
             raise DomainError("torus points have nonzero coordinates")
-        self._init(coords, [])
+        self._init(coords, {})
 
     @property
     def dim(self) -> int:
@@ -79,7 +79,7 @@ class TorusPoint(Record):
 class TorusSelfMap(Record):
     """x -> translation * [matrix]x with the matrix acting multiplicatively."""
 
-    # _derived: what depends on the map alone, built on first use by _per_map
+    # _derived: what depends on the map alone, built on first use
     __slots__ = ("matrix", "translation", "_derived")
 
     def __init__(self, matrix: Matrix, translation: TorusPoint):
@@ -107,8 +107,8 @@ Equation = tuple[tuple[tuple[int, ...], RatFunc], ...]
 class Variety(Record):
     """Zero set of Laurent polynomials; an empty list is the whole torus."""
 
-    # _factored: factored equations, built on first use by _factor_equations
-    __slots__ = ("n_vars", "equations", "_factored")
+    # _derived: the factored equations, made by _factor_equations
+    __slots__ = ("n_vars", "equations", "_derived")
 
     def __init__(self, n_vars: int, equations: tuple[Equation, ...]):
         eqs = []
@@ -118,7 +118,7 @@ class Variety(Record):
                 if len(ev) != n_vars:
                     raise DomainError("exponent vector has wrong length")
             eqs.append(terms)
-        self._init(n_vars, tuple(eqs), [])
+        self._init(n_vars, tuple(eqs), {})
 
 
 def endo_apply(matrix, x: TorusPoint) -> TorusPoint:
@@ -136,13 +136,6 @@ def endo_apply(matrix, x: TorusPoint) -> TorusPoint:
                 acc = acc * ratfunc_int_pow(xj, a)
         coords.append(acc)
     return TorusPoint(tuple(coords))
-
-
-def _per_map(phi: TorusSelfMap, key, make, *args):
-    """phi's datum key, made by make(*args), which reads phi alone, once."""
-    if key not in phi._derived:
-        phi._derived[key] = make(*args)
-    return phi._derived[key]
 
 
 def selfmap_apply(phi: TorusSelfMap, x: TorusPoint) -> TorusPoint:
@@ -238,9 +231,8 @@ class Factored:
 
 def factor_point(x: TorusPoint) -> list[Factored]:
     """The coordinates' factorizations, computed once per point."""
-    if not x._factors:
-        x._factors.extend([Factored.from_ratfunc(c) for c in x.coords])
-    return list(x._factors)
+    return list(derived(x, "factors", lambda: [
+        Factored.from_ratfunc(c) for c in x.coords]))
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +258,8 @@ def _orbit_height(phi: TorusSelfMap, start: int, y: int, n_max: int) -> int:
     """A bound on every |exponent| of Phi^n(alpha), n <= n_max: the rows are
     A^n alpha + sum_(k<n) A^k y, so M (|alpha| + n_max |y|) bounds them when
     M, kept per map, bounds the row sums ||A^k|| for k <= n_max."""
-    return _per_map(phi, ("power bound", n_max), mat_power_bound, phi.matrix,
-                   n_max) * (start + n_max * y)
+    return derived(phi, ("power bound", n_max), mat_power_bound, phi.matrix,
+                  n_max) * (start + n_max * y)
 
 
 def _rows(values: list[Factored], basis: list[tuple[int, ...]], width: int
@@ -390,10 +382,9 @@ FactoredEquation = list[tuple[tuple[int, ...], Factored]]
 def _factor_equations(v: Variety) -> list[FactoredEquation]:
     """The equations with their nonzero coefficients factored, computed
     once per variety; zero coefficients drop out."""
-    if not v._factored:
-        v._factored.extend([[(ev, Factored.from_ratfunc(c)) for ev, c in eq
-                             if not c.is_zero()] for eq in v.equations])
-    return v._factored
+    return derived(v, "factored", lambda: [
+        [(ev, Factored.from_ratfunc(c)) for ev, c in eq if not c.is_zero()]
+        for eq in v.equations])
 
 
 # (sparse exponent vector, coefficient row) per term
@@ -721,7 +712,7 @@ def reduction_decompose(phi: TorusSelfMap, alpha: TorusPoint
                         ) -> ReductionData:
     """The decomposition of Phi^n as ReductionData. It reads only phi, not
     alpha, so it is built once per map and shared by every start point."""
-    return _per_map(phi, "reduction", _reduction, phi)
+    return derived(phi, "reduction", _reduction, phi)
 
 
 def _reduction(phi: TorusSelfMap) -> ReductionData:
@@ -905,8 +896,8 @@ def classify_hits(phi: TorusSelfMap, hits: list[int], n_max: int,
     notes: list[str] = []
     allow_psets = True
     if phi.is_endomorphism():
-        verdict = _per_map(phi, ("obstruction", r_max, s_max),
-                           frobenius_obstruction, phi.matrix, p, r_max, s_max)
+        verdict = derived(phi, ("obstruction", r_max, s_max),
+                          frobenius_obstruction, phi.matrix, p, r_max, s_max)
         if not verdict.obstructed:
             allow_psets = False
             notes.append(f"no Frobenius obstruction: {verdict}; "

@@ -451,7 +451,7 @@ class TestPackedEvaluator:
     def test_agrees_on_self_check_points(self, p, c):
         pv = build_pset_variety(p, c)
         system = PolySystem(pv.X.equations, p, pv.X.n_vars)
-        pairs = list(_self_check_points(pv))
+        pairs = list(_self_check_points(pv, system.top))
         assert len(pairs) == 50
         for member, twist in pairs:
             assert system.vanishes_at(member)

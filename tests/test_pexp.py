@@ -2,6 +2,9 @@ import itertools
 import random
 import time
 
+import pytest
+
+import pdml.pexp as pexp_mod
 import pdml.psets as psets_mod
 from pdml.exact import PrimeModulus
 from pdml.lrs import Lrs, constant, fibonacci, lrs_prefix
@@ -242,3 +245,87 @@ class TestFitSolutionDesc:
             verified_bound=179,
             notes=("piece 1k+0: two-exponent shape fitted",))
         assert len(built) <= 10
+
+
+# The three instance kinds of the pexp-digits benchmark workload, and a void
+# equation: (name, instance, n_max).
+DECIDED_CASES = [
+    # u_n = 5^n + 40 against 5^(n1) + 5^(n2) + 39: every n, with witnesses
+    ("positive", PexpInstance(Lrs((5, -6), (41, 45)), P5,
+                              ((1, 1), (1, 1), (39, 0))), 40),
+    # u_n = 5^n + 23 against 5^(n1) + 5^(n2): 23 = 3 mod 5, no n
+    ("negative", PexpInstance(Lrs((5, -6), (24, 28)), P5,
+                              ((1, 1), (1, 1))), 30),
+    # u_n = n + 17 against 7^(n1) + 2 7^(n2): a shifted p-set
+    ("pset", PexpInstance(Lrs((1, -2), (17, 18)), P7, ((1, 1), (2, 1))),
+     150),
+    ("void", PexpInstance(fibonacci(), P5, ()), 30),
+]
+
+
+def fresh(inst: PexpInstance) -> PexpInstance:
+    return PexpInstance(inst.u, inst.p, inst.terms)
+
+
+class TestDecidedOnce:
+    """pexp_solve and pexp_classify share the instance's decided hits:
+    any order of calls and of bounds gives what fresh instances give."""
+
+    @pytest.mark.parametrize("name,inst,n_max", DECIDED_CASES,
+                             ids=[c[0] for c in DECIDED_CASES])
+    def test_any_call_order_and_bounds(self, name, inst, n_max):
+        oracle = oracle_solutions(inst, n_max)
+        values = lrs_prefix(inst.u, n_max)
+
+        def check(n, got_solve, got_desc):
+            want = {m for m in oracle if m <= n}
+            assert got_solve == pexp_solve(fresh(inst), n)
+            assert {m for m, _ in got_solve} == want
+            for m, w in got_solve:
+                assert len(w) == len(inst.terms)
+                # the void equation's empty witness sums to nothing
+                assert not inst.terms or values[m] == sum(
+                    c * inst.p.p ** (k * e)
+                    for (c, k), e in zip(inst.terms, w))
+            assert got_desc == pexp_classify(fresh(inst), n)
+            assert got_desc.members(n) == want
+
+        one = fresh(inst)
+        check(n_max, pexp_solve(one, n_max), pexp_classify(one, n_max))
+        one = fresh(inst)
+        desc = pexp_classify(one, n_max)
+        check(n_max, pexp_solve(one, n_max), desc)
+        one = fresh(inst)
+        for n in (n_max // 3, n_max // 2, n_max, n_max // 2, n_max // 5):
+            desc = pexp_classify(one, n)
+            check(n, pexp_solve(one, n), desc)
+            check(n, pexp_solve(one, n), pexp_classify(one, n))
+        assert pexp_solution_set(one, n_max) == oracle
+
+    def test_each_n_decided_once(self, monkeypatch):
+        calls = {"lrs_prefix": 0, "pset_contains": 0, "pset_membership": 0}
+        for fn in calls:
+            def counting(*args, _real=getattr(pexp_mod, fn), _fn=fn):
+                calls[_fn] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(pexp_mod, fn, counting)
+        _, inst, n_max = DECIDED_CASES[0]
+        inst = fresh(inst)
+        sols = pexp_solve(inst, n_max)
+        assert calls == {"lrs_prefix": 1, "pset_contains": 0,
+                         "pset_membership": n_max + 1}
+        pexp_classify(inst, n_max)
+        pexp_classify(inst, n_max // 2)
+        assert pexp_solve(inst, n_max // 2) == sols[:n_max // 2 + 1]
+        assert calls == {"lrs_prefix": 1, "pset_contains": 0,
+                         "pset_membership": n_max + 1}
+        # past the bound only the new n are decided, without witnesses
+        pexp_classify(inst, n_max + 5)
+        assert calls == {"lrs_prefix": 2, "pset_contains": 5,
+                         "pset_membership": n_max + 1}
+        # then only those hits get a witness
+        got = pexp_solve(inst, n_max + 5)
+        assert calls == {"lrs_prefix": 3, "pset_contains": 5,
+                         "pset_membership": n_max + 6}
+        assert got == pexp_solve(fresh(inst), n_max + 5)

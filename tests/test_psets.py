@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -482,11 +483,70 @@ coefficient = st.tuples(st.integers(-6, 6), st.sampled_from([1, 1, 2, 3]))
        bound=st.integers(0, 2000))
 def test_automaton_agrees_with_brute_force(p, terms, exps, offset, bound):
     S = PSet(tuple((Fraction(a, b), k) for (a, b), k in terms))
+    agrees_with_brute_force(S, p, exps, offset, bound, window_witnesses)
+
+
+def summed_witnesses(S: PSet, p: int, lo: int, hi: int) -> dict[int, tuple]:
+    """window_witnesses over the same exponent tuples, summed one term at
+    a time from the last: each partial sum keeps the least tuple of the
+    exponents summed so far. Equal terms reach few distinct sums, so
+    p-sets of several of them stay cheap."""
+    D = math.lcm(*(c.denominator for c, _ in S.terms))
+    cap = 1
+    while p ** cap <= max(-lo, hi, 1) * 10**4:
+        cap += 1
+    suffixes = {0: ()}
+    for c, k in reversed(S.terms):
+        longer: dict[int, tuple] = {}
+        for n in range(cap // k + 1) if k else [0]:
+            v = int(c * D) * p ** (k * n)
+            for total, rest in suffixes.items():
+                longer.setdefault(v + total, (n,) + rest)
+        suffixes = longer
+    return {total // D: combo for total, combo in suffixes.items()
+            if total % D == 0 and lo <= total // D <= hi}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]),
+       kinds=st.tuples(st.tuples(coefficient, st.integers(0, 3),
+                                 st.integers(2, 4)),
+                       st.tuples(coefficient, st.integers(0, 3),
+                                 st.integers(0, 2))),
+       order=st.randoms(use_true_random=False),
+       exps=st.lists(st.integers(0, 5), min_size=4, max_size=4),
+       offset=st.one_of(st.sampled_from([0, 0, 1, -1]),
+                        st.integers(-500, 500)),
+       bound=st.integers(0, 500))
+def test_automaton_agrees_with_brute_force_on_equal_terms(
+        p, kinds, order, exps, offset, bound):
+    """As above, for p-sets of at most four terms, two to four of them
+    equal, in any order."""
+    terms = [((a, b), k) for (a, b), k, r in kinds for _ in range(r)][:4]
+    order.shuffle(terms)
+    S = PSet(tuple((Fraction(a, b), k) for (a, b), k in terms))
+    agrees_with_brute_force(S, p, exps, offset, bound, summed_witnesses)
+
+
+def test_equal_terms_enumerate_in_time():
+    # s_13(v) = 11 exactly for the sums of eleven powers of 13 below 13^3:
+    # splitting a power into thirteen adds twelve terms
+    S = PSet(((Fraction(1), 1),) * 11)
+    start = time.perf_counter()
+    got = pset_enumerate(S, PrimeModulus(13), 400)
+    assert time.perf_counter() - start < 0.05
+    assert got == [v for v in range(401)
+                   if v % 13 + v // 13 % 13 + v // 169 == 11]
+
+
+def agrees_with_brute_force(S, p, exps, offset, bound, brute_force):
+    """Membership, the least witness and enumeration on S against the
+    brute_force witnesses."""
     P = PrimeModulus(p)
     # targets near a member half of the time, anywhere otherwise
     M = math.floor(reassemble(S, p, exps)) + offset if abs(offset) <= 1 \
         else offset
-    want = window_witnesses(S, p, min(M, 0), max(M, bound))
+    want = brute_force(S, p, min(M, 0), max(M, bound))
     w = pset_membership(M, S, P)
     assert (w is not None) == pset_contains(M, S, P) == (M in want)
     if w is not None:

@@ -198,7 +198,7 @@ VALUE_CLASSES = {
     "PrimeModulus": (lambda: PrimeModulus(5), "p", None, None),
     "ArithProg": (lambda: ArithProg(2, 1), "a", None, None),
     "PSet": (lambda: PSet(((1, 1), (Fraction(1, 2), 0))), "terms",
-             "_automata", None),
+             "_derived", None),
     "ReturnSetDesc": (
         lambda: ReturnSetDesc(P5, exceptional=(3, 1)), "verified_bound", None,
         lambda: ReturnSetDesc(p=P5, aps=(), psets=(), exceptional=(1, 3),
@@ -213,13 +213,13 @@ VALUE_CLASSES = {
                     None),
     "RootPReportTwin": (lambda: RootPReportTwin((1, 2), False), "verdicts",
                         None, None),
-    "PexpInstance": (lambda: PexpInstance(LRS, P5, ((1, 1),)), "terms", None,
-                     None),
-    "TorusPoint": (lambda: TorusPoint((X, X)), "coords", "_factors", None),
+    "PexpInstance": (lambda: PexpInstance(LRS, P5, ((1, 1),)), "terms",
+                     "_derived", None),
+    "TorusPoint": (lambda: TorusPoint((X, X)), "coords", "_derived", None),
     "TorusSelfMap": (lambda: TorusSelfMap(((1, 1), (0, 1)), TorusPoint((X, X))),
                      "matrix", "_derived", None),
     "Variety": (lambda: Variety(2, ((((1, 0), X), ((0, 1), X)),)),
-                "equations", "_factored", None),
+                "equations", "_derived", None),
     "ReductionData": (lambda: ReductionData((1, -1), (LRS,), (LRS,), ()),
                       "minpoly", None, None),
     "ObstructionVerdict": (
@@ -292,3 +292,32 @@ def test_every_record_is_a_value_class():
     assert [f"{cls.__name__}.{slot}" for cls in records
             for slot in cls.__slots__
             if slot[0] == "_" and VALUE_CLASSES[cls.__name__][2] != slot] == []
+
+
+def test_caches_are_written_only_through_derived():
+    """Every underscore slot of a library Record is its cache _derived,
+    and library code names it, as an attribute or as a string passed to a
+    call such as setattr, only in exact.derived: every cache is written in
+    that one place."""
+    slots = {slot for cls in _library_records() for slot in cls.__slots__
+             if slot[0] == "_"}
+    assert slots == {"_derived"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        helper = set()
+        if path.name == "exact.py":
+            helper = {id(node) for top in tree.body
+                      if isinstance(top, ast.FunctionDef)
+                      and top.name == "derived" for node in ast.walk(top)}
+            assert helper, "exact.derived is gone"
+        for node in ast.walk(tree):
+            if id(node) in helper:
+                continue
+            named = ([node.attr] if isinstance(node, ast.Attribute) else
+                     [arg.value for arg in node.args
+                      if isinstance(arg, ast.Constant)]
+                     if isinstance(node, ast.Call) else [])
+            if slots & set(named):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -317,7 +317,7 @@ class TestFactorCache:
         text = torus_instance_to_text(P5, phi, alpha, v, 8)
         reprs = (repr(alpha), repr(v))
         return_set(phi, alpha, v, 8)
-        assert alpha._factors and v._factored and not twin_alpha._factors
+        assert alpha._derived and v._derived and not twin_alpha._derived
         assert alpha == twin_alpha and hash(alpha) == hash(twin_alpha)
         assert v == twin_v and hash(v) == hash(twin_v)
         assert phi == twin_phi and hash(phi) == hash(twin_phi)
